@@ -2,160 +2,25 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "attr/attribution.h"
+#include "common/json.h"
 
 namespace protean::attr {
 namespace {
 
-// --- minimal recursive-descent JSON reader --------------------------------
-// Enough for the harness run JSON and the tracer file; the JSONL timeline
-// is parsed line-by-line through the same reader.
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const char* key) const {
-    if (kind != kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double num_or(double fallback) const {
-    return kind == kNumber ? number : fallback;
-  }
-};
-
-struct Parser {
-  const std::string& text;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < text.size() &&
-           (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-            text[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (i >= text.size() || text[i] != c) return false;
-    ++i;
-    return true;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (i < text.size()) {
-      const char c = text[i++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i >= text.size()) return false;
-        const char e = text[i++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u':
-            // Attribution artifacts never emit non-ASCII; skip the 4 hex
-            // digits and keep a placeholder so offsets stay consistent.
-            if (i + 4 > text.size()) return false;
-            i += 4;
-            out += '?';
-            break;
-          default: out += e; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (i >= text.size()) return false;
-    const char c = text[i];
-    if (c == '{') {
-      ++i;
-      out.kind = JsonValue::kObject;
-      skip_ws();
-      if (consume('}')) return true;
-      for (;;) {
-        std::string key;
-        JsonValue value;
-        if (!parse_string(key) || !consume(':') || !parse_value(value)) {
-          return false;
-        }
-        out.object.emplace_back(std::move(key), std::move(value));
-        if (consume(',')) continue;
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++i;
-      out.kind = JsonValue::kArray;
-      skip_ws();
-      if (consume(']')) return true;
-      for (;;) {
-        JsonValue value;
-        if (!parse_value(value)) return false;
-        out.array.push_back(std::move(value));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::kString;
-      return parse_string(out.str);
-    }
-    if (text.compare(i, 4, "true") == 0) {
-      out.kind = JsonValue::kBool;
-      out.boolean = true;
-      i += 4;
-      return true;
-    }
-    if (text.compare(i, 5, "false") == 0) {
-      out.kind = JsonValue::kBool;
-      i += 5;
-      return true;
-    }
-    if (text.compare(i, 4, "null") == 0) {
-      out.kind = JsonValue::kNull;
-      i += 4;
-      return true;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + i, &end);
-    if (end == text.c_str() + i) return false;
-    i = static_cast<std::size_t>(end - text.c_str());
-    out.kind = JsonValue::kNumber;
-    out.number = value;
-    return true;
-  }
-};
-
-bool parse_json(const std::string& text, JsonValue& out) {
-  Parser p{text};
-  if (!p.parse_value(out)) return false;
-  p.skip_ws();
-  return p.i == text.size();
-}
-
-std::uint64_t as_count(const JsonValue* v) {
-  if (v == nullptr || v->kind != JsonValue::kNumber || v->number < 0.0) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(v->number + 0.5);
+// Counts arrive as JSON numbers. Anything else, or a negative, reads as 0;
+// values beyond the uint64 range saturate instead of overflowing the cast.
+std::uint64_t as_count(const Json& v) {
+  const double n = v.number_or(0.0);
+  if (n < 0.0) return 0;
+  if (n + 0.5 >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(n + 0.5);
 }
 
 // --- reductions per artifact kind -----------------------------------------
@@ -178,49 +43,37 @@ void finalize(RunExplanation& run) {
   }
 }
 
-bool reduce_attribution_block(const JsonValue& block, const char* label,
+bool reduce_attribution_block(const Json& block, const char* label,
                               RunExplanation& run) {
   run.label = label;
   run.requests = as_count(block.find("requests"));
   run.violations = as_count(block.find("violations"));
   run.identity_violations = as_count(block.find("identity_violations"));
   run.negative_clamps = as_count(block.find("negative_component_clamps"));
-  if (const JsonValue* d = block.find("dominant_cause");
-      d != nullptr && d->kind == JsonValue::kString) {
-    run.dominant = d->str;
+  if (const std::string* d = block.find("dominant_cause").as_string()) {
+    run.dominant = *d;
   }
-  if (const JsonValue* causes = block.find("causes");
-      causes != nullptr && causes->kind == JsonValue::kArray) {
-    for (const JsonValue& c : causes->array) {
+  if (const Json::Array* causes = block.find("causes").as_array()) {
+    for (const Json& c : *causes) {
       CauseRow row;
-      if (const JsonValue* name = c.find("cause");
-          name != nullptr && name->kind == JsonValue::kString) {
-        row.cause = name->str;
+      if (const std::string* name = c.find("cause").as_string()) {
+        row.cause = *name;
       }
       row.violations = as_count(c.find("violations"));
-      if (const JsonValue* s = c.find("seconds")) {
-        row.seconds = s->num_or(-1.0);
-      }
+      row.seconds = c.find("seconds").number_or(-1.0);
       run.causes.push_back(std::move(row));
     }
   }
-  if (const JsonValue* groups = block.find("groups");
-      groups != nullptr && groups->kind == JsonValue::kArray) {
-    for (const JsonValue& g : groups->array) {
+  if (const Json::Array* groups = block.find("groups").as_array()) {
+    for (const Json& g : *groups) {
       ExplainGroup group;
-      if (const JsonValue* m = g.find("model");
-          m != nullptr && m->kind == JsonValue::kString) {
-        group.model = m->str;
-      }
+      if (const std::string* m = g.find("model").as_string()) group.model = *m;
       group.shard = static_cast<int>(as_count(g.find("shard")));
-      if (const JsonValue* s = g.find("strict")) {
-        group.strict = s->kind == JsonValue::kBool && s->boolean;
-      }
+      if (const bool* s = g.find("strict").as_bool()) group.strict = *s;
       group.requests = as_count(g.find("requests"));
       group.violations = as_count(g.find("violations"));
-      if (const JsonValue* d = g.find("dominant");
-          d != nullptr && d->kind == JsonValue::kString) {
-        group.dominant = d->str;
+      if (const std::string* d = g.find("dominant").as_string()) {
+        group.dominant = *d;
       }
       run.groups.push_back(std::move(group));
     }
@@ -232,28 +85,23 @@ bool reduce_attribution_block(const JsonValue& block, const char* label,
 /// Walks the run/sweep JSON tree collecting every report object that
 /// carries an `attribution` block, labelling it with the nearest sibling
 /// `scheme` string.
-void collect_run_json(const JsonValue& node, const std::string& scheme,
+void collect_run_json(const Json& node, const std::string& scheme,
                       std::vector<RunExplanation>& out) {
-  if (node.kind == JsonValue::kArray) {
-    for (const JsonValue& child : node.array) {
-      collect_run_json(child, scheme, out);
-    }
+  if (const Json::Array* array = node.as_array()) {
+    for (const Json& child : *array) collect_run_json(child, scheme, out);
     return;
   }
-  if (node.kind != JsonValue::kObject) return;
+  const Json::Object* object = node.as_object();
+  if (object == nullptr) return;
   std::string label = scheme;
-  if (const JsonValue* s = node.find("scheme");
-      s != nullptr && s->kind == JsonValue::kString) {
-    label = s->str;
-  }
-  if (const JsonValue* block = node.find("attribution");
-      block != nullptr && block->kind == JsonValue::kObject) {
+  if (const std::string* s = node.find("scheme").as_string()) label = *s;
+  if (const Json& block = node.find("attribution"); block.as_object()) {
     RunExplanation run;
-    reduce_attribution_block(*block, label.empty() ? "run" : label.c_str(),
+    reduce_attribution_block(block, label.empty() ? "run" : label.c_str(),
                              run);
     out.push_back(std::move(run));
   }
-  for (const auto& [key, child] : node.object) {
+  for (const auto& [key, child] : *object) {
     if (key == "attribution") continue;
     collect_run_json(child, label, out);
   }
@@ -261,12 +109,13 @@ void collect_run_json(const JsonValue& node, const std::string& scheme,
 
 bool explain_run_json(const std::string& text,
                       std::vector<RunExplanation>& out, std::string& error) {
-  JsonValue root;
-  if (!parse_json(text, root)) {
-    error = "malformed run JSON";
+  std::string why;
+  const std::optional<Json> root = Json::parse(text, &why);
+  if (!root) {
+    error = "malformed run JSON: " + why;
     return false;
   }
-  collect_run_json(root, "", out);
+  collect_run_json(*root, "", out);
   if (out.empty()) {
     error = "run JSON has no attribution blocks (was the run --attr on?)";
     return false;
@@ -277,35 +126,36 @@ bool explain_run_json(const std::string& text,
 bool explain_trace_json(const std::string& text,
                         std::vector<RunExplanation>& out,
                         std::string& error) {
-  JsonValue root;
-  if (!parse_json(text, root)) {
-    error = "malformed trace JSON";
+  std::string why;
+  const std::optional<Json> root = Json::parse(text, &why);
+  if (!root) {
+    error = "malformed trace JSON: " + why;
     return false;
   }
-  const JsonValue* summary = root.find("collector");
-  if (summary == nullptr || summary->kind != JsonValue::kObject) {
+  const Json::Object* summary = root->find("collector").as_object();
+  if (summary == nullptr) {
     error = "trace file has no collector summary";
     return false;
   }
   RunExplanation run;
   run.label = "trace";
   bool any = false;
-  for (const auto& [key, value] : summary->object) {
+  for (const auto& [key, value] : *summary) {
     if (key == "attr_requests") {
-      run.requests = as_count(&value);
+      run.requests = as_count(value);
       any = true;
     } else if (key == "attr_violations") {
-      run.violations = as_count(&value);
+      run.violations = as_count(value);
       any = true;
     } else if (key == "attr_identity_violations") {
-      run.identity_violations = as_count(&value);
+      run.identity_violations = as_count(value);
       any = true;
     } else if (key == "negative_component_clamps") {
-      run.negative_clamps = as_count(&value);
+      run.negative_clamps = as_count(value);
     } else if (key.rfind("attr_cause_", 0) == 0) {
       CauseRow row;
       row.cause = key.substr(std::strlen("attr_cause_"));
-      row.violations = as_count(&value);
+      row.violations = as_count(value);
       run.causes.push_back(std::move(row));
       any = true;
     }
@@ -326,31 +176,34 @@ bool explain_telemetry_jsonl(const std::string& text,
   // the finished-run value; the final scrape snapshots them all.
   RunExplanation run;
   run.label = "telemetry";
-  std::vector<std::pair<std::string, double>> last;  // cause -> last value
+  std::vector<std::pair<std::string, std::uint64_t>> last;  // cause -> count
   bool any = false;
   std::size_t begin = 0;
+  std::size_t line_no = 0;
   while (begin < text.size()) {
     std::size_t end = text.find('\n', begin);
     if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(begin, end - begin);
+    const std::string_view line(text.data() + begin, end - begin);
     begin = end + 1;
+    ++line_no;
     if (line.empty()) continue;
-    JsonValue obj;
-    if (!parse_json(line, obj)) {
-      error = "malformed JSONL line";
+    std::string why;
+    const std::optional<Json> obj = Json::parse(line, &why);
+    if (!obj) {
+      error = "malformed JSONL line " + std::to_string(line_no) + ": " + why;
       return false;
     }
-    const JsonValue* metrics = obj.find("metrics");
-    if (metrics == nullptr || metrics->kind != JsonValue::kObject) continue;
-    for (const auto& [name, value] : metrics->object) {
+    const Json::Object* metrics = obj->find("metrics").as_object();
+    if (metrics == nullptr) continue;
+    for (const auto& [name, value] : *metrics) {
       if (name == "attr_requests_total") {
-        run.requests = as_count(&value);
+        run.requests = as_count(value);
         any = true;
       } else if (name == "attr_identity_violations_total") {
-        run.identity_violations = as_count(&value);
+        run.identity_violations = as_count(value);
         any = true;
       } else if (name == "attr_negative_clamps_total") {
-        run.negative_clamps = as_count(&value);
+        run.negative_clamps = as_count(value);
       } else if (name.rfind("attr_violations_total{cause=\"", 0) == 0) {
         const std::size_t open = name.find('"') + 1;
         const std::size_t close = name.find('"', open);
@@ -359,12 +212,12 @@ bool explain_telemetry_jsonl(const std::string& text,
         bool found = false;
         for (auto& [k, v] : last) {
           if (k == cause) {
-            v = value.num_or(0.0);
+            v = as_count(value);
             found = true;
             break;
           }
         }
-        if (!found) last.emplace_back(cause, value.num_or(0.0));
+        if (!found) last.emplace_back(cause, as_count(value));
         any = true;
       }
     }
@@ -377,11 +230,10 @@ bool explain_telemetry_jsonl(const std::string& text,
   // their sum — this is the count slo_explain cross-checks against the
   // report.
   run.violations = 0;
-  for (const auto& [cause, value] : last) {
+  for (const auto& [cause, count] : last) {
     CauseRow row;
     row.cause = cause;
-    row.violations =
-        value < 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
+    row.violations = count;
     run.violations += row.violations;
     run.causes.push_back(std::move(row));
   }

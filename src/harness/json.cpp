@@ -1,98 +1,11 @@
 #include "harness/json.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "metrics/stats.h"
 
 namespace protean::harness {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-std::string number_to_string(double d) {
-  if (std::isnan(d) || std::isinf(d)) return "null";
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", d);
-  return buf;
-}
-
-void pad(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-}  // namespace
-
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  if (std::holds_alternative<std::nullptr_t>(value_)) {
-    out += "null";
-  } else if (const bool* b = std::get_if<bool>(&value_)) {
-    out += *b ? "true" : "false";
-  } else if (const double* d = std::get_if<double>(&value_)) {
-    out += number_to_string(*d);
-  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
-    out += '"';
-    out += json_escape(*s);
-    out += '"';
-  } else if (const Array* a = std::get_if<Array>(&value_)) {
-    out += '[';
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      if (i > 0) out += ',';
-      pad(out, indent, depth + 1);
-      (*a)[i].dump_to(out, indent, depth + 1);
-    }
-    if (!a->empty()) pad(out, indent, depth);
-    out += ']';
-  } else if (const Object* o = std::get_if<Object>(&value_)) {
-    out += '{';
-    for (std::size_t i = 0; i < o->size(); ++i) {
-      if (i > 0) out += ',';
-      pad(out, indent, depth + 1);
-      out += '"';
-      out += json_escape((*o)[i].first);
-      out += indent > 0 ? "\": " : "\":";
-      (*o)[i].second.dump_to(out, indent, depth + 1);
-    }
-    if (!o->empty()) pad(out, indent, depth);
-    out += '}';
-  }
-}
-
-std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
-}
 
 Json report_to_json(const Report& report) {
   Json::Object o;
@@ -325,7 +238,7 @@ Json aggregate_to_json(const AggregateReport& aggregate) {
   {
     Json::Array seeds;
     seeds.reserve(aggregate.seeds.size());
-    for (std::uint64_t seed : aggregate.seeds) seeds.push_back(Json(seed));
+    for (std::uint64_t seed : aggregate.seeds) seeds.emplace_back(seed);
     o.emplace_back("seeds", Json(std::move(seeds)));
   }
 

@@ -1,48 +1,19 @@
-// Minimal JSON writer + Report serialization.
+// Report serialization onto the shared JSON value (common/json.h).
 //
 // Purpose-built for machine-readable experiment output (the CLI's --json
-// mode and downstream plotting scripts); not a general JSON library.
+// mode and downstream plotting scripts).
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
-#include <variant>
 #include <vector>
 
+#include "common/json.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 
 namespace protean::harness {
 
-/// A small JSON value: null, bool, number, string, array, object.
-class Json {
- public:
-  using Array = std::vector<Json>;
-  using Object = std::vector<std::pair<std::string, Json>>;  // ordered
-
-  Json() : value_(nullptr) {}
-  Json(std::nullptr_t) : value_(nullptr) {}
-  Json(bool b) : value_(b) {}
-  Json(double d) : value_(d) {}
-  Json(int i) : value_(static_cast<double>(i)) {}
-  Json(std::uint64_t u) : value_(static_cast<double>(u)) {}
-  Json(const char* s) : value_(std::string(s)) {}
-  Json(std::string s) : value_(std::move(s)) {}
-  Json(Array a) : value_(std::move(a)) {}
-  Json(Object o) : value_(std::move(o)) {}
-
-  /// Serializes with stable key order and round-trippable numbers.
-  std::string dump(int indent = 0) const;
-
- private:
-  void dump_to(std::string& out, int indent, int depth) const;
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
-      value_;
-};
-
-/// Escapes a string for embedding in JSON (quotes not included).
-std::string json_escape(const std::string& text);
+using protean::Json;
+using protean::json_escape;
 
 /// Serializes an experiment report (all scalar fields; latency samples are
 /// summarized as percentiles rather than dumped raw).

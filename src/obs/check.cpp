@@ -3,252 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
+#include "common/json.h"
 #include "obs/trace.h"
 
 namespace protean::obs {
 namespace {
-
-// ---- minimal JSON reader ---------------------------------------------------
-// The harness's json.h is writer-only, so the checker carries its own small
-// recursive-descent reader. It supports exactly the JSON subset any trace
-// viewer would: objects, arrays, strings, numbers, bools, null.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const char* key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> v = value();
-    skip_ws();
-    if (v && pos_ != text_.size()) {
-      fail("trailing characters after document");
-      v.reset();
-    }
-    if (!v && error != nullptr) *error = error_;
-    return v;
-  }
-
- private:
-  void fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool consume(char expected) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<JsonValue> value() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return std::nullopt;
-    }
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return bool_value();
-    if (c == 'n') return null_value();
-    return number_value();
-  }
-
-  std::optional<JsonValue> object() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (consume('}')) return out;
-    while (true) {
-      skip_ws();
-      std::optional<std::string> key = string_body();
-      if (!key) return std::nullopt;
-      if (!consume(':')) {
-        fail("expected ':' in object");
-        return std::nullopt;
-      }
-      std::optional<JsonValue> v = value();
-      if (!v) return std::nullopt;
-      out.object.emplace_back(std::move(*key), std::move(*v));
-      if (consume(',')) continue;
-      if (consume('}')) return out;
-      fail("expected ',' or '}' in object");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<JsonValue> array() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (consume(']')) return out;
-    while (true) {
-      std::optional<JsonValue> v = value();
-      if (!v) return std::nullopt;
-      out.array.push_back(std::move(*v));
-      if (consume(',')) continue;
-      if (consume(']')) return out;
-      fail("expected ',' or ']' in array");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<std::string> string_body() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      fail("expected string");
-      return std::nullopt;
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // Decode BMP escapes to a byte when ASCII, '?' otherwise; the
-          // tracer never emits multi-byte escapes so this is exact in
-          // practice.
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return std::nullopt;
-          }
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          char* end = nullptr;
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4) {
-            fail("bad \\u escape");
-            return std::nullopt;
-          }
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          fail("unknown escape");
-          return std::nullopt;
-      }
-    }
-    fail("unterminated string");
-    return std::nullopt;
-  }
-
-  std::optional<JsonValue> string_value() {
-    std::optional<std::string> body = string_body();
-    if (!body) return std::nullopt;
-    JsonValue out;
-    out.kind = JsonValue::Kind::kString;
-    out.string = std::move(*body);
-    return out;
-  }
-
-  std::optional<JsonValue> bool_value() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.boolean = true;
-      pos_ += 4;
-      return out;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.boolean = false;
-      pos_ += 5;
-      return out;
-    }
-    fail("bad literal");
-    return std::nullopt;
-  }
-
-  std::optional<JsonValue> null_value() {
-    if (text_.compare(pos_, 4, "null") != 0) {
-      fail("bad literal");
-      return std::nullopt;
-    }
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  std::optional<JsonValue> number_value() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      fail("expected value");
-      return std::nullopt;
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    JsonValue out;
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = v;
-    return out;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-double num_or(const JsonValue* v, double fallback) {
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
-
-std::string str_or(const JsonValue* v, const std::string& fallback) {
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : fallback;
-}
 
 /// Sum of the union of [start, end] intervals, in input units.
 double interval_union(std::vector<std::pair<double, double>>& spans) {
@@ -276,72 +37,72 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= tol;
 }
 
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+// pid/tid as an int; out-of-range numbers clamp rather than overflow the
+// conversion.
+int int_field(const Json& event, const char* key) {
+  const double v = event.find(key).number_or(0.0);
+  return static_cast<int>(std::clamp(
+      v, static_cast<double>(std::numeric_limits<int>::min()),
+      static_cast<double>(std::numeric_limits<int>::max())));
 }
 
 }  // namespace
 
 std::optional<ParsedTrace> parse_trace_json(const std::string& text,
                                             std::string* error) {
-  JsonReader reader(text);
-  std::optional<JsonValue> root = reader.parse(error);
+  const std::optional<Json> root = Json::parse(text, error);
   if (!root) return std::nullopt;
-  if (root->kind != JsonValue::Kind::kObject) {
+  if (root->as_object() == nullptr) {
     if (error != nullptr) *error = "trace root is not an object";
     return std::nullopt;
   }
-  const JsonValue* events = root->find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+  const Json::Array* events = root->find("traceEvents").as_array();
+  if (events == nullptr) {
     if (error != nullptr) *error = "missing traceEvents array";
     return std::nullopt;
   }
 
   ParsedTrace out;
-  out.events.reserve(events->array.size());
-  for (const JsonValue& e : events->array) {
-    if (e.kind != JsonValue::Kind::kObject) continue;
+  out.events.reserve(events->size());
+  for (const Json& e : *events) {
+    if (e.as_object() == nullptr) continue;
     ParsedEvent ev;
-    ev.ph = str_or(e.find("ph"), "");
-    ev.name = str_or(e.find("name"), "");
-    ev.cat = str_or(e.find("cat"), "");
-    ev.pid = static_cast<int>(num_or(e.find("pid"), 0.0));
-    ev.tid = static_cast<int>(num_or(e.find("tid"), 0.0));
-    ev.ts_us = num_or(e.find("ts"), 0.0);
-    ev.dur_us = num_or(e.find("dur"), 0.0);
-    ev.id = str_or(e.find("id"), "");
-    if (const JsonValue* args = e.find("args");
-        args != nullptr && args->kind == JsonValue::Kind::kObject) {
-      for (const auto& [k, v] : args->object) {
-        if (v.kind == JsonValue::Kind::kNumber) {
-          ev.num_args[k] = v.number;
-        } else if (v.kind == JsonValue::Kind::kString) {
-          ev.str_args[k] = v.string;
+    if (const std::string* s = e.find("ph").as_string()) ev.ph = *s;
+    if (const std::string* s = e.find("name").as_string()) ev.name = *s;
+    if (const std::string* s = e.find("cat").as_string()) ev.cat = *s;
+    ev.pid = int_field(e, "pid");
+    ev.tid = int_field(e, "tid");
+    ev.ts_us = e.find("ts").number_or(0.0);
+    ev.dur_us = e.find("dur").number_or(0.0);
+    if (const std::string* s = e.find("id").as_string()) ev.id = *s;
+    if (const Json::Object* args = e.find("args").as_object()) {
+      for (const auto& [k, v] : *args) {
+        if (const double* num = v.as_number()) {
+          ev.num_args[k] = *num;
+        } else if (const std::string* str = v.as_string()) {
+          ev.str_args[k] = *str;
         }
       }
     }
     out.events.push_back(std::move(ev));
   }
 
-  if (const JsonValue* collector = root->find("collector");
-      collector != nullptr && collector->kind == JsonValue::Kind::kObject) {
-    for (const auto& [k, v] : collector->object) {
-      if (v.kind == JsonValue::Kind::kNumber) out.collector[k] = v.number;
+  if (const Json::Object* collector = root->find("collector").as_object()) {
+    for (const auto& [k, v] : *collector) {
+      if (const double* num = v.as_number()) out.collector[k] = *num;
     }
   }
 
-  const std::string cats = str_or(root->find("categories"), "");
-  if (cats.empty()) {
+  const std::string* cats = root->find("categories").as_string();
+  if (cats == nullptr || cats->empty()) {
     // Traces from other producers carry no category note; assume complete.
     out.categories = kAllCategories;
   } else {
     std::size_t start = 0;
-    while (start <= cats.size()) {
-      std::size_t comma = cats.find(',', start);
-      if (comma == std::string::npos) comma = cats.size();
-      const std::string token = cats.substr(start, comma - start);
+    while (start <= cats->size()) {
+      std::size_t comma = cats->find(',', start);
+      if (comma == std::string::npos) comma = cats->size();
+      const std::string token = cats->substr(start, comma - start);
       if (token == "spans") out.categories |= kSpans;
       if (token == "counters") out.categories |= kCounters;
       if (token == "sched") out.categories |= kSched;
@@ -409,12 +170,14 @@ CheckResult check_invariants(const ParsedTrace& trace) {
   auto check = [&result](const std::string& name, double span_side,
                          double collector_side) {
     if (nearly_equal(span_side, collector_side)) {
-      result.checked.push_back(name + ": " + fmt(span_side) + " == " +
-                               fmt(collector_side));
+      result.checked.push_back(name + ": " + format_double(span_side) +
+                               " == " + format_double(collector_side));
     } else {
       result.ok = false;
-      result.failures.push_back(name + ": trace says " + fmt(span_side) +
-                                ", collector says " + fmt(collector_side));
+      result.failures.push_back(name + ": trace says " +
+                                format_double(span_side) +
+                                ", collector says " +
+                                format_double(collector_side));
     }
   };
 
@@ -477,7 +240,7 @@ CheckResult check_invariants(const ParsedTrace& trace) {
     if (e.ph == "X" && e.dur_us < 0.0) {
       result.ok = false;
       result.failures.push_back("negative duration on X span '" + e.name +
-                                "' at ts " + fmt(e.ts_us));
+                                "' at ts " + format_double(e.ts_us));
     }
     if (e.ph != "M" && !std::isfinite(e.ts_us)) {
       result.ok = false;

@@ -37,9 +37,8 @@ struct ParsedTrace {
 };
 
 /// Parses a trace document produced by Tracer::to_json(). Accepts any
-/// JSON-object trace with a "traceEvents" array (the parser is a small,
-/// dependency-free recursive-descent reader, not a general validator).
-/// Returns nullopt and fills `error` on malformed input.
+/// JSON-object trace with a "traceEvents" array, read through the shared
+/// Json::parse. Returns nullopt and fills `error` on malformed input.
 std::optional<ParsedTrace> parse_trace_json(const std::string& text,
                                             std::string* error = nullptr);
 

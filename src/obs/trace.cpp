@@ -1,48 +1,16 @@
 #include "obs/trace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
+
+#include "common/json.h"
 
 namespace protean::obs {
 namespace {
 
-// Locale-independent, shortest-round-trip-ish number formatting. %.12g is
-// enough to make microsecond timestamps over multi-hour horizons exact, and
-// snprintf with the C locale is deterministic across runs (the binary never
-// calls setlocale).
-std::string fmt_double(double value) {
-  if (!std::isfinite(value)) return "0";
-  if (value == 0.0) return "0";  // normalizes -0
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  return buf;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_string(std::string& out, std::string_view text) {
   out += '"';
-  append_escaped(out, text);
+  append_json_escaped(out, text);
   out += '"';
 }
 
@@ -55,7 +23,7 @@ void append_args(std::string& out, Tracer::Args args) {
     append_string(out, a.key);
     out += ':';
     if (a.is_num) {
-      out += fmt_double(a.num);
+      out += format_double(a.num);
     } else {
       append_string(out, a.str);
     }
@@ -147,8 +115,8 @@ void Tracer::push_event(std::string_view ph, std::string_view name,
   append_string(e, cat);
   e += ",\"pid\":" + std::to_string(pid);
   e += ",\"tid\":" + std::to_string(tid);
-  e += ",\"ts\":" + fmt_double(at * kMicrosPerSecond);
-  if (ph == "X") e += ",\"dur\":" + fmt_double(dur * kMicrosPerSecond);
+  e += ",\"ts\":" + format_double(at * kMicrosPerSecond);
+  if (ph == "X") e += ",\"dur\":" + format_double(dur * kMicrosPerSecond);
   if (id != nullptr) {
     char idbuf[32];
     std::snprintf(idbuf, sizeof(idbuf), ",\"id\":\"0x%llx\"",
@@ -244,7 +212,7 @@ std::string Tracer::to_json() const {
     if (i != 0) out += ',';
     append_string(out, summary_[i].first);
     out += ':';
-    out += fmt_double(summary_[i].second);
+    out += format_double(summary_[i].second);
   }
   out += "}\n}";
   return out;

@@ -1,44 +1,15 @@
 #include "telemetry/pipeline.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/trace.h"
 
 namespace protean::telemetry {
 namespace {
-
-// Locale-independent deterministic number formatting (same contract as
-// the tracer's: %.12g under the never-changed C locale).
-std::string fmt_double(double value) {
-  if (!std::isfinite(value)) return "0";
-  if (value == 0.0) return "0";  // normalizes -0
-  // Integral fast path: most samples are counts, and %.12g renders any
-  // integer below 10^12 as plain digits, so to_chars produces identical
-  // bytes at a fraction of libc's float-formatting cost.
-  if (value == std::floor(value) && std::fabs(value) < 1e12) {
-    char buf[24];
-    const auto ll = static_cast<long long>(value);
-    const auto res = std::to_chars(buf, buf + sizeof(buf), ll);
-    return std::string(buf, res.ptr);
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  return buf;
-}
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += c; break;  // metric names never carry control chars
-    }
-  }
-}
 
 bool write_text_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -176,7 +147,7 @@ void TelemetryPipeline::scrape(SimTime now) {
     json_keys_.reserve(names.size());
     for (const auto& name : names) {
       std::string key(1, '"');
-      append_escaped(key, name);
+      append_json_escaped(key, name);
       key += "\":";
       json_keys_.push_back(std::move(key));
     }
@@ -188,11 +159,11 @@ void TelemetryPipeline::scrape(SimTime now) {
     // written, so buffering would only grow memory on long runs.
     std::string line;
     line.reserve(64 + values_.size() * 48);
-    line += "{\"t\":" + fmt_double(now) + ",\"metrics\":{";
+    line += "{\"t\":" + format_double(now) + ",\"metrics\":{";
     for (std::size_t i = 0; i < values_.size(); ++i) {
       if (i != 0) line += ',';
       line += json_keys_[i];
-      line += fmt_double(values_[i]);
+      line += format_double(values_[i]);
     }
     line += "}}";
     lines_.push_back(std::move(line));
@@ -204,11 +175,11 @@ void TelemetryPipeline::scrape(SimTime now) {
     // violation tally — the on-call answer to "why is this alert firing".
     const std::string cause = dominant_cause_ ? dominant_cause_() : "";
     if (options_.enabled()) {
-      std::string alert = "{\"t\":" + fmt_double(now) +
+      std::string alert = "{\"t\":" + format_double(now) +
                           ",\"event\":\"slo_burn_alert\",\"state\":\"";
       alert += event.fired ? "firing" : "cleared";
-      alert += "\",\"fast_burn\":" + fmt_double(event.fast_burn) +
-               ",\"slow_burn\":" + fmt_double(event.slow_burn);
+      alert += "\",\"fast_burn\":" + format_double(event.fast_burn) +
+               ",\"slow_burn\":" + format_double(event.slow_burn);
       if (!cause.empty()) {
         alert += ",\"dominant_cause\":\"" + cause + "\"";
       }
@@ -287,7 +258,7 @@ std::string TelemetryPipeline::render_exposition() const {
       }
       last_base = base;
     }
-    om += name + " " + fmt_double(value) + "\n";
+    om += name + " " + format_double(value) + "\n";
   }
   om += "# EOF\n";
   return om;

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -147,6 +149,47 @@ TEST_F(ToolsAttr, SloExplainRejectsGarbageAndUsageErrors) {
   std::remove(garbage.c_str());
   EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN)), 2);
   EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " --bogus x"), 2);
+}
+
+TEST_F(ToolsAttr, NumericArgumentsRejectTrailingGarbage) {
+  const std::string slo = std::string(SLO_EXPLAIN_BIN) + " " + jsonl_path();
+  EXPECT_EQ(run_tool(slo + " --expect-violations 12x"), 2);
+  EXPECT_EQ(run_tool(slo + " --expect-violations -1"), 2);
+  EXPECT_EQ(run_tool(slo + " --top abc"), 2);
+  EXPECT_EQ(run_tool(slo + " --top ''"), 2);
+  EXPECT_EQ(run_tool(slo + " --group-shard x"), 2);
+  EXPECT_EQ(run_tool(slo + " --group-shard 99999999999"), 2);
+  EXPECT_EQ(run_tool(slo + " --top 3 --group-shard 0"), 0);
+  const std::string stats = std::string(TRACE_STATS_BIN) + " " + trace_path();
+  EXPECT_EQ(run_tool(stats + " --top-causes 5x"), 2);
+  EXPECT_EQ(run_tool(stats + " --top-causes 0"), 2);
+  EXPECT_EQ(run_tool(stats + " --top-causes 5"), 0);
+}
+
+// Damaged artifacts make every reader exit 1 with a message; a crash
+// (run_tool's -1) or any other status fails.
+TEST_F(ToolsAttr, MalformedArtifactsAreErrorsNotCrashes) {
+  const std::string trace = slurp(trace_path());
+  const std::string jsonl = slurp(jsonl_path());
+  const std::string broken_line = jsonl.substr(0, jsonl.find('\n') / 2);
+  const std::vector<std::pair<std::string, std::string>> inputs = {
+      {"truncated-trace.json", trace.substr(0, trace.size() / 2)},
+      {"deep.json", "{\"traceEvents\":" + std::string(100000, '[')},
+      {"broken.jsonl", broken_line + "\n" + jsonl},
+  };
+  for (const auto& [name, text] : inputs) {
+    const std::string path = temp_path(name);
+    spit(path, text);
+    EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " " + path), 1) << name;
+    EXPECT_EQ(run_tool(std::string(TRACE_STATS_BIN) + " " + path + " --check"),
+              1)
+        << name;
+    EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + path + " " +
+                       jsonl_path()),
+              1)
+        << name;
+    std::remove(path.c_str());
+  }
 }
 
 // ------------------------------------------------------------ trace_stats --

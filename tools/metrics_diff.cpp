@@ -14,14 +14,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace {
+
+using protean::Json;
 
 struct Sample {
   double t = 0.0;
@@ -43,110 +46,54 @@ struct Dump {
   std::size_t scrapes = 0;
 };
 
-// --- minimal parser for the pipeline's own JSONL output -----------------
-
-bool skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  return i < s.size();
-}
-
-bool expect(const std::string& s, std::size_t& i, char c) {
-  if (i >= s.size() || s[i] != c) return false;
-  ++i;
-  return true;
-}
-
-// Parses a JSON string (with \" and \\ escapes) starting at the quote.
-std::optional<std::string> parse_string(const std::string& s,
-                                        std::size_t& i) {
-  if (!expect(s, i, '"')) return std::nullopt;
-  std::string out;
-  while (i < s.size()) {
-    const char c = s[i++];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i >= s.size()) return std::nullopt;
-      out += s[i++];
-    } else {
-      out += c;
-    }
+// Folds one line of pipeline output into `dump`. A line is either a scrape,
+// {"t":T,"metrics":{NAME:NUMBER,...}}, or an alert,
+// {"t":T,"event":"slo_burn_alert",...} whose fields are numbers except the
+// string-valued state and dominant_cause. Returns false on anything else.
+bool fold_line(const std::string& line, Dump& dump) {
+  const std::optional<Json> doc = Json::parse(line);
+  const Json::Object* fields = doc ? doc->as_object() : nullptr;
+  if (fields == nullptr || fields->size() < 2 || (*fields)[0].first != "t") {
+    return false;
   }
-  return std::nullopt;
-}
+  const double* t = (*fields)[0].second.as_number();
+  if (t == nullptr) return false;
+  const auto& [kind, body] = (*fields)[1];
 
-std::optional<double> parse_number(const std::string& s, std::size_t& i) {
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str() + i, &end);
-  if (end == s.c_str() + i) return std::nullopt;
-  i = static_cast<std::size_t>(end - s.c_str());
-  return value;
-}
-
-// Parses one line of pipeline output into `dump`. Returns false on any
-// line that does not match the expected shapes.
-bool parse_line(const std::string& line, Dump& dump) {
-  std::size_t i = 0;
-  if (!expect(line, i, '{')) return false;
-  auto key = parse_string(line, i);
-  if (!key || *key != "t" || !expect(line, i, ':')) return false;
-  const auto t = parse_number(line, i);
-  if (!t || !expect(line, i, ',')) return false;
-
-  key = parse_string(line, i);
-  if (!key || !expect(line, i, ':')) return false;
-
-  if (*key == "metrics") {
-    if (!expect(line, i, '{')) return false;
-    if (i < line.size() && line[i] == '}') {
-      ++i;  // empty scrape
-    } else {
-      for (;;) {
-        const auto name = parse_string(line, i);
-        if (!name || !expect(line, i, ':')) return false;
-        const auto value = parse_number(line, i);
-        if (!value) return false;
-        dump.series[*name].push_back({*t, *value});
-        if (i < line.size() && line[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (!expect(line, i, '}')) return false;
-        break;
-      }
+  if (kind == "metrics") {
+    const Json::Object* metrics = body.as_object();
+    if (metrics == nullptr || fields->size() != 2) return false;
+    for (const auto& [name, value] : *metrics) {
+      const double* v = value.as_number();
+      if (v == nullptr) return false;
+      dump.series[name].push_back({*t, *v});
     }
     ++dump.scrapes;
-    return expect(line, i, '}');
+    return true;
   }
 
-  if (*key == "event") {
-    const auto event = parse_string(line, i);
-    if (!event || *event != "slo_burn_alert") return false;
-    AlertEvent alert;
-    alert.t = *t;
-    while (expect(line, i, ',')) {
-      const auto field = parse_string(line, i);
-      if (!field || !expect(line, i, ':')) return false;
-      if (*field == "state" || *field == "dominant_cause") {
-        // String-valued alert fields; dominant_cause appears only when
-        // the run had attribution enabled.
-        const auto text = parse_string(line, i);
-        if (!text) return false;
-        if (*field == "state") {
-          alert.state = *text;
-        } else {
-          alert.dominant_cause = *text;
-        }
-      } else {
-        const auto value = parse_number(line, i);
-        if (!value) return false;
-        if (*field == "fast_burn") alert.fast_burn = *value;
-        if (*field == "slow_burn") alert.slow_burn = *value;
-      }
-    }
-    dump.alerts.push_back(std::move(alert));
-    return expect(line, i, '}');
+  const std::string* event = body.as_string();
+  if (kind != "event" || event == nullptr || *event != "slo_burn_alert") {
+    return false;
   }
-  return false;
+  AlertEvent alert;
+  alert.t = *t;
+  for (std::size_t i = 2; i < fields->size(); ++i) {
+    const auto& [field, value] = (*fields)[i];
+    if (field == "state" || field == "dominant_cause") {
+      // dominant_cause appears only when the run had attribution enabled.
+      const std::string* text = value.as_string();
+      if (text == nullptr) return false;
+      (field == "state" ? alert.state : alert.dominant_cause) = *text;
+    } else {
+      const double* v = value.as_number();
+      if (v == nullptr) return false;
+      if (field == "fast_burn") alert.fast_burn = *v;
+      if (field == "slow_burn") alert.slow_burn = *v;
+    }
+  }
+  dump.alerts.push_back(std::move(alert));
+  return true;
 }
 
 std::optional<Dump> load(const std::string& path) {
@@ -158,7 +105,7 @@ std::optional<Dump> load(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    if (!parse_line(line, dump)) {
+    if (!fold_line(line, dump)) {
       std::fprintf(stderr, "metrics_diff: %s:%zu: unparseable line\n",
                    path.c_str(), line_no);
       return std::nullopt;

@@ -21,8 +21,9 @@
 // --cross-check, or unreadable input; 2 usage errors. A healthy run with
 // violations still exits 0 — violations are the thing being explained,
 // not an error.
+#include <charconv>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -71,29 +72,42 @@ int main(int argc, char** argv) {
     const auto next_arg = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The whole argument must be a non-negative integer: "12x" is a usage
+    // error, not 12.
+    const auto next_count = [&]() -> std::optional<unsigned long long> {
+      const char* v = next_arg();
+      if (v == nullptr) return std::nullopt;
+      const char* end = v + std::strlen(v);
+      unsigned long long n = 0;
+      const auto [ptr, ec] = std::from_chars(v, end, n);
+      if (ec != std::errc{} || ptr != end) return std::nullopt;
+      return n;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
     } else if (arg == "--top") {
-      const char* v = next_arg();
-      if (v == nullptr) { usage(stderr); return 2; }
-      filter.top = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      const auto n = next_count();
+      if (!n) { usage(stderr); return 2; }
+      filter.top = static_cast<std::size_t>(*n);
     } else if (arg == "--group-model") {
       const char* v = next_arg();
       if (v == nullptr) { usage(stderr); return 2; }
       filter.model = v;
     } else if (arg == "--group-shard") {
-      const char* v = next_arg();
-      if (v == nullptr) { usage(stderr); return 2; }
-      filter.shard = std::atoi(v);
+      const auto n = next_count();
+      if (!n || *n > static_cast<unsigned long long>(INT_MAX)) {
+        usage(stderr);
+        return 2;
+      }
+      filter.shard = static_cast<int>(*n);
     } else if (arg == "--strict") {
       filter.strict = 1;
     } else if (arg == "--be") {
       filter.strict = 0;
     } else if (arg == "--expect-violations") {
-      const char* v = next_arg();
-      if (v == nullptr) { usage(stderr); return 2; }
-      expect = std::strtoull(v, nullptr, 10);
+      expect = next_count();
+      if (!expect) { usage(stderr); return 2; }
     } else if (arg == "--cross-check") {
       cross_check = true;
     } else if (arg.rfind("--", 0) == 0) {

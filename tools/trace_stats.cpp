@@ -8,8 +8,8 @@
 //                                   # + ranked SLO-violation causes from the
 //                                   #   embedded attr_cause_* aggregates
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -96,9 +96,15 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--top-causes") == 0) {
       if (i + 1 >= argc) { usage(stderr); return 2; }
-      causes_n = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-      if (causes_n == 0) { usage(stderr); return 2; }
+      // The whole argument must be a positive integer: "5x" is a usage
+      // error, not 5.
+      const char* v = argv[++i];
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, causes_n);
+      if (ec != std::errc{} || ptr != end || causes_n == 0) {
+        usage(stderr);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       usage(stdout);
