@@ -231,7 +231,9 @@ Report run_experiment(const ExperimentConfig& config) {
   report.evictions = deployment.market().evictions();
 
   if (config.keep_latency_samples) {
-    report.strict_latencies = collector.strict_latencies();
+    // The percentile queries above were the last reads of the store, so
+    // the buffer moves into the report instead of being copied.
+    report.strict_latencies = deployment.collector().take_strict_latencies();
   }
 
   if (cluster_config.memcache.enabled) {

@@ -1,6 +1,7 @@
 #include "harness/json.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "metrics/stats.h"
@@ -181,12 +182,17 @@ Json report_to_json(const Report& report) {
     o.emplace_back("attribution", Json(std::move(a)));
   }
   if (!report.strict_latencies.empty()) {
+    static constexpr std::array<double, 8> kPs = {10.0, 25.0, 50.0, 75.0,
+                                                  90.0, 95.0, 99.0, 99.9};
+    // One scratch copy (the report is const) and one multi-rank selection.
+    std::vector<float> scratch = report.strict_latencies;
+    std::array<double, kPs.size()> values{};
+    metrics::select_percentiles(scratch, kPs, values);
     Json::Object percentiles;
-    for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
+    for (std::size_t i = 0; i < kPs.size(); ++i) {
       char key[16];
-      std::snprintf(key, sizeof(key), "p%g", p);
-      percentiles.emplace_back(
-          key, to_ms(metrics::percentile(report.strict_latencies, p)));
+      std::snprintf(key, sizeof(key), "p%g", kPs[i]);
+      percentiles.emplace_back(key, to_ms(values[i]));
     }
     o.emplace_back("strict_latency_percentiles_ms", Json(std::move(percentiles)));
   }

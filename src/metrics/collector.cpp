@@ -1,13 +1,14 @@
 #include "metrics/collector.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace protean::metrics {
 
 void Collector::use_sketch_store(double alpha) {
-  PROTEAN_CHECK_MSG(strict_lat_.empty() && be_lat_.empty(),
+  PROTEAN_CHECK_MSG(strict_exact_.samples.empty() && be_exact_.samples.empty(),
                     "use_sketch_store must precede the first record()");
   strict_sketch_.emplace(alpha);
   be_sketch_.emplace(alpha);
@@ -17,7 +18,8 @@ std::size_t Collector::latency_store_bytes() const noexcept {
   if (strict_sketch_) {
     return strict_sketch_->approx_bytes() + be_sketch_->approx_bytes();
   }
-  return (strict_lat_.capacity() + be_lat_.capacity()) * sizeof(float);
+  return (strict_exact_.samples.capacity() + be_exact_.samples.capacity()) *
+         sizeof(float);
 }
 
 void Collector::record(const workload::Batch& batch) {
@@ -68,7 +70,7 @@ void Collector::record(const workload::Batch& batch) {
 void Collector::record_requests(bool strict, int count, double lat_first,
                                 double lat_last, double slo) {
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
-  auto& sink = strict ? strict_lat_ : be_lat_;
+  auto& sink = (strict ? strict_exact_ : be_exact_).samples;
   if (!sketch && legacy_reserve_) {
     // Historical growth policy: reserve(size + count) reallocates to exactly
     // that capacity, so every batch recopies the whole store — O(total^2)
@@ -159,6 +161,45 @@ double Collector::slo_compliance_pct() const noexcept {
          static_cast<double>(strict_total_);
 }
 
+void Collector::ExactStore::fold() noexcept {
+  for (; summed < samples.size(); ++summed) {
+    sum += static_cast<double>(samples[summed]);
+  }
+}
+
+double Collector::ExactStore::percentile(double p) {
+  fold();
+  double out = 0.0;
+  select_percentiles(samples, {&p, 1}, {&out, 1});
+  return out;
+}
+
+double Collector::ExactStore::mean() noexcept {
+  fold();
+  return samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
+}
+
+double Collector::strict_percentile(double p) const {
+  return strict_sketch_ ? strict_sketch_->percentile(p)
+                        : strict_exact_.percentile(p);
+}
+
+double Collector::be_percentile(double p) const {
+  return be_sketch_ ? be_sketch_->percentile(p) : be_exact_.percentile(p);
+}
+
+double Collector::strict_mean() const {
+  return strict_sketch_ ? strict_sketch_->mean() : strict_exact_.mean();
+}
+
+double Collector::be_mean() const {
+  return be_sketch_ ? be_sketch_->mean() : be_exact_.mean();
+}
+
+std::vector<float> Collector::take_strict_latencies() noexcept {
+  return std::exchange(strict_exact_, {}).samples;
+}
+
 namespace {
 Breakdown average_over(const std::vector<const BatchBreakdown*>& batches) {
   Breakdown out;
@@ -188,7 +229,7 @@ Breakdown Collector::tail_breakdown(double p) const {
     if (b.strict) strict_worst.push_back(static_cast<float>(b.worst_latency));
   }
   if (strict_worst.empty()) return {};
-  const double cutoff = percentile(strict_worst, p);
+  const double cutoff = percentile(std::move(strict_worst), p);
   std::vector<const BatchBreakdown*> tail;
   for (const auto& b : batches_) {
     if (b.strict && b.worst_latency >= cutoff - 1e-12) tail.push_back(&b);
@@ -240,7 +281,7 @@ Breakdown Collector::tail_breakdown_for(const workload::ModelProfile* model,
     }
   }
   if (worst.empty()) return {};
-  const double cutoff = percentile(worst, p);
+  const double cutoff = percentile(std::move(worst), p);
   std::vector<const BatchBreakdown*> tail;
   for (const auto& b : batches_) {
     if (b.model == model && b.strict && b.worst_latency >= cutoff - 1e-12) {

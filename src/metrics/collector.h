@@ -245,27 +245,33 @@ class Collector {
 
   /// Latency percentile in seconds over strict (or BE) request latencies.
   /// Exact over the sample vectors; within the configured relative-error
-  /// bound in sketch mode.
-  double strict_percentile(double p) const {
-    return strict_sketch_ ? strict_sketch_->percentile(p)
-                          : percentile(strict_lat_, p);
-  }
-  double be_percentile(double p) const {
-    return be_sketch_ ? be_sketch_->percentile(p) : percentile(be_lat_, p);
-  }
-  double strict_mean() const {
-    return strict_sketch_ ? strict_sketch_->mean() : mean_f(strict_lat_);
-  }
-  double be_mean() const {
-    return be_sketch_ ? be_sketch_->mean() : mean_f(be_lat_);
-  }
+  /// bound in sketch mode. The exact path selects in place on the store
+  /// (see strict_latencies()): const to callers, but it reorders the
+  /// samples, so one collector must not be queried from two threads at
+  /// once. SweepRunner gives every run its own collector.
+  double strict_percentile(double p) const;
+  double be_percentile(double p) const;
+  /// Mean in seconds. Exact-store means are the sequential sum over the
+  /// samples in recording order, whatever percentile queries did since.
+  double strict_mean() const;
+  double be_mean() const;
 
   /// Full latency samples (seconds), for CDFs and significance tests.
-  /// Empty in sketch mode (per-request samples are not retained).
+  /// Empty in sketch mode (per-request samples are not retained). The
+  /// element order is unspecified: percentile queries reorder the store in
+  /// place, so only order-free statistics of it are meaningful.
   const std::vector<float>& strict_latencies() const noexcept {
-    return strict_lat_;
+    return strict_exact_.samples;
   }
-  const std::vector<float>& be_latencies() const noexcept { return be_lat_; }
+  const std::vector<float>& be_latencies() const noexcept {
+    return be_exact_.samples;
+  }
+
+  /// Moves the strict samples out (order unspecified, as above) and leaves
+  /// the strict store empty: report finalization hands the buffer to the
+  /// Report instead of copying it. Call it after the last strict
+  /// percentile or mean query; the completion counters are unaffected.
+  std::vector<float> take_strict_latencies() noexcept;
 
   /// Average breakdown over strict batches whose worst latency is at or
   /// above the given percentile of strict batch latencies (the Fig. 6 tail
@@ -297,8 +303,23 @@ class Collector {
   void record_requests(bool strict, int count, double lat_first,
                        double lat_last, double slo);
 
-  std::vector<float> strict_lat_;
-  std::vector<float> be_lat_;
+  /// Exact per-request store of one strictness class. `sum` folds
+  /// samples[0, summed) in recording order; every reorder first folds the
+  /// whole store, so the samples past `summed` are always the newest ones,
+  /// still in recording order, and the mean never depends on queries.
+  struct ExactStore {
+    std::vector<float> samples;
+    double sum = 0.0;
+    std::size_t summed = 0;
+
+    void fold() noexcept;
+    double percentile(double p);
+    double mean() noexcept;
+  };
+
+  // Mutable: percentile queries are logically const but select in place.
+  mutable ExactStore strict_exact_;
+  mutable ExactStore be_exact_;
   std::optional<QuantileSketch> strict_sketch_;
   std::optional<QuantileSketch> be_sketch_;
   BatchObserver observer_;

@@ -4,19 +4,31 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace protean::metrics {
 
 /// Arithmetic mean; 0 for an empty sample.
 double mean(const std::vector<double>& xs) noexcept;
-double mean_f(const std::vector<float>& xs) noexcept;
 
 /// Unbiased sample standard deviation; 0 for n < 2.
 double stddev(const std::vector<double>& xs) noexcept;
 
-/// p-th percentile (p in [0,100]) by linear interpolation between closest
-/// ranks. The input is copied and partially sorted. 0 for an empty sample.
+/// Writes the p-th percentile of `xs` for every p in `ps` to the matching
+/// slot of `out` (same size as `ps`): linear interpolation between the
+/// closest ranks, p clamped to [0,100], 0 for an empty sample. `ps` may be
+/// unsorted and hold duplicates. Selects in place: all the ranks the `ps`
+/// need are placed by one recursive nth_element pass, O(n log k) for k
+/// distinct ranks. `xs` keeps its multiset, but its order is left
+/// unspecified.
+void select_percentiles(std::span<float> xs, std::span<const double> ps,
+                        std::span<double> out);
+void select_percentiles(std::span<double> xs, std::span<const double> ps,
+                        std::span<double> out);
+
+/// One percentile of a sample the caller hands over by value: a thin
+/// wrapper over select_percentiles. Move the vector in to avoid a copy.
 double percentile(std::vector<float> xs, double p) noexcept;
 double percentile(std::vector<double> xs, double p) noexcept;
 

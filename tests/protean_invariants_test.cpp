@@ -150,7 +150,7 @@ TEST(ProteanInvariants, StrictStaysFastUnderBeFlood) {
   const auto& collector = d.cluster->collector();
   EXPECT_GT(collector.slo_compliance_pct(), 95.0);
   // Strict tail stays within ~SLO even though BE work is far heavier.
-  EXPECT_LT(collector.strict_percentile(0.99),
+  EXPECT_LT(collector.strict_percentile(99.0),
             dc.strict_model->slo_deadline() * 1.5);
 }
 

@@ -1,6 +1,9 @@
 // Tests for the statistics toolkit and metrics collector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "metrics/collector.h"
 #include "metrics/stats.h"
 #include "workload/model.h"
@@ -33,6 +36,80 @@ TEST(Stats, PercentileHandlesEdgeCases) {
 TEST(Stats, PercentileUnsortedInput) {
   std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
+}
+
+// ---- select_percentiles vs the historical by-value percentile ------------
+
+// Verbatim copy of the by-value percentile the collector and report used
+// before select_percentiles existed: the reference every selection must
+// reproduce bit for bit.
+template <typename T>
+double percentile_impl(std::vector<T> xs, double p) noexcept {
+  if (xs.empty()) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
+  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(lo),
+                   xs.end());
+  const double v_lo = static_cast<double>(xs[lo]);
+  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(hi),
+                   xs.end());
+  const double v_hi = static_cast<double>(xs[hi]);
+  const double frac = rank - static_cast<double>(lo);
+  return v_lo + (v_hi - v_lo) * frac;
+}
+
+// Unsorted, duplicated and out-of-range percentiles, both ends, and the
+// report's own p99.9.
+const std::vector<double> kPropertyPs = {99.0, 50.0, -5.0, 250.0, 0.0,
+                                         100.0, 99.9, 50.0, 10.0, 99.0,
+                                         25.0,  75.0, 0.1,  90.0, 95.0};
+
+template <typename T>
+std::vector<T> seeded_sample(std::size_t n, bool tied, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::lognormal_distribution<double> lat(-1.5, 0.7);
+  const T levels[] = {T(0.05), T(0.1), T(0.1875), T(0.3), T(2.5)};
+  std::uniform_int_distribution<int> pick(0, 4);
+  std::vector<T> xs(n);
+  for (T& x : xs) x = tied ? levels[pick(rng)] : static_cast<T>(lat(rng));
+  return xs;
+}
+
+template <typename T>
+void expect_selection_matches_reference(std::size_t n, bool tied) {
+  std::vector<T> xs = seeded_sample<T>(n, tied, 1000 + n);
+  std::vector<T> before = xs;
+  std::vector<double> want;
+  for (double p : kPropertyPs) want.push_back(percentile_impl(xs, p));
+  std::vector<double> got(kPropertyPs.size(), -1.0);
+  select_percentiles(std::span<T>(xs), kPropertyPs, got);
+  for (std::size_t i = 0; i < kPropertyPs.size(); ++i) {
+    EXPECT_EQ(got[i], want[i])
+        << "n=" << n << " tied=" << tied << " p=" << kPropertyPs[i];
+  }
+  // Selection reorders in place but never loses or invents a sample.
+  std::sort(before.begin(), before.end());
+  std::sort(xs.begin(), xs.end());
+  EXPECT_EQ(xs, before) << "n=" << n << " tied=" << tied;
+}
+
+TEST(SelectPercentiles, MatchesByValueReferenceExactly) {
+  for (std::size_t n : {0u, 1u, 2u, 3u, 1000u, 100003u}) {
+    for (bool tied : {false, true}) {
+      expect_selection_matches_reference<float>(n, tied);
+      expect_selection_matches_reference<double>(n, tied);
+    }
+  }
+}
+
+TEST(SelectPercentiles, NeedsOneOutputPerPercentile) {
+  std::vector<float> xs = {3.0f, 1.0f, 2.0f};
+  const double ps[] = {50.0, 99.0};
+  double out[1] = {};
+  EXPECT_THROW(select_percentiles(std::span<float>(xs), ps, out),
+               std::logic_error);
 }
 
 TEST(Stats, NormalCdf) {
