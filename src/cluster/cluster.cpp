@@ -110,9 +110,6 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
   }
   if (shard_count > 1) fanout_ = std::make_unique<ShardFanout>(gateways_);
   market_ = std::make_unique<spot::Market>(sim_, config_.market, slots, *this);
-  // Legacy mode benchmarks the pre-refactor hot path end to end, which
-  // includes the collector's historical quadratic latency-store growth.
-  collector_.set_legacy_reserve(!config_.indexed_dispatch);
   dispatch_policy_ = scheduler_.dispatch_policy().value_or(config_.dispatch);
   dispatch_rng_ = Rng(config_.dispatch_seed).fork(0xd15);
   shard_rng_ = Rng(config_.dispatch_seed).fork(0x51a2d);
@@ -393,74 +390,50 @@ WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
   }
   if (dispatch_policy_ == DispatchPolicy::kRandom) {
     // Uniform random routing over serviceable nodes; nodes mid-
-    // reconfiguration are only used when nothing else is up. The indexed
-    // path walks only the shard's accepting set (id-ascending, exactly the
-    // order the legacy scan visited accepting nodes in) instead of every
-    // slot; the ready list — and therefore the RNG draw — is identical.
+    // reconfiguration are only used when nothing else is up. Walks only the
+    // shard's accepting set (id-ascending) instead of every slot.
     WorkerNode* fallback = nullptr;
     std::vector<WorkerNode*> ready;
-    if (config_.indexed_dispatch) {
-      ready.reserve(shard.accepting.size());
-      for (NodeId id : shard.accepting) {
-        WorkerNode* node = nodes_[id].get();
-        PROTEAN_DCHECK(node->accepting());
-        if (node->gpu().reconfiguring()) {
-          if (fallback == nullptr) fallback = node;
-          continue;
-        }
-        ready.push_back(node);
+    ready.reserve(shard.accepting.size());
+    for (NodeId id : shard.accepting) {
+      WorkerNode* node = nodes_[id].get();
+      PROTEAN_DCHECK(node->accepting());
+      if (node->gpu().reconfiguring()) {
+        if (fallback == nullptr) fallback = node;
+        continue;
       }
-#ifndef NDEBUG
-      // The index must mirror live accepting() over the whole slot range —
-      // a missed load-listener notification shows up here, not as a silent
-      // routing divergence.
-      for (NodeId id = shard.lo; id < shard.hi; ++id) {
-        PROTEAN_CHECK(nodes_[id]->accepting() ==
-                      (shard.accepting.count(id) != 0));
-      }
-#endif
-    } else {
-      ready.reserve(shard.hi - shard.lo);
-      for (NodeId id = shard.lo; id < shard.hi; ++id) {
-        WorkerNode* node = nodes_[id].get();
-        if (!node->accepting()) continue;
-        if (node->gpu().reconfiguring()) {
-          if (fallback == nullptr) fallback = node;
-          continue;
-        }
-        ready.push_back(node);
-      }
+      ready.push_back(node);
     }
+#ifndef NDEBUG
+    // The index must mirror live accepting() over the whole slot range —
+    // a missed load-listener notification shows up here, not as a silent
+    // routing divergence.
+    for (NodeId id = shard.lo; id < shard.hi; ++id) {
+      PROTEAN_CHECK(nodes_[id]->accepting() ==
+                    (shard.accepting.count(id) != 0));
+    }
+#endif
     if (ready.empty()) return fallback;
     return ready[dispatch_rng_.index(ready.size())];
   }
-  // Least-loaded. The indexed path takes the first entry of the (work, id)
-  // order that passes the reconfiguring filter: the same argmin — with the
-  // same lowest-id tie-break — the legacy strict-< scan computed, found in
-  // O(log n) maintenance + O(skips) instead of O(n) per choose.
-  if (config_.indexed_dispatch) {
-    WorkerNode* best = nullptr;
-    for (const auto& [load, id] : shard.by_load) {
-      WorkerNode* node = nodes_[id].get();
-      PROTEAN_DCHECK(node->accepting() && node->outstanding_work() == load);
-      if (node->gpu().reconfiguring() && node->queued() > 4) continue;
-      best = node;
-      break;
-    }
-    PROTEAN_DCHECK(best == least_loaded_scan(shard.lo, shard.hi));
-    if (best != nullptr) return best;
-    // Fall back to any accepting node (all may be reconfiguring + loaded);
-    // the membership set is id-ordered, so begin() is the legacy scan's hit.
-    if (!shard.accepting.empty()) {
-      return nodes_[*shard.accepting.begin()].get();
-    }
-    return nullptr;
+  // Least-loaded: the first entry of the (work, id) order that passes the
+  // reconfiguring filter — the argmin, lowest id on ties, that the
+  // reference least_loaded_scan computes in O(n), found here in O(log n)
+  // maintenance + O(skips) per choose.
+  WorkerNode* best = nullptr;
+  for (const auto& [load, id] : shard.by_load) {
+    WorkerNode* node = nodes_[id].get();
+    PROTEAN_DCHECK(node->accepting() && node->outstanding_work() == load);
+    if (node->gpu().reconfiguring() && node->queued() > 4) continue;
+    best = node;
+    break;
   }
-  WorkerNode* best = least_loaded_scan(shard.lo, shard.hi);
+  PROTEAN_DCHECK(best == least_loaded_scan(shard.lo, shard.hi));
   if (best != nullptr) return best;
-  // Fall back to any accepting node (all may be reconfiguring + loaded).
-  for (NodeId id = shard.lo; id < shard.hi; ++id) {
-    if (nodes_[id]->accepting()) return nodes_[id].get();
+  // Fall back to any accepting node (all may be reconfiguring + loaded);
+  // the membership set is id-ordered, so begin() is the lowest accepting id.
+  if (!shard.accepting.empty()) {
+    return nodes_[*shard.accepting.begin()].get();
   }
   return nullptr;
 }

@@ -172,8 +172,8 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   std::uint32_t shard_of(NodeId id) const noexcept;
   /// Load-listener target: refreshes node `id`'s index entry.
   void on_node_load_changed(NodeId id);
-  /// Reference least-loaded scan over [lo, hi) (the pre-index dispatch
-  /// path); the indexed choose must agree with it exactly.
+  /// Reference least-loaded scan over [lo, hi); Debug builds check every
+  /// indexed least-loaded choose against it.
   WorkerNode* least_loaded_scan(NodeId lo, NodeId hi);
   /// One-pass-per-event cache for the fleet busy/memory integrals, so a
   /// telemetry scrape reading several utilization gauges walks the nodes

@@ -48,11 +48,6 @@ struct ClusterConfig {
   /// is byte-identical to the single-gateway control plane.
   std::uint32_t shards = 1;
 
-  /// Route dispatches through the incrementally-maintained per-shard load
-  /// index (O(log n) per choose) instead of scanning every node. Decisions
-  /// are byte-identical; the legacy scan survives as the bench_scale
-  /// baseline and as the PROTEAN_DCHECK cross-check.
-  bool indexed_dispatch = true;
   /// kConsolidate packs a node while its estimated contention pressure
   /// stays below this bound. INFless's latency model is interference-naive
   /// (additive, no thrash), so it believes packing up to roughly the SLO

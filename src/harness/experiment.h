@@ -117,12 +117,6 @@ struct ExperimentConfig {
     cluster.shards = count;
     return *this;
   }
-  /// false routes dispatches through the legacy full-scan paths instead of
-  /// the maintained load index (the bench_scale baseline).
-  ExperimentConfig& with_indexed_dispatch(bool indexed) {
-    cluster.indexed_dispatch = indexed;
-    return *this;
-  }
   ExperimentConfig& with_slo_multiplier(double multiplier) {
     cluster.slo_multiplier = multiplier;
     return *this;
@@ -231,7 +225,7 @@ struct Report {
   std::uint64_t dropped = 0;
   int reconfigurations = 0;
   /// Discrete events the simulator executed over the whole run (including
-  /// the drain window) — the numerator of bench_scale's events/sec.
+  /// the drain window).
   std::uint64_t events_executed = 0;
 
   double cost_usd = 0.0;

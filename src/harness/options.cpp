@@ -28,18 +28,11 @@ std::string lower(std::string s) {
   return s;
 }
 
-std::optional<double> parse_double(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
+std::optional<std::uint64_t> parse_u64(const std::string& s) {
+  // stoull would accept "-1" and wrap it to 2^64 - 1.
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s.front()))) {
     return std::nullopt;
   }
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
   try {
     std::size_t pos = 0;
     const unsigned long long v = std::stoull(s, &pos);
@@ -324,11 +317,6 @@ Cluster:
                         power-of-two-choices balances arrivals across shards
                         (default 1 = the classic single gateway, which stays
                         byte-identical; clamped to --nodes; see docs/scale.md)
-  --scale-mode MODE     placement data structures: indexed (maintained
-                        load/accepting indexes, O(log n) dispatch; default)
-                        or legacy (full scans). Both modes produce identical
-                        reports; legacy exists for A/B benchmarking
-                        (see docs/scale.md)
   --gpu-mem GB          per-GPU memory: 40 (A100-40GB, default) or 80;
                         MIG slice capacities scale proportionally
   --memcache POLICY:GB  enable the per-node model-weight cache with the
@@ -444,13 +432,12 @@ const std::vector<std::string>& cli_flags() {
       "--trace-file",    "--rps",
       "--horizon",       "--warmup",
       "--strict-frac",   "--nodes",
-      "--shards",        "--scale-mode",
-      "--slo-mult",      "--spot",
-      "--p-rev",         "--faults",
-      "--fault-retries", "--hedge",
-      "--autoscale",     "--substrate",
-      "--workflow",      "--attr",
-      "--seed",
+      "--shards",        "--slo-mult",
+      "--spot",          "--p-rev",
+      "--faults",        "--fault-retries",
+      "--hedge",         "--autoscale",
+      "--substrate",     "--workflow",
+      "--attr",          "--seed",
       "--seeds",
       "--jobs",          "--gpu-mem",
       "--memcache",      "--memcache-oversubscribe",
@@ -541,23 +528,23 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.trace_file = *value;
     } else if (arg == "--rps") {
       const auto value = next("--rps");
-      const auto rps = value ? parse_double(*value) : std::nullopt;
+      const auto rps = value ? parse_spec_number(*value) : std::nullopt;
       if (!rps || *rps <= 0.0) return fail("--rps needs a positive number");
       opts.config.trace.target_rps = *rps;
       rps_given = true;
     } else if (arg == "--horizon") {
       const auto value = next("--horizon");
-      const auto h = value ? parse_double(*value) : std::nullopt;
+      const auto h = value ? parse_spec_number(*value) : std::nullopt;
       if (!h || *h <= 0.0) return fail("--horizon needs a positive number");
       opts.config.trace.horizon = *h;
     } else if (arg == "--warmup") {
       const auto value = next("--warmup");
-      const auto w = value ? parse_double(*value) : std::nullopt;
+      const auto w = value ? parse_spec_number(*value) : std::nullopt;
       if (!w || *w < 0.0) return fail("--warmup needs a non-negative number");
       opts.config.warmup = *w;
     } else if (arg == "--strict-frac") {
       const auto value = next("--strict-frac");
-      const auto f = value ? parse_double(*value) : std::nullopt;
+      const auto f = value ? parse_spec_number(*value) : std::nullopt;
       if (!f || *f < 0.0 || *f > 1.0) {
         return fail("--strict-frac needs a value in [0, 1]");
       }
@@ -572,21 +559,9 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--shards needs 1..1024");
       opts.config.cluster.shards = static_cast<std::uint32_t>(*n);
-    } else if (arg == "--scale-mode") {
-      const auto value = next("--scale-mode");
-      if (!value) return fail("--scale-mode needs indexed | legacy");
-      const std::string mode = lower(*value);
-      if (mode == "indexed") {
-        opts.config.cluster.indexed_dispatch = true;
-      } else if (mode == "legacy") {
-        opts.config.cluster.indexed_dispatch = false;
-      } else {
-        return fail("unknown scale mode: " + *value +
-                    " (want indexed | legacy)");
-      }
     } else if (arg == "--slo-mult") {
       const auto value = next("--slo-mult");
-      const auto m = value ? parse_double(*value) : std::nullopt;
+      const auto m = value ? parse_spec_number(*value) : std::nullopt;
       if (!m || *m < 1.0) return fail("--slo-mult needs a value >= 1");
       opts.config.cluster.slo_multiplier = *m;
     } else if (arg == "--spot") {
@@ -605,7 +580,7 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       }
     } else if (arg == "--p-rev") {
       const auto value = next("--p-rev");
-      const auto p = value ? parse_double(*value) : std::nullopt;
+      const auto p = value ? parse_spec_number(*value) : std::nullopt;
       if (!p || *p < 0.0 || *p > 1.0) {
         return fail("--p-rev needs a value in [0, 1]");
       }
@@ -652,7 +627,7 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.jobs = static_cast<int>(*n);
     } else if (arg == "--gpu-mem") {
       const auto value = next("--gpu-mem");
-      const auto gb = value ? parse_double(*value) : std::nullopt;
+      const auto gb = value ? parse_spec_number(*value) : std::nullopt;
       if (!gb || !(*gb >= 1.0 && *gb <= 1024.0)) {
         return fail("--gpu-mem needs a GB value in [1, 1024]");
       }
@@ -759,7 +734,7 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.cluster.attr = *ac;
     } else if (arg == "--sketch") {
       const auto value = next("--sketch");
-      const auto alpha = value ? parse_double(*value) : std::nullopt;
+      const auto alpha = value ? parse_spec_number(*value) : std::nullopt;
       if (!alpha || !(*alpha > 0.0 && *alpha <= 0.5)) {
         return fail("--sketch needs an ALPHA in (0, 0.5]");
       }

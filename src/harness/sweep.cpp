@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <thread>
 
 #include "common/check.h"
+#include "harness/flagspec.h"
 #include "metrics/stats.h"
 
 namespace protean::harness {
@@ -23,13 +23,24 @@ const char* to_string(SweepAxis::Param param) noexcept {
   return "?";
 }
 
+namespace {
+
+/// The most points one axis may expand to (as many as --seeds allows).
+constexpr double kMaxPoints = 10000;
+
+/// Points in lo..hi by step. The epsilon admits hi itself when (hi - lo) is
+/// an exact multiple of step.
+double point_count(double lo, double hi, double step) {
+  return std::floor((hi - lo) / step + 1e-9) + 1;
+}
+
+}  // namespace
+
 std::vector<double> SweepAxis::values() const {
   if (!active()) return {0.0};
   std::vector<double> out;
-  // Index-based stepping avoids accumulating floating-point error; the
-  // epsilon admits hi itself when (hi - lo) is an exact multiple of step.
-  const auto count =
-      static_cast<std::size_t>(std::floor((hi - lo) / step + 1e-9)) + 1;
+  // Index-based stepping avoids accumulating floating-point error.
+  const auto count = static_cast<std::size_t>(point_count(lo, hi, step));
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(lo + static_cast<double>(i) * step);
@@ -83,20 +94,41 @@ std::optional<SweepAxis> SweepAxis::parse(std::string_view spec) {
   double fields[3];
   for (int i = 0; i < 3; ++i) {
     const auto colon = rest.find(':');
-    const std::string_view token =
-        i < 2 ? rest.substr(0, colon) : rest;
     if (i < 2 && colon == std::string_view::npos) return std::nullopt;
-    const auto [end, ec] = std::from_chars(
-        token.data(), token.data() + token.size(), fields[i]);
-    if (ec != std::errc{} || end != token.data() + token.size()) {
-      return std::nullopt;
-    }
+    const auto value =
+        parse_spec_number(std::string(i < 2 ? rest.substr(0, colon) : rest));
+    if (!value) return std::nullopt;
+    fields[i] = *value;
     if (i < 2) rest = rest.substr(colon + 1);
   }
   axis.lo = fields[0];
   axis.hi = fields[1];
   axis.step = fields[2];
   if (axis.step <= 0.0 || axis.hi < axis.lo) return std::nullopt;
+  // Both endpoints must lie in the matching scalar flag's range, so no grid
+  // cell can carry a value the CLI would have rejected.
+  bool in_range = false;
+  switch (axis.param) {
+    case Param::kNone:
+      break;
+    case Param::kRps:
+      in_range = axis.lo > 0.0;
+      break;
+    case Param::kNodes:
+      in_range = axis.lo >= 1.0 && axis.hi <= 1024.0;
+      break;
+    case Param::kSloMult:
+      in_range = axis.lo >= 1.0;
+      break;
+    case Param::kStrictFrac:
+    case Param::kPRev:
+      in_range = axis.lo >= 0.0 && axis.hi <= 1.0;
+      break;
+  }
+  if (!in_range) return std::nullopt;
+  if (point_count(axis.lo, axis.hi, axis.step) > kMaxPoints) {
+    return std::nullopt;
+  }
   return axis;
 }
 

@@ -46,7 +46,10 @@ struct SweepAxis {
   void apply(ExperimentConfig& config, double value) const;
 
   /// Parses "<param>=<lo>:<hi>:<step>", e.g. "rps=1000:5000:500".
-  /// Params: rps | nodes | slo-mult | strict-frac | p-rev.
+  /// Params: rps | nodes | slo-mult | strict-frac | p-rev. Rejects
+  /// non-finite fields, endpoints outside the matching scalar flag's range
+  /// (rps > 0, nodes 1..1024, slo-mult >= 1, strict-frac and p-rev in
+  /// [0, 1]) and specs of more than 10000 points.
   static std::optional<SweepAxis> parse(std::string_view spec);
 };
 

@@ -71,13 +71,6 @@ void Collector::record_requests(bool strict, int count, double lat_first,
                                 double lat_last, double slo) {
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
   auto& sink = (strict ? strict_exact_ : be_exact_).samples;
-  if (!sketch && legacy_reserve_) {
-    // Historical growth policy: reserve(size + count) reallocates to exactly
-    // that capacity, so every batch recopies the whole store — O(total^2)
-    // bytes over a run. The default path lets push_back grow geometrically
-    // (amortized O(1)); values are identical, only allocation differs.
-    sink.reserve(sink.size() + static_cast<std::size_t>(count));
-  }
   for (int i = 0; i < count; ++i) {
     // Requests are spread uniformly over [first_arrival, last_arrival];
     // request 0 is the earliest, i.e. the longest-waiting.

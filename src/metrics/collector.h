@@ -185,13 +185,6 @@ class Collector {
   /// not inflate throughput or latency statistics.
   void set_dedup(bool enabled) { dedup_ = enabled; }
 
-  /// Restores the pre-indexed-refactor latency store growth: an exact-size
-  /// reserve per recorded batch, which libstdc++ turns into a full realloc +
-  /// copy of the store every time (quadratic bytes moved over a run). Kept
-  /// selectable so `--scale-mode legacy` benchmarks the historical hot path
-  /// faithfully; the recorded values are identical either way.
-  void set_legacy_reserve(bool enabled) { legacy_reserve_ = enabled; }
-
   /// True when a terminal event (completion or drop) for this batch id was
   /// already recorded. Only meaningful with dedup enabled.
   bool seen(BatchId id) const { return seen_.count(id) != 0; }
@@ -346,7 +339,6 @@ class Collector {
   double stage_exec_seconds_ = 0.0;
   std::uint64_t negative_component_clamps_ = 0;
   bool dedup_ = false;
-  bool legacy_reserve_ = false;
   std::unordered_set<BatchId> seen_;
   SimTime measure_from_ = 0.0;
 };

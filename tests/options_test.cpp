@@ -62,6 +62,13 @@ TEST(Cli, SweepFlags) {
   EXPECT_FALSE(parse_cli({"--jobs", "0"}).options);
   EXPECT_FALSE(parse_cli({"--sweep", "bogus"}).options);
   EXPECT_FALSE(parse_cli({"--sweep", "rps=5:1:1"}).options);
+  // Non-finite, out-of-range and oversized axes (the full range table is
+  // in sweep_test.cpp) fail at parse time, not mid-grid.
+  for (const char* bad : {"rps=1:nan:1", "nodes=0:1:1", "rps=1:1e12:1e-9"}) {
+    EXPECT_NE(must_fail({"--sweep", bad}).find("bad sweep spec"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(Cli, SchemeAliases) {
@@ -177,23 +184,40 @@ TEST(Cli, ClusterKnobsApply) {
 }
 
 TEST(Cli, ScaleFlagsApply) {
-  // Defaults: one shard, indexed placement (docs/scale.md).
-  const auto defaults = must_parse({});
-  EXPECT_EQ(defaults.config.cluster.shards, 1u);
-  EXPECT_TRUE(defaults.config.cluster.indexed_dispatch);
-
-  const auto opts = must_parse({"--nodes", "16", "--shards", "4",
-                                "--scale-mode", "legacy"});
-  EXPECT_EQ(opts.config.cluster.shards, 4u);
-  EXPECT_FALSE(opts.config.cluster.indexed_dispatch);
-  EXPECT_TRUE(
-      must_parse({"--scale-mode", "indexed"}).config.cluster.indexed_dispatch);
+  // Default: one shard (docs/scale.md).
+  EXPECT_EQ(must_parse({}).config.cluster.shards, 1u);
+  EXPECT_EQ(must_parse({"--nodes", "16", "--shards", "4"}).config.cluster.shards,
+            4u);
 
   EXPECT_FALSE(parse_cli({"--shards", "0"}).options);
   EXPECT_FALSE(parse_cli({"--shards", "2000"}).options);
   EXPECT_FALSE(parse_cli({"--shards"}).options);
-  EXPECT_FALSE(parse_cli({"--scale-mode", "turbo"}).options);
-  EXPECT_FALSE(parse_cli({"--scale-mode"}).options);
+  // The full-scan placement mode is gone; its flag is an unknown option.
+  EXPECT_NE(must_fail({"--scale-mode", "legacy"}).find("unknown option"),
+            std::string::npos);
+}
+
+TEST(Cli, NumbersRejectNonFiniteAndNegativeWrap) {
+  // Every float flag goes through parse_spec_number, so nan/inf never reach
+  // a CHECK or the JSON config; an unsigned flag never wraps "-1".
+  for (const char* flag : {"--rps", "--horizon", "--warmup", "--strict-frac",
+                           "--slo-mult", "--p-rev", "--gpu-mem", "--sketch"}) {
+    for (const char* bad : {"nan", "inf", "-inf", ""}) {
+      EXPECT_FALSE(parse_cli({flag, bad}).options) << flag << ' ' << bad;
+    }
+  }
+  for (const char* flag :
+       {"--seed", "--nodes", "--shards", "--seeds", "--jobs",
+        "--fault-retries"}) {
+    for (const char* bad : {"-1", " -1", "+1", "", "1.5"}) {
+      EXPECT_FALSE(parse_cli({flag, bad}).options) << flag << " '" << bad
+                                                   << "'";
+    }
+  }
+  EXPECT_EQ(must_parse({"--seed", "18446744073709551615"}).config.seed,
+            18446744073709551615ull);
+  EXPECT_FALSE(parse_cli({"--seed", "18446744073709551616"}).options);
+  EXPECT_NE(must_fail({"--seed", "-1"}).find("--seed"), std::string::npos);
 }
 
 TEST(Cli, HelpAndListFlags) {

@@ -1,5 +1,5 @@
-// Tests for the control-plane scale refactor (docs/scale.md): indexed
-// placement byte-identity, sharded gateways, incrementally-maintained
+// Tests for the control-plane scale refactor (docs/scale.md): per-scheme
+// dispatch determinism, sharded gateways, incrementally-maintained
 // fleet counters, and the batch object pool.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -22,7 +23,7 @@ namespace {
 
 using workload::ModelCatalog;
 
-/// bench_scale's smallest grid cell, shrunk to test scale.
+/// The smallest fleet that splits into three non-trivial shards.
 harness::ExperimentConfig nine_node_config(sched::Scheme scheme) {
   auto config = harness::primary_config("ResNet 50", 10.0)
                     .with_scheme(scheme)
@@ -37,26 +38,33 @@ std::string fingerprint(const harness::Report& report) {
   return harness::report_to_json(report).dump(2);
 }
 
-class SchemeIdentity : public ::testing::TestWithParam<sched::Scheme> {};
+/// Every scheme's dispatch policy, unsharded and over three shards. In
+/// Debug builds each dispatch also cross-checks the load index against the
+/// reference least_loaded_scan and the accepting set against live node
+/// state, so this sweep is what exercises those checks for every policy.
+class SchemeDispatch
+    : public ::testing::TestWithParam<std::tuple<sched::Scheme, std::uint32_t>> {
+};
 
-TEST_P(SchemeIdentity, IndexedPlacementMatchesLegacyScan) {
-  const sched::Scheme scheme = GetParam();
-  const harness::Report indexed = harness::run_experiment(
-      nine_node_config(scheme).with_indexed_dispatch(true));
-  const harness::Report legacy = harness::run_experiment(
-      nine_node_config(scheme).with_indexed_dispatch(false));
-  EXPECT_EQ(fingerprint(indexed), fingerprint(legacy))
-      << sched::scheme_name(scheme);
+TEST_P(SchemeDispatch, RepeatIsByteIdentical) {
+  const auto [scheme, shards] = GetParam();
+  const auto config = nine_node_config(scheme).with_shards(shards);
+  const harness::Report first = harness::run_experiment(config);
+  EXPECT_GT(first.strict_completed, 0u) << sched::scheme_name(scheme);
+  EXPECT_EQ(fingerprint(first), fingerprint(harness::run_experiment(config)))
+      << sched::scheme_name(scheme) << " shards=" << shards;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SchemeIdentity, ::testing::ValuesIn(sched::all_schemes()),
-    [](const ::testing::TestParamInfo<sched::Scheme>& info) {
-      std::string name = sched::scheme_cli_name(info.param);
+    AllSchemes, SchemeDispatch,
+    ::testing::Combine(::testing::ValuesIn(sched::all_schemes()),
+                       ::testing::Values(1u, 3u)),
+    [](const ::testing::TestParamInfo<SchemeDispatch::ParamType>& param) {
+      std::string name = sched::scheme_cli_name(std::get<0>(param.param));
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
-      return name;
+      return name + "_shards" + std::to_string(std::get<1>(param.param));
     });
 
 TEST(ScaleIdentity, SingleShardMatchesUnshardedBaseline) {

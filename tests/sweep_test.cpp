@@ -53,6 +53,22 @@ TEST(SweepAxis, RejectsMalformedSpecs) {
   EXPECT_FALSE(SweepAxis::parse("rps=1:2:0"));           // zero step
   EXPECT_FALSE(SweepAxis::parse("rps=a:b:c"));           // not numbers
   EXPECT_FALSE(SweepAxis::parse("rps"));                 // no '='
+  EXPECT_FALSE(SweepAxis::parse("rps=1:nan:1"));         // non-finite
+  EXPECT_FALSE(SweepAxis::parse("rps=1:2:inf"));         // non-finite
+  EXPECT_FALSE(SweepAxis::parse("rps=-5:0:5"));          // rps must be > 0
+  EXPECT_FALSE(SweepAxis::parse("rps=0:10:5"));
+  EXPECT_FALSE(SweepAxis::parse("nodes=0:1:1"));         // nodes 1..1024
+  EXPECT_FALSE(SweepAxis::parse("nodes=1:2000:1"));
+  EXPECT_FALSE(SweepAxis::parse("strict-frac=0.5:2:1"));  // beyond [0, 1]
+  EXPECT_FALSE(SweepAxis::parse("strict-frac=-0.5:0.5:0.5"));
+  EXPECT_FALSE(SweepAxis::parse("p-rev=0:3:2"));         // beyond [0, 1]
+  EXPECT_FALSE(SweepAxis::parse("slo-mult=-1:0:1"));     // slo-mult >= 1
+  EXPECT_FALSE(SweepAxis::parse("slo-mult=0.5:2:0.5"));
+  EXPECT_FALSE(SweepAxis::parse("rps=1:1e12:1e-9"));     // too many points
+  const auto widest = SweepAxis::parse("rps=1:10000:1");  // the point cap
+  ASSERT_TRUE(widest);
+  EXPECT_EQ(widest->values().size(), 10000u);
+  EXPECT_FALSE(SweepAxis::parse("rps=1:10001:1"));
 }
 
 TEST(SweepAxis, AppliesToTheRightField) {
