@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -54,6 +55,10 @@ inline std::vector<harness::Report> run_paper_schemes(
 }
 
 inline std::string pct(double value) { return strfmt("%.2f%%", value); }
-inline std::string ms(double value) { return strfmt("%.0f", value); }
+/// Whole milliseconds. An exact attribution lane that is zero in real
+/// arithmetic can come out as -1e-12; it prints as 0, not -0.
+inline std::string ms(double value) {
+  return strfmt("%.0f", std::abs(value) < 0.5 ? 0.0 : value);
+}
 
 }  // namespace protean::bench

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_common.h"
 #include "cluster/cluster.h"
 #include "common/strfmt.h"
 #include "harness/table.h"
@@ -97,10 +98,10 @@ void report(const char* title, const workload::ModelProfile& model) {
   for (const Row& row : rows) {
     const Result r = run(row.scheme, model);
     table.add_row({row.label, strfmt("%.2f%%", r.compliance),
-                   strfmt("%.0f", r.p99_ms), strfmt("%.0f", r.tail.queue * 1e3),
-                   strfmt("%.0f", r.tail.min_time * 1e3),
-                   strfmt("%.0f", r.tail.deficiency * 1e3),
-                   strfmt("%.0f", r.tail.interference * 1e3)});
+                   bench::ms(r.p99_ms), bench::ms(r.tail.queue * 1e3),
+                   bench::ms(r.tail.min_time * 1e3),
+                   bench::ms(r.tail.deficiency * 1e3),
+                   bench::ms(r.tail.interference * 1e3)});
   }
   table.print();
   std::printf("\n");

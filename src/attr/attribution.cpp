@@ -9,8 +9,7 @@
 namespace protean::attr {
 
 namespace {
-/// Identity tolerance, seconds. Residuals below -kEps are accounting bugs.
-constexpr double kEps = 1e-9;
+using workload::kIdentityEps;
 
 constexpr const char* kCauseNames[kCauseCount] = {
     "formation",  "queue",        "cold_boot", "weight_load",
@@ -33,69 +32,35 @@ AttributionEngine::AttributionEngine(const AttrConfig& config,
   }
 }
 
-Decomposition AttributionEngine::decompose(
-    const workload::Batch& batch) noexcept {
-  Decomposition d;
-  // Later workflow stages start their accounting clock at their own
-  // creation; time before that belongs to predecessor stages.
-  const SimTime start =
-      batch.stage > 0 ? batch.formed_at : batch.first_arrival;
-  const double span = batch.completed_at - start;
-  d[Cause::kFormation] =
-      batch.stage > 0 ? 0.0 : batch.formed_at - batch.first_arrival;
-  d[Cause::kWeightLoad] = batch.weight_load;
-  d[Cause::kColdBoot] = batch.cold_start - batch.weight_load;
-  d[Cause::kSwapStall] = batch.swap_stall;
-  // Deliberately unclamped (unlike the legacy *_delay() accessors): a
-  // negative raw component here surfaces as a negative queue residual and
-  // trips the identity check instead of hiding inside a clamp.
-  d[Cause::kDeficiency] = batch.solo_on_slice - batch.solo_min;
-  d[Cause::kInterference] =
-      batch.exec_time - batch.solo_on_slice - batch.swap_stall;
-  d[Cause::kTransfer] = batch.transfer;
-  d[Cause::kRetry] = batch.retry_overhead;
-  d[Cause::kBlackout] = batch.reconfig_blackout;
-  d[Cause::kService] = batch.solo_min;
-  double known = 0.0;
-  for (double p : d.parts) known += p;
-  // Queue wait is the residual: the identity Σ parts == span then holds by
-  // construction, and a negative residual is the detectable failure mode.
-  d[Cause::kQueue] = span - known;
-  return d;
-}
-
-Decomposition AttributionEngine::decompose_checked(
-    const workload::Batch& batch) {
-  Decomposition d = decompose(batch);
-  if (d[Cause::kQueue] < -kEps) {
+void AttributionEngine::check_identity(const Decomposition& d) {
+  if (d[Cause::kQueue] < -kIdentityEps) {
     ++identity_violations_;
-    PROTEAN_DCHECK(d[Cause::kQueue] >= -kEps);
+    PROTEAN_DCHECK(d[Cause::kQueue] >= -kIdentityEps);
   }
-  return d;
 }
 
 void AttributionEngine::observe_batch(const workload::Batch& batch,
+                                      const Decomposition& d,
                                       double lat_first, double lat_last) {
-  const Decomposition d = decompose_checked(batch);
+  check_identity(d);
   aggregate(d, batch.model, batch.node, batch.strict, batch.count, lat_first,
             lat_last, batch.slo, batch.id);
 }
 
 void AttributionEngine::observe_flow(const metrics::FlowRecord& flow,
-                                     const Decomposition& chain,
                                      NodeId sink_node) {
   const double lat_first = flow.completed_at - flow.first_arrival;
   const double lat_last = flow.completed_at - flow.last_arrival;
   // Stage spans along the critical chain telescope: every stage's span
   // starts exactly at its critical predecessor's completion, so the summed
   // decomposition must equal the end-to-end latency from both sides.
-  const double residual = lat_first - chain.total();
-  if (residual < -kEps || residual > kEps) {
+  const double residual = lat_first - flow.chain.total();
+  if (residual < -kIdentityEps || residual > kIdentityEps) {
     ++identity_violations_;
-    PROTEAN_DCHECK(residual >= -kEps && residual <= kEps);
+    PROTEAN_DCHECK(residual >= -kIdentityEps && residual <= kIdentityEps);
   }
-  aggregate(chain, flow.model, sink_node, flow.strict, flow.count, lat_first,
-            lat_last, flow.slo, flow.id);
+  aggregate(flow.chain, flow.model, sink_node, flow.strict, flow.count,
+            lat_first, lat_last, flow.slo, flow.id);
 }
 
 void AttributionEngine::observe_dropped(bool strict, int count) {
@@ -122,18 +87,15 @@ void AttributionEngine::aggregate(const Decomposition& d,
   if (!strict) return;
 
   // Mirror of Collector::record_requests(): the same arrival ramp and the
-  // same compliance comparison, so violation totals match exactly. Request
-  // i arrived later than request 0 by (lat_first - lat_i); only its
+  // same compliance verdict, so violation totals match exactly. Request i
+  // arrived later than request 0 by (lat_first - lat_i); only its
   // formation wait shrinks by that much — every other component is shared
   // batch state.
   std::uint64_t violating = 0;
   Cause worst_cause = Cause::kQueue;
   for (int i = 0; i < count; ++i) {
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
-    if (lat <= slo + 1e-9) continue;
+    const double lat = workload::request_latency(lat_first, lat_last, i, count);
+    if (workload::meets_slo(lat, slo)) continue;
     const double formation_i =
         d[Cause::kFormation] - (lat_first - lat);
     double best = formation_i;

@@ -13,8 +13,8 @@
 // The engine taps the Collector's attribution hooks, so it sees exactly the
 // batches the collector's own statistics counted (post dedup and
 // measure_from). A request is classified as a violation with precisely the
-// collector's arithmetic (`lat > slo + 1e-9` over the same interpolated
-// arrival ramp), which is what makes
+// collector's arithmetic (workload::meets_slo over the same
+// workload::request_latency arrival ramp), which is what makes
 //
 //     engine violations == Collector::strict_violations()
 //
@@ -41,6 +41,7 @@
 #include "metrics/collector.h"
 #include "metrics/sketch.h"
 #include "workload/batch.h"
+#include "workload/latency.h"
 
 namespace protean::obs {
 class Tracer;
@@ -48,51 +49,18 @@ class Tracer;
 
 namespace protean::attr {
 
-/// Latency components (kFormation..kService) plus the drop pseudo-cause.
-/// Order is load-bearing: classification ties break toward the lower enum
-/// value, and telemetry/report rows follow this order.
-enum class Cause : int {
-  kFormation = 0,     ///< gateway batching wait before the batch sealed
-  kQueue = 1,         ///< node-queue wait (the computed residual)
-  kColdBoot = 2,      ///< container boot share of the cold start
-  kWeightLoad = 3,    ///< model-weight load share of the cold start
-  kSwapStall = 4,     ///< execution stalled on oversubscribed memory
-  kDeficiency = 5,    ///< RDF slowdown from a smaller-than-7g slice
-  kInterference = 6,  ///< co-location contention slowdown
-  kTransfer = 7,      ///< inter-stage tensor transfer (workflows)
-  kRetry = 8,         ///< wall time burned by failed dispatch attempts
-  kBlackout = 9,      ///< queue time under a reconfiguration blackout
-  kService = 10,      ///< irreducible solo time on 7g (not an overhead)
-  kDropped = 11,      ///< request dropped before service (counter-only)
-};
-
-inline constexpr int kComponentCount = 11;  ///< kFormation..kService
-inline constexpr int kOverheadCount = 10;   ///< classification lanes
-inline constexpr int kCauseCount = 12;      ///< + kDropped
+// The decomposition itself lives in the workload layer (one split shared
+// with the Collector's Fig. 6 breakdown); re-exported here under the names
+// the engine, its reports and its tests use.
+using workload::Cause;
+using workload::decompose;
+using workload::Decomposition;
+using workload::kCauseCount;
+using workload::kComponentCount;
+using workload::kOverheadCount;
 
 /// Stable lowercase name ("formation", "queue", ..., "dropped").
 const char* cause_name(Cause cause) noexcept;
-
-/// One request's (or batch's worst request's) exact latency split, seconds.
-struct Decomposition {
-  std::array<double, kComponentCount> parts{};
-
-  double& operator[](Cause c) noexcept {
-    return parts[static_cast<std::size_t>(c)];
-  }
-  double operator[](Cause c) const noexcept {
-    return parts[static_cast<std::size_t>(c)];
-  }
-  double total() const noexcept {
-    double sum = 0.0;
-    for (double p : parts) sum += p;
-    return sum;
-  }
-  Decomposition& operator+=(const Decomposition& o) noexcept {
-    for (std::size_t i = 0; i < parts.size(); ++i) parts[i] += o.parts[i];
-    return *this;
-  }
-};
 
 class AttributionEngine {
  public:
@@ -106,30 +74,23 @@ class AttributionEngine {
     shard_of_ = std::move(shard_of);
   }
 
-  /// Pure decomposition of a completed batch over its accounting span:
-  /// `completed_at - first_arrival` for gateway batches (stage <= 0),
-  /// `completed_at - formed_at` for later workflow stages (their formation
-  /// wait is the predecessor stage's to account). Queue is the residual
-  /// that makes total() equal the span exactly.
-  static Decomposition decompose(const workload::Batch& batch) noexcept;
+  /// Identity check on one decomposition: a queue residual below
+  /// -kIdentityEps is counted (release) or fatal (debug). WorkflowRuntime
+  /// runs it on every completed stage's split.
+  void check_identity(const Decomposition& d);
 
-  /// decompose() plus the identity check on the residual; use this form
-  /// whenever the result feeds statistics. Workflow stages snapshot their
-  /// split through here at stage completion.
-  Decomposition decompose_checked(const workload::Batch& batch);
+  /// One recorded gateway batch (Collector::record() hook) with the
+  /// decomposition the collector took: checks the identity, aggregates
+  /// sketches/groups, classifies strict violations over the collector's
+  /// interpolated arrival ramp.
+  void observe_batch(const workload::Batch& batch, const Decomposition& d,
+                     double lat_first, double lat_last);
 
-  /// One recorded gateway batch (Collector::record() hook): decomposes,
-  /// checks the identity, aggregates sketches/groups, classifies strict
-  /// violations over the collector's interpolated arrival ramp.
-  void observe_batch(const workload::Batch& batch, double lat_first,
-                     double lat_last);
-
-  /// One recorded end-to-end flow: `chain` is the summed decomposition of
-  /// the flow's critical stage chain (WorkflowRuntime walks it), and
-  /// `sink_node` the node its final stage completed on. The identity check
-  /// here is two-sided: the chain must telescope to the flow latency.
-  void observe_flow(const metrics::FlowRecord& flow, const Decomposition& chain,
-                    NodeId sink_node);
+  /// One recorded end-to-end flow, split along `flow.chain` (the critical
+  /// stage chain WorkflowRuntime walks); `sink_node` is the node its final
+  /// stage completed on. The identity check here is two-sided: the chain
+  /// must telescope to the flow latency.
+  void observe_flow(const metrics::FlowRecord& flow, NodeId sink_node);
 
   /// One dropped request set (Collector::record_dropped() hook). A dropped
   /// strict request is a violation with the kDropped pseudo-cause.

@@ -139,8 +139,9 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
     attr_->set_shard_of(
         [this](NodeId id) { return static_cast<int>(shard_of(id)); });
     collector_.set_attr_batch_hook(
-        [this](const workload::Batch& b, double lat_first, double lat_last) {
-          attr_->observe_batch(b, lat_first, lat_last);
+        [this](const workload::Batch& b, const workload::Decomposition& d,
+               double lat_first, double lat_last) {
+          attr_->observe_batch(b, d, lat_first, lat_last);
         });
     collector_.set_attr_drop_hook(
         [this](bool strict, int count) { attr_->observe_dropped(strict, count); });

@@ -454,7 +454,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
   opts.schemes.clear();
 
   bool rps_given = false;
-  bool model_given = false;
   bool fault_retries_given = false;
   bool hedge_given = false;
   std::string model_name = "ResNet 50";
@@ -467,10 +466,17 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> std::optional<std::string> {
+    auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= args.size()) return std::nullopt;
-      (void)flag;
       return args[++i];
+    };
+    // Spec flags take their SPEC as `--X SPEC` or `--X=SPEC`.
+    auto is_spec_flag = [&](const std::string& flag) {
+      return arg == flag || arg.rfind(flag + "=", 0) == 0;
+    };
+    auto spec_of = [&](const std::string& flag) -> std::optional<std::string> {
+      if (arg == flag) return next();
+      return arg.substr(flag.size() + 1);
     };
 
     if (arg == "--help" || arg == "-h") {
@@ -486,22 +492,21 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         opts.schemes.push_back(scheme);
       }
     } else if (arg == "--scheme") {
-      const auto value = next("--scheme");
+      const auto value = next();
       if (!value) return fail("--scheme needs a value");
       const auto scheme = scheme_from_alias(*value);
       if (!scheme) return fail("unknown scheme: " + *value);
       opts.schemes.push_back(*scheme);
     } else if (arg == "--model") {
-      const auto value = next("--model");
+      const auto value = next();
       if (!value) return fail("--model needs a value");
       if (workload::ModelCatalog::instance().find(*value) == nullptr) {
         return fail("unknown model: " + *value +
                     " (see --list-models)");
       }
       model_name = *value;
-      model_given = true;
     } else if (arg == "--trace") {
-      const auto value = next("--trace");
+      const auto value = next();
       if (!value) return fail("--trace needs a value");
       const std::string kind = lower(*value);
       if (kind == "wiki") {
@@ -523,49 +528,49 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         opts.config.trace_out = *trace_out;
       }
     } else if (arg == "--trace-file") {
-      const auto value = next("--trace-file");
+      const auto value = next();
       if (!value) return fail("--trace-file needs a value");
       opts.trace_file = *value;
     } else if (arg == "--rps") {
-      const auto value = next("--rps");
+      const auto value = next();
       const auto rps = value ? parse_spec_number(*value) : std::nullopt;
       if (!rps || *rps <= 0.0) return fail("--rps needs a positive number");
       opts.config.trace.target_rps = *rps;
       rps_given = true;
     } else if (arg == "--horizon") {
-      const auto value = next("--horizon");
+      const auto value = next();
       const auto h = value ? parse_spec_number(*value) : std::nullopt;
       if (!h || *h <= 0.0) return fail("--horizon needs a positive number");
       opts.config.trace.horizon = *h;
     } else if (arg == "--warmup") {
-      const auto value = next("--warmup");
+      const auto value = next();
       const auto w = value ? parse_spec_number(*value) : std::nullopt;
       if (!w || *w < 0.0) return fail("--warmup needs a non-negative number");
       opts.config.warmup = *w;
     } else if (arg == "--strict-frac") {
-      const auto value = next("--strict-frac");
+      const auto value = next();
       const auto f = value ? parse_spec_number(*value) : std::nullopt;
       if (!f || *f < 0.0 || *f > 1.0) {
         return fail("--strict-frac needs a value in [0, 1]");
       }
       opts.config.strict_fraction = *f;
     } else if (arg == "--nodes") {
-      const auto value = next("--nodes");
+      const auto value = next();
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--nodes needs 1..1024");
       opts.config.cluster.node_count = static_cast<std::uint32_t>(*n);
     } else if (arg == "--shards") {
-      const auto value = next("--shards");
+      const auto value = next();
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--shards needs 1..1024");
       opts.config.cluster.shards = static_cast<std::uint32_t>(*n);
     } else if (arg == "--slo-mult") {
-      const auto value = next("--slo-mult");
+      const auto value = next();
       const auto m = value ? parse_spec_number(*value) : std::nullopt;
       if (!m || *m < 1.0) return fail("--slo-mult needs a value >= 1");
       opts.config.cluster.slo_multiplier = *m;
     } else if (arg == "--spot") {
-      const auto value = next("--spot");
+      const auto value = next();
       if (!value) return fail("--spot needs a value");
       const std::string policy = lower(*value);
       if (policy == "on-demand") {
@@ -579,30 +584,24 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         return fail("unknown spot policy: " + *value);
       }
     } else if (arg == "--p-rev") {
-      const auto value = next("--p-rev");
+      const auto value = next();
       const auto p = value ? parse_spec_number(*value) : std::nullopt;
       if (!p || *p < 0.0 || *p > 1.0) {
         return fail("--p-rev needs a value in [0, 1]");
       }
       opts.config.cluster.market.p_rev = *p;
-    } else if (arg == "--faults" || arg.rfind("--faults=", 0) == 0) {
-      std::string spec;
-      if (arg == "--faults") {
-        const auto value = next("--faults");
-        if (!value) return fail("--faults needs a spec");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--faults=").size());
-      }
+    } else if (is_spec_flag("--faults")) {
+      const auto spec = spec_of("--faults");
+      if (!spec) return fail("--faults needs a spec");
       std::string why;
-      const auto fc = parse_faults_flag(spec, opts.config.cluster.fault, &why);
+      const auto fc = parse_faults_flag(*spec, opts.config.cluster.fault, &why);
       if (!fc) {
-        return fail("bad fault spec: " + spec + " (" + why +
+        return fail("bad fault spec: " + *spec + " (" + why +
                     "; want e.g. crash@10:n1,kill-rate=40 — see docs/faults.md)");
       }
       opts.config.cluster.fault = *fc;
     } else if (arg == "--fault-retries") {
-      const auto value = next("--fault-retries");
+      const auto value = next();
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n > 100) return fail("--fault-retries needs 0..100");
       opts.config.cluster.fault.retry.max_retries = static_cast<int>(*n);
@@ -611,22 +610,22 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.cluster.fault.hedge.enabled = true;
       hedge_given = true;
     } else if (arg == "--seed") {
-      const auto value = next("--seed");
+      const auto value = next();
       const auto seed = value ? parse_u64(*value) : std::nullopt;
       if (!seed) return fail("--seed needs an unsigned integer");
       opts.config.seed = *seed;
     } else if (arg == "--seeds") {
-      const auto value = next("--seeds");
+      const auto value = next();
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 10000) return fail("--seeds needs 1..10000");
       opts.seeds = static_cast<std::uint32_t>(*n);
     } else if (arg == "--jobs") {
-      const auto value = next("--jobs");
+      const auto value = next();
       const auto n = value ? parse_u64(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--jobs needs 1..1024");
       opts.jobs = static_cast<int>(*n);
     } else if (arg == "--gpu-mem") {
-      const auto value = next("--gpu-mem");
+      const auto value = next();
       const auto gb = value ? parse_spec_number(*value) : std::nullopt;
       if (!gb || !(*gb >= 1.0 && *gb <= 1024.0)) {
         return fail("--gpu-mem needs a GB value in [1, 1024]");
@@ -634,26 +633,19 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.cluster.gpu_memory_gb = *gb;
     } else if (arg == "--memcache-oversubscribe") {
       opts.config.cluster.memcache.oversubscribe = true;
-    } else if (arg == "--memcache" ||
-               arg.rfind("--memcache=", 0) == 0) {
-      std::string spec;
-      if (arg == "--memcache") {
-        const auto value = next("--memcache");
-        if (!value) return fail("--memcache needs POLICY:GB");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--memcache=").size());
-      }
+    } else if (is_spec_flag("--memcache")) {
+      const auto spec = spec_of("--memcache");
+      if (!spec) return fail("--memcache needs POLICY:GB");
       std::string why;
       const auto mc =
-          parse_memcache_spec(spec, opts.config.cluster.memcache, &why);
+          parse_memcache_spec(*spec, opts.config.cluster.memcache, &why);
       if (!mc) {
-        return fail("bad memcache spec: " + spec + " (" + why +
+        return fail("bad memcache spec: " + *spec + " (" + why +
                     "; want POLICY:GB, policies: lru | gdsf | oracle)");
       }
       opts.config.cluster.memcache = *mc;
     } else if (arg == "--telemetry") {
-      const auto value = next("--telemetry");
+      const auto value = next();
       if (!value) return fail("--telemetry needs FILE[:INTERVAL]");
       const auto telemetry = parse_telemetry_spec(*value);
       if (!telemetry) {
@@ -662,78 +654,54 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
                     "seconds)");
       }
       opts.config.telemetry = *telemetry;
-    } else if (arg == "--autoscale" || arg.rfind("--autoscale=", 0) == 0) {
-      std::string spec;
-      if (arg == "--autoscale") {
-        const auto value = next("--autoscale");
-        if (!value) return fail("--autoscale needs POLICY[:OPTS]");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--autoscale=").size());
-      }
+    } else if (is_spec_flag("--autoscale")) {
+      const auto spec = spec_of("--autoscale");
+      if (!spec) return fail("--autoscale needs POLICY[:OPTS]");
       std::string why;
       const auto ac =
-          parse_autoscale_spec(spec, opts.config.cluster.autoscale, &why);
+          parse_autoscale_spec(*spec, opts.config.cluster.autoscale, &why);
       if (!ac) {
-        return fail("bad --autoscale value: " + spec + " (" + why +
+        return fail("bad --autoscale value: " + *spec + " (" + why +
                     "; want POLICY[:KEY=V,...] with POLICY reactive | "
                     "predictive — see docs/autoscale.md)");
       }
       opts.config.cluster.autoscale = *ac;
-    } else if (arg == "--substrate" || arg.rfind("--substrate=", 0) == 0) {
-      std::string spec;
-      if (arg == "--substrate") {
-        const auto value = next("--substrate");
-        if (!value) return fail("--substrate needs MODE[:OPTS]");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--substrate=").size());
-      }
+    } else if (is_spec_flag("--substrate")) {
+      const auto spec = spec_of("--substrate");
+      if (!spec) return fail("--substrate needs MODE[:OPTS]");
       std::string why;
       const auto sg =
-          parse_substrate_spec(spec, opts.config.cluster.softgpu, &why);
+          parse_substrate_spec(*spec, opts.config.cluster.softgpu, &why);
       if (!sg) {
-        return fail("bad --substrate value: " + spec + " (" + why +
+        return fail("bad --substrate value: " + *spec + " (" + why +
                     "; want MODE[:KEY=V,...] with MODE timeshare | mps | "
                     "softslice — see docs/softgpu.md)");
       }
       opts.config.cluster.softgpu = *sg;
-    } else if (arg == "--workflow" || arg.rfind("--workflow=", 0) == 0) {
-      std::string spec;
-      if (arg == "--workflow") {
-        const auto value = next("--workflow");
-        if (!value) return fail("--workflow needs SHAPE[:OPTS]");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--workflow=").size());
-      }
+    } else if (is_spec_flag("--workflow")) {
+      const auto spec = spec_of("--workflow");
+      if (!spec) return fail("--workflow needs SHAPE[:OPTS]");
       std::string why;
       const auto wf =
-          parse_workflow_spec(spec, opts.config.cluster.workflow, &why);
+          parse_workflow_spec(*spec, opts.config.cluster.workflow, &why);
       if (!wf) {
-        return fail("bad --workflow value: " + spec + " (" + why +
+        return fail("bad --workflow value: " + *spec + " (" + why +
                     "; want SHAPE[:KEY=V,...] with SHAPE chain | fanout | "
                     "diamond | shared — see docs/workflows.md)");
       }
       opts.config.cluster.workflow = *wf;
-    } else if (arg == "--attr" || arg.rfind("--attr=", 0) == 0) {
-      std::string spec;
-      if (arg == "--attr") {
-        const auto value = next("--attr");
-        if (!value) return fail("--attr needs on[:OPTS]");
-        spec = *value;
-      } else {
-        spec = arg.substr(std::string("--attr=").size());
-      }
+    } else if (is_spec_flag("--attr")) {
+      const auto spec = spec_of("--attr");
+      if (!spec) return fail("--attr needs on[:OPTS]");
       std::string why;
-      const auto ac = parse_attr_spec(spec, opts.config.cluster.attr, &why);
+      const auto ac = parse_attr_spec(*spec, opts.config.cluster.attr, &why);
       if (!ac) {
-        return fail("bad --attr value: " + spec + " (" + why +
+        return fail("bad --attr value: " + *spec + " (" + why +
                     "; want on[:alpha=F] — see docs/attribution.md)");
       }
       opts.config.cluster.attr = *ac;
     } else if (arg == "--sketch") {
-      const auto value = next("--sketch");
+      const auto value = next();
       const auto alpha = value ? parse_spec_number(*value) : std::nullopt;
       if (!alpha || !(*alpha > 0.0 && *alpha <= 0.5)) {
         return fail("--sketch needs an ALPHA in (0, 0.5]");
@@ -741,12 +709,12 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.sketch_collector = true;
       opts.config.sketch_alpha = *alpha;
     } else if (arg == "--dump-mem-timeline") {
-      const auto value = next("--dump-mem-timeline");
+      const auto value = next();
       if (!value) return fail("--dump-mem-timeline needs a file path");
       opts.mem_timeline_file = *value;
       opts.config.keep_mem_timeline = true;
     } else if (arg == "--sweep") {
-      const auto value = next("--sweep");
+      const auto value = next();
       if (!value) return fail("--sweep needs AXIS=LO:HI:STEP");
       const auto axis = SweepAxis::parse(*value);
       if (!axis) {
@@ -790,7 +758,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
   if (rps_given) {
     opts.config.trace.target_rps = rps;
   }
-  (void)model_given;
 
   if (!opts.trace_file.empty()) {
     opts.config.trace.kind = trace::TraceKind::kTable;

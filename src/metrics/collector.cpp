@@ -7,6 +7,20 @@
 
 namespace protean::metrics {
 
+using workload::Cause;
+
+Breakdown fold(const workload::Decomposition& d) noexcept {
+  Breakdown out;
+  out.queue = d[Cause::kFormation] + d[Cause::kQueue] + d[Cause::kTransfer] +
+              d[Cause::kRetry] + d[Cause::kBlackout];
+  out.cold = d[Cause::kColdBoot] + d[Cause::kWeightLoad];
+  out.min_time = d[Cause::kService];
+  out.deficiency = d[Cause::kDeficiency];
+  out.interference = d[Cause::kInterference];
+  out.swap = d[Cause::kSwapStall];
+  return out;
+}
+
 void Collector::use_sketch_store(double alpha) {
   PROTEAN_CHECK_MSG(strict_exact_.samples.empty() && be_exact_.samples.empty(),
                     "use_sketch_store must precede the first record()");
@@ -42,28 +56,19 @@ void Collector::record(const workload::Batch& batch) {
     observer_(batch.completed_at, batch.strict, lat_first, lat_last,
               batch.count, batch.slo);
   }
-  if (attr_batch_hook_) attr_batch_hook_(batch, lat_first, lat_last);
-
-  // The clamp in queue_delay() hides accounting bugs (time charged to two
-  // components at once); count raw negatives so audits can assert zero.
-  const double raw_queue =
-      (batch.exec_start - batch.first_arrival) - batch.cold_start;
-  if (raw_queue < -1e-9) ++negative_component_clamps_;
+  const workload::Decomposition d = workload::decompose(batch);
+  if (d.has_negative_lane()) ++negative_component_clamps_;
+  if (attr_batch_hook_) attr_batch_hook_(batch, d, lat_first, lat_last);
 
   BatchBreakdown bb;
   bb.completed_at = batch.completed_at;
   bb.worst_latency = lat_first;
   bb.best_latency = lat_last;
+  bb.breakdown = fold(d);
   bb.slo = batch.slo;
-  bb.model = batch.model;
-  bb.cold = batch.cold_start;
-  bb.queue = batch.queue_delay();
-  bb.min_time = batch.solo_min;
-  bb.deficiency = batch.deficiency_delay();
-  bb.interference = batch.interference_delay();
-  bb.swap = batch.swap_stall_delay();
   bb.count = batch.count;
   bb.strict = batch.strict;
+  bb.model = batch.model;
   batches_.push_back(bb);
 }
 
@@ -72,12 +77,7 @@ void Collector::record_requests(bool strict, int count, double lat_first,
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
   auto& sink = (strict ? strict_exact_ : be_exact_).samples;
   for (int i = 0; i < count; ++i) {
-    // Requests are spread uniformly over [first_arrival, last_arrival];
-    // request 0 is the earliest, i.e. the longest-waiting.
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
+    const double lat = workload::request_latency(lat_first, lat_last, i, count);
     if (sketch) {
       sketch->add(lat);
     } else {
@@ -85,22 +85,16 @@ void Collector::record_requests(bool strict, int count, double lat_first,
     }
     if (strict) {
       ++strict_total_;
-      if (lat <= slo + 1e-9) ++strict_compliant_;
+      if (workload::meets_slo(lat, slo)) ++strict_compliant_;
     } else {
       ++be_total_;
     }
   }
 }
 
-void Collector::record_stage(const workload::Batch& batch) {
+void Collector::record_stage(const workload::Decomposition& stage) {
   ++stages_recorded_;
-  stage_queue_seconds_ += batch.stage_queue_delay();
-  stage_cold_seconds_ += batch.cold_start;
-  stage_exec_seconds_ += batch.exec_time;
-  const SimTime since = batch.stage > 0 ? batch.formed_at : batch.first_arrival;
-  const double raw_queue =
-      (batch.exec_start - since) - batch.cold_start - batch.transfer;
-  if (raw_queue < -1e-9) ++negative_component_clamps_;
+  if (stage.has_negative_lane()) ++negative_component_clamps_;
 }
 
 bool Collector::record_flow(const FlowRecord& flow) {
@@ -124,19 +118,11 @@ bool Collector::record_flow(const FlowRecord& flow) {
   bb.completed_at = flow.completed_at;
   bb.worst_latency = lat_first;
   bb.best_latency = lat_last;
+  bb.breakdown = fold(flow.chain);
   bb.slo = flow.slo;
-  bb.model = flow.model;
-  bb.cold = flow.cold;
-  // BatchBreakdown has no transfer lane; inter-stage hops are wait time
-  // from the request's perspective, so they fold into queueing here (the
-  // workflow report block carries the exact transfer split).
-  bb.queue = flow.queue + flow.transfer;
-  bb.min_time = flow.min_time;
-  bb.deficiency = flow.deficiency;
-  bb.interference = flow.interference;
-  bb.swap = flow.swap;
   bb.count = flow.count;
   bb.strict = flow.strict;
+  bb.model = flow.model;
   batches_.push_back(bb);
   return true;
 }
@@ -193,41 +179,28 @@ std::vector<float> Collector::take_strict_latencies() noexcept {
   return std::exchange(strict_exact_, {}).samples;
 }
 
-namespace {
-Breakdown average_over(const std::vector<const BatchBreakdown*>& batches) {
-  Breakdown out;
-  if (batches.empty()) return out;
-  for (const auto* b : batches) {
-    out.queue += b->queue;
-    out.cold += b->cold;
-    out.min_time += b->min_time;
-    out.deficiency += b->deficiency;
-    out.interference += b->interference;
-    out.swap += b->swap;
-  }
-  const double n = static_cast<double>(batches.size());
-  out.queue /= n;
-  out.cold /= n;
-  out.min_time /= n;
-  out.deficiency /= n;
-  out.interference /= n;
-  out.swap /= n;
-  return out;
-}
-}  // namespace
-
-Breakdown Collector::tail_breakdown(double p) const {
-  std::vector<float> strict_worst;
+Breakdown Collector::tail_of(const workload::ModelProfile* model,
+                             double p) const {
+  const auto in_scope = [model](const BatchBreakdown& b) {
+    return b.strict && (model == nullptr || b.model == model);
+  };
+  std::vector<float> worst;
   for (const auto& b : batches_) {
-    if (b.strict) strict_worst.push_back(static_cast<float>(b.worst_latency));
+    if (in_scope(b)) worst.push_back(static_cast<float>(b.worst_latency));
   }
-  if (strict_worst.empty()) return {};
-  const double cutoff = percentile(std::move(strict_worst), p);
-  std::vector<const BatchBreakdown*> tail;
+  if (worst.empty()) return {};
+  const double cutoff = percentile(std::move(worst), p);
+  Breakdown sum;
+  std::size_t n = 0;
   for (const auto& b : batches_) {
-    if (b.strict && b.worst_latency >= cutoff - 1e-12) tail.push_back(&b);
+    if (in_scope(b) && b.worst_latency >= cutoff - 1e-12) {
+      sum += b.breakdown;
+      ++n;
+    }
   }
-  return average_over(tail);
+  // The float-rounded cutoff can sit above every double-valued latency.
+  if (n == 0) return {};
+  return sum /= static_cast<double>(n);
 }
 
 std::vector<float> Collector::latencies_for(
@@ -236,11 +209,8 @@ std::vector<float> Collector::latencies_for(
   for (const auto& b : batches_) {
     if (b.model != model || b.strict != strict) continue;
     for (int i = 0; i < b.count; ++i) {
-      const double frac =
-          b.count == 1 ? 0.0
-                       : static_cast<double>(i) / static_cast<double>(b.count - 1);
-      out.push_back(static_cast<float>(
-          b.worst_latency + (b.best_latency - b.worst_latency) * frac));
+      out.push_back(static_cast<float>(workload::request_latency(
+          b.worst_latency, b.best_latency, i, b.count)));
     }
   }
   return out;
@@ -252,44 +222,14 @@ double Collector::slo_compliance_pct_for(
   for (const auto& b : batches_) {
     if (b.model != model || !b.strict) continue;
     for (int i = 0; i < b.count; ++i) {
-      const double frac =
-          b.count == 1 ? 0.0
-                       : static_cast<double>(i) / static_cast<double>(b.count - 1);
-      const double lat =
-          b.worst_latency + (b.best_latency - b.worst_latency) * frac;
+      const double lat = workload::request_latency(
+          b.worst_latency, b.best_latency, i, b.count);
       ++total;
-      if (lat <= b.slo + 1e-9) ++compliant;
+      if (workload::meets_slo(lat, b.slo)) ++compliant;
     }
   }
   if (total == 0) return 100.0;
   return 100.0 * static_cast<double>(compliant) / static_cast<double>(total);
-}
-
-Breakdown Collector::tail_breakdown_for(const workload::ModelProfile* model,
-                                        double p) const {
-  std::vector<float> worst;
-  for (const auto& b : batches_) {
-    if (b.model == model && b.strict) {
-      worst.push_back(static_cast<float>(b.worst_latency));
-    }
-  }
-  if (worst.empty()) return {};
-  const double cutoff = percentile(std::move(worst), p);
-  std::vector<const BatchBreakdown*> tail;
-  for (const auto& b : batches_) {
-    if (b.model == model && b.strict && b.worst_latency >= cutoff - 1e-12) {
-      tail.push_back(&b);
-    }
-  }
-  return average_over(tail);
-}
-
-Breakdown Collector::mean_breakdown() const {
-  std::vector<const BatchBreakdown*> all;
-  for (const auto& b : batches_) {
-    if (b.strict) all.push_back(&b);
-  }
-  return average_over(all);
 }
 
 }  // namespace protean::metrics

@@ -5,7 +5,9 @@
 // arrival span), tracks SLO compliance for strict requests, and keeps
 // per-batch latency breakdowns so that Fig. 2/6-style stacked-bar rows can
 // be reconstructed (queueing vs cold start vs resource deficiency vs
-// interference vs minimum possible time).
+// interference vs minimum possible time). Each breakdown is the fold of the
+// batch's exact decomposition (workload/latency.h), taken once at record
+// time, so its lanes sum to the batch's worst latency.
 #pragma once
 
 #include <cstdint>
@@ -18,45 +20,64 @@
 #include "metrics/sketch.h"
 #include "metrics/stats.h"
 #include "workload/batch.h"
+#include "workload/latency.h"
 
 namespace protean::metrics {
 
-/// Per-batch latency attribution (seconds). The components sum to the
+/// Fig. 6 latency attribution (seconds): one batch's, or an average.
+struct Breakdown {
+  double queue = 0.0;         // formation + queue + transfer + retry + blackout
+  double cold = 0.0;          // cold boot + weight load
+  double min_time = 0.0;      // solo on 7g: the "min possible time"
+  double deficiency = 0.0;    // RDF-induced slowdown
+  double interference = 0.0;  // MPS co-location slowdown
+  double swap = 0.0;          // memory-oversubscription swap stall
+  double total() const noexcept {
+    return queue + cold + min_time + deficiency + interference + swap;
+  }
+  Breakdown& operator+=(const Breakdown& o) noexcept {
+    queue += o.queue;
+    cold += o.cold;
+    min_time += o.min_time;
+    deficiency += o.deficiency;
+    interference += o.interference;
+    swap += o.swap;
+    return *this;
+  }
+  Breakdown& operator/=(double n) noexcept {
+    queue /= n;
+    cold /= n;
+    min_time /= n;
+    deficiency /= n;
+    interference /= n;
+    swap /= n;
+    return *this;
+  }
+};
+
+/// Folds the eleven exact lanes into Fig. 6's six. Every lane lands in
+/// exactly one bucket, so total() equals d.total().
+Breakdown fold(const workload::Decomposition& d) noexcept;
+
+/// Per-batch latency attribution record. The breakdown's lanes sum to the
 /// latency of the batch's earliest (= worst-off) request.
 struct BatchBreakdown {
   SimTime completed_at = 0.0;
   double worst_latency = 0.0;
   double best_latency = 0.0;  // latency of the batch's latest request
-  double queue = 0.0;
-  double cold = 0.0;
-  double min_time = 0.0;      // solo on 7g: the "min possible time"
-  double deficiency = 0.0;    // RDF-induced slowdown
-  double interference = 0.0;  // MPS co-location slowdown
-  double swap = 0.0;          // memory-oversubscription swap stall
+  Breakdown breakdown;
   double slo = 0.0;           // relative deadline (strict only)
   int count = 0;
   bool strict = false;
   const workload::ModelProfile* model = nullptr;
 };
 
-/// Aggregated latency attribution, e.g. averaged over the tail.
-struct Breakdown {
-  double queue = 0.0;
-  double cold = 0.0;
-  double min_time = 0.0;
-  double deficiency = 0.0;
-  double interference = 0.0;
-  double swap = 0.0;
-  double total() const noexcept {
-    return queue + cold + min_time + deficiency + interference + swap;
-  }
-};
-
 /// Terminal record of one workflow flow (src/workflow): the per-request
 /// side of the split record() API. A flow's stage batches are recorded
-/// through record_stage() — components only, never request latencies — and
-/// exactly one FlowRecord carries the end-to-end latency, SLO verdict and
-/// summed per-stage components, so multi-stage requests are counted once.
+/// through record_stage() — health counters only, never request latencies
+/// — and exactly one FlowRecord carries the end-to-end latency, SLO verdict
+/// and critical-chain decomposition, so multi-stage requests are counted
+/// once.
 struct FlowRecord {
   BatchId id = 0;  ///< flow id (the sealed entry batch's gateway id)
   const workload::ModelProfile* model = nullptr;  ///< entry-stage model
@@ -66,14 +87,11 @@ struct FlowRecord {
   SimTime last_arrival = 0.0;
   SimTime completed_at = 0.0;  ///< last sink stage completion
   double slo = kNeverTime;     ///< end-to-end deadline, relative seconds
-  // Per-stage latencies folded into end-to-end components:
-  Duration queue = 0.0;         ///< summed stage queueing delays
-  Duration cold = 0.0;          ///< summed stage cold starts
-  Duration min_time = 0.0;      ///< critical-path solo service time
-  Duration deficiency = 0.0;    ///< summed RDF-induced slowdowns
-  Duration interference = 0.0;  ///< summed co-location slowdowns
-  Duration swap = 0.0;          ///< summed swap-stall time
-  Duration transfer = 0.0;      ///< summed inter-stage transfer hops
+  /// Summed decomposition of the critical stage chain, walked back from
+  /// the last-finishing sink. Each stage's span starts at its critical
+  /// predecessor's completion, so total() telescopes to the flow latency
+  /// `completed_at - first_arrival`.
+  workload::Decomposition chain;
 };
 
 class Collector {
@@ -87,14 +105,14 @@ class Collector {
   /// Batch completion observer: invoked once per recorded batch with
   /// (completion time, strict?, worst latency, best latency, request
   /// count, SLO seconds). Per-request latencies are the linear ramp
-  /// `lat_first + (lat_last - lat_first) * i / (count - 1)` — the same
-  /// spread the collector's own statistics use — so a consumer can expand
-  /// them bit-identically (telemetry::TelemetryPipeline::observe_batch
-  /// does). Batches arrive in non-decreasing completion-time order;
-  /// batches filtered by measure_from never reach the observer. Null
-  /// (the default) costs nothing — this is the live-telemetry feed
-  /// (src/telemetry), kept out of the collector's own statistics and
-  /// deliberately per-batch so the per-request hot loop stays tight.
+  /// workload::request_latency — the same spread the collector's own
+  /// statistics use — so a consumer can expand them bit-identically
+  /// (telemetry::TelemetryPipeline::observe_batch does). Batches arrive
+  /// in non-decreasing completion-time order; batches filtered by
+  /// measure_from never reach the observer. Null (the default) costs
+  /// nothing — this is the live-telemetry feed (src/telemetry), kept out
+  /// of the collector's own statistics and deliberately per-batch so the
+  /// per-request hot loop stays tight.
   using BatchObserver =
       std::function<void(SimTime, bool, double, double, int, double)>;
   void set_batch_observer(BatchObserver observer) {
@@ -103,14 +121,15 @@ class Collector {
 
   // ---- attribution feed (src/attr) ---------------------------------------
   //
-  // Same contract as the batch observer, but with the full Batch in hand so
-  // the attribution engine can decompose it. Called after the dedup and
-  // measure_from filters, i.e. exactly once per batch this collector's own
-  // statistics counted — which is what makes the engine's violation totals
-  // reproduce strict_violations() exactly. Function-typed (not a direct
-  // dependency) so metrics stays below attr in the build graph.
+  // Same contract as the batch observer, but with the full Batch and its
+  // decomposition (taken once, in record()) in hand. Called after the dedup
+  // and measure_from filters, i.e. exactly once per batch this collector's
+  // own statistics counted — which is what makes the engine's violation
+  // totals reproduce strict_violations() exactly. Function-typed (not a
+  // direct dependency) so metrics stays below attr in the build graph.
   using AttrBatchHook =
-      std::function<void(const workload::Batch&, double, double)>;
+      std::function<void(const workload::Batch&,
+                         const workload::Decomposition&, double, double)>;
   void set_attr_batch_hook(AttrBatchHook hook) {
     attr_batch_hook_ = std::move(hook);
   }
@@ -146,30 +165,27 @@ class Collector {
   // record() assumes one batch == one set of end-user requests. Workflow
   // stage batches violate that (one request traverses several stages), so
   // they split into a per-stage path and a per-request path: stages feed
-  // component aggregates only, and the flow's single terminal record owns
-  // the request latencies and the end-to-end SLO verdict.
+  // health counters only, and the flow's single terminal record owns the
+  // request latencies, the end-to-end SLO verdict and the Fig. 6 row.
 
-  /// Per-stage path: component bookkeeping for one completed stage batch.
-  /// Never touches the latency store, SLO counters, observer, or batch
-  /// records, so workflow statistics cannot double-count a request.
-  void record_stage(const workload::Batch& batch);
+  /// Per-stage path: health bookkeeping for one completed stage batch,
+  /// given its decomposition (the workflow runtime takes it once and keeps
+  /// it for the flow's critical chain). Never touches the latency store,
+  /// SLO counters, observer, or batch records, so workflow statistics
+  /// cannot double-count a request.
+  void record_stage(const workload::Decomposition& stage);
 
   /// Per-request (terminal) path: one end-to-end flow. Claims the flow id
   /// (a retried/raced duplicate is discarded under dedup), applies the
   /// measure_from filter, expands the same per-request latency ramp as
   /// record(), and counts SLO compliance against the flow's end-to-end
-  /// deadline. The batch-records entry folds transfer time into queueing.
+  /// deadline. The batch-records entry is the fold of the flow's chain.
   /// Returns true iff the flow entered the statistics (not deduped or
   /// filtered) — the attribution engine keys off the same verdict.
   bool record_flow(const FlowRecord& flow);
 
   std::uint64_t stages_recorded() const noexcept { return stages_recorded_; }
   std::uint64_t flows_recorded() const noexcept { return flows_recorded_; }
-  /// Component sums over every recorded stage batch (diagnostics;
-  /// unfiltered by measure_from).
-  double stage_queue_seconds() const noexcept { return stage_queue_seconds_; }
-  double stage_cold_seconds() const noexcept { return stage_cold_seconds_; }
-  double stage_exec_seconds() const noexcept { return stage_exec_seconds_; }
 
   void record_cold_start() { ++cold_starts_; }
 
@@ -229,9 +245,9 @@ class Collector {
     return strict_total_ - strict_compliant_;
   }
 
-  /// Times the raw queue-delay expression in record()/record_stage() went
-  /// below -1e-9 before clamping — a nonzero value means some component
-  /// accounting double-charged time (see queue_delay()'s clamp).
+  /// Recorded batches and stage batches whose decomposition has a lane
+  /// below -kIdentityEps (Decomposition::has_negative_lane) — a nonzero
+  /// value means some component accounting is broken.
   std::uint64_t negative_component_clamps() const noexcept {
     return negative_component_clamps_;
   }
@@ -269,10 +285,7 @@ class Collector {
   /// Average breakdown over strict batches whose worst latency is at or
   /// above the given percentile of strict batch latencies (the Fig. 6 tail
   /// bars use p=99).
-  Breakdown tail_breakdown(double p) const;
-
-  /// Average breakdown over all strict batches.
-  Breakdown mean_breakdown() const;
+  Breakdown tail_breakdown(double p) const { return tail_of(nullptr, p); }
 
   const std::vector<BatchBreakdown>& batch_records() const noexcept {
     return batches_;
@@ -287,14 +300,19 @@ class Collector {
   double slo_compliance_pct_for(const workload::ModelProfile* model) const;
   /// Tail breakdown restricted to one model's strict batches.
   Breakdown tail_breakdown_for(const workload::ModelProfile* model,
-                               double p) const;
+                               double p) const {
+    return tail_of(model, p);
+  }
 
  private:
   /// Shared per-request path of record()/record_flow(): expands the linear
-  /// latency ramp into the store and the SLO counters. Bit-identical to
-  /// the loop record() always ran, so single-model runs are unchanged.
+  /// latency ramp into the store and the SLO counters.
   void record_requests(bool strict, int count, double lat_first,
                        double lat_last, double slo);
+
+  /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches
+  /// of `model` (every model when null).
+  Breakdown tail_of(const workload::ModelProfile* model, double p) const;
 
   /// Exact per-request store of one strictness class. `sum` folds
   /// samples[0, summed) in recording order; every reorder first folds the
@@ -334,9 +352,6 @@ class Collector {
   std::uint64_t duplicate_hedges_ = 0;
   std::uint64_t stages_recorded_ = 0;
   std::uint64_t flows_recorded_ = 0;
-  double stage_queue_seconds_ = 0.0;
-  double stage_cold_seconds_ = 0.0;
-  double stage_exec_seconds_ = 0.0;
   std::uint64_t negative_component_clamps_ = 0;
   bool dedup_ = false;
   std::unordered_set<BatchId> seen_;

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "obs/trace.h"
+#include "workload/latency.h"
 
 namespace protean::telemetry {
 namespace {
@@ -97,25 +98,20 @@ void TelemetryPipeline::observe_batch(SimTime when, bool strict,
                                       double lat_first, double lat_last,
                                       int count, double slo) {
   if (count <= 0) return;
+  // Same ramp and verdict as Collector::record, so the summaries and
+  // compliance counts agree exactly with the collector's.
   if (!strict) {
     for (int i = 0; i < count; ++i) {
-      const double frac =
-          count == 1 ? 0.0
-                     : static_cast<double>(i) / static_cast<double>(count - 1);
-      be_latency_->observe(lat_first + (lat_last - lat_first) * frac);
+      be_latency_->observe(
+          workload::request_latency(lat_first, lat_last, i, count));
     }
     return;
   }
-  // Same ramp (bit-identical expression) as Collector::record, so the
-  // summaries and compliance counts agree exactly with the collector's.
   std::uint64_t ok = 0;
   for (int i = 0; i < count; ++i) {
-    const double frac =
-        count == 1 ? 0.0
-                   : static_cast<double>(i) / static_cast<double>(count - 1);
-    const double lat = lat_first + (lat_last - lat_first) * frac;
+    const double lat = workload::request_latency(lat_first, lat_last, i, count);
     strict_latency_->observe(lat);
-    if (lat <= slo + 1e-9) ++ok;
+    if (workload::meets_slo(lat, slo)) ++ok;
   }
   const auto total = static_cast<std::uint64_t>(count);
   window_strict_total_ += total;

@@ -38,7 +38,7 @@ bool WorkflowRuntime::admit(workload::Batch& batch) {
   state.done.assign(stages, 0);
   state.node.assign(stages, 0);
   state.finished.assign(stages, 0.0);
-  if (attr_ != nullptr) state.parts.assign(stages, attr::Decomposition{});
+  state.parts.assign(stages, workload::Decomposition{});
   ++flows_admitted_;
   if (flows_admitted_counter_) flows_admitted_counter_->inc();
 
@@ -68,19 +68,8 @@ workload::Batch WorkflowRuntime::make_stage_batch(std::uint64_t flow,
   batch.slo = stage_slo(stage);
   batch.flow = flow;
   batch.stage = stage;
-  // The hop we charge is from the *critical* (last-finishing) predecessor;
-  // earlier fan-in inputs overlap the wait for it, so their transfers are
-  // off the critical path. Ties break on edge order, deterministically.
-  const Edge* critical = nullptr;
-  SimTime latest = -1.0;
-  for (const Edge& edge : spec_.stage(stage).inputs) {
-    const auto pred = static_cast<std::size_t>(edge.pred);
-    if (state.finished[pred] >= latest) {
-      latest = state.finished[pred];
-      critical = &edge;
-    }
-  }
-  if (critical != nullptr) {
+  // The hop we charge is from the critical predecessor only.
+  if (const Edge* critical = critical_input(state, stage)) {
     batch.has_pred = true;
     batch.pred_node = state.node[static_cast<std::size_t>(critical->pred)];
     batch.edge_mb = critical->transfer_mb;
@@ -102,15 +91,10 @@ std::vector<workload::Batch> WorkflowRuntime::on_stage_complete(
   state.done[si] = 1;
   state.node[si] = batch.node;
   state.finished[si] = batch.completed_at;
-  state.queue += batch.stage_queue_delay();
-  state.cold += batch.cold_start;
-  state.deficiency += batch.deficiency_delay();
-  state.interference += batch.interference_delay();
-  state.transfer += batch.transfer;
-  state.swap += batch.swap_stall_delay();
-  if (attr_ != nullptr) state.parts[si] = attr_->decompose_checked(batch);
+  state.parts[si] = workload::decompose(batch);
+  if (attr_ != nullptr) attr_->check_identity(state.parts[si]);
   ++stages_completed_;
-  collector_.record_stage(batch);
+  collector_.record_stage(state.parts[si]);
   if (tracer_ != nullptr && tracer_->wants(obs::kSpans)) {
     tracer_->instant(obs::kSpans, "stage_done",
                      static_cast<int>(batch.node) + 1,
@@ -140,6 +124,20 @@ std::vector<workload::Batch> WorkflowRuntime::on_stage_complete(
   return ready;
 }
 
+const Edge* WorkflowRuntime::critical_input(const FlowState& state,
+                                            int stage) const {
+  const Edge* critical = nullptr;
+  SimTime latest = -1.0;
+  for (const Edge& edge : spec_.stage(stage).inputs) {
+    const auto pred = static_cast<std::size_t>(edge.pred);
+    if (state.finished[pred] >= latest) {
+      latest = state.finished[pred];
+      critical = &edge;
+    }
+  }
+  return critical;
+}
+
 void WorkflowRuntime::finish_flow(std::uint64_t flow, FlowState& state,
                                   SimTime completed_at) {
   ++flows_completed_;
@@ -153,45 +151,28 @@ void WorkflowRuntime::finish_flow(std::uint64_t flow, FlowState& state,
   record.last_arrival = state.last_arrival;
   record.completed_at = completed_at;
   record.slo = e2e_slo_;
-  record.queue = state.queue;
-  record.cold = state.cold;
-  record.min_time = spec_.critical_path_solo();
-  record.deficiency = state.deficiency;
-  record.interference = state.interference;
-  record.transfer = state.transfer;
-  record.swap = state.swap;
-  const bool recorded = collector_.record_flow(record);
-  if (attr_ != nullptr && recorded) {
-    // Walk the critical stage chain back from the last-finishing sink.
-    // Each stage's accounting span starts where its critical predecessor's
-    // ended (formed_at == the predecessor's completion event), so summing
-    // the per-stage decompositions telescopes to the flow latency exactly.
-    int stage = -1;
-    SimTime latest = -1.0;
-    for (const int sink : spec_.sinks()) {
-      if (state.finished[static_cast<std::size_t>(sink)] >= latest) {
-        latest = state.finished[static_cast<std::size_t>(sink)];
-        stage = sink;
-      }
+  // Walk the critical stage chain back from the last-finishing sink. Each
+  // stage's accounting span starts where its critical predecessor's ended
+  // (formed_at == the predecessor's completion event), so summing the
+  // per-stage decompositions telescopes to the flow latency exactly.
+  int stage = -1;
+  SimTime latest = -1.0;
+  for (const int sink : spec_.sinks()) {
+    if (state.finished[static_cast<std::size_t>(sink)] >= latest) {
+      latest = state.finished[static_cast<std::size_t>(sink)];
+      stage = sink;
     }
-    PROTEAN_CHECK(stage >= 0);
-    const NodeId sink_node = state.node[static_cast<std::size_t>(stage)];
-    attr::Decomposition chain;
-    while (stage >= 0) {
-      chain += state.parts[static_cast<std::size_t>(stage)];
-      // Same critical-predecessor rule as make_stage_batch: the
-      // last-finishing input, ties broken toward later edge order.
-      int pred = -1;
-      latest = -1.0;
-      for (const Edge& edge : spec_.stage(stage).inputs) {
-        if (state.finished[static_cast<std::size_t>(edge.pred)] >= latest) {
-          latest = state.finished[static_cast<std::size_t>(edge.pred)];
-          pred = edge.pred;
-        }
-      }
-      stage = pred;
-    }
-    attr_->observe_flow(record, chain, sink_node);
+  }
+  PROTEAN_CHECK(stage >= 0);
+  const NodeId sink_node = state.node[static_cast<std::size_t>(stage)];
+  for (;;) {
+    record.chain += state.parts[static_cast<std::size_t>(stage)];
+    const Edge* pred = critical_input(state, stage);
+    if (pred == nullptr) break;
+    stage = pred->pred;
+  }
+  if (collector_.record_flow(record) && attr_ != nullptr) {
+    attr_->observe_flow(record, sink_node);
   }
   if (e2e_latency_summary_ != nullptr) {
     e2e_latency_summary_->observe(completed_at - state.first_arrival);

@@ -7,10 +7,11 @@
 //    into stage 0 of a new flow (fresh stage-batch id from a high range
 //    disjoint from gateway ids, per-stage SLO budget, flow bookkeeping).
 //  * on_stage_complete() — the worker-node completion hook routes stage
-//    batches here instead of Collector::record(). The runtime accounts the
-//    stage's latency components, re-checks fan-in joins, and returns the
-//    successor stage batches that became ready; the last sink completion
-//    records the flow end-to-end through Collector::record_flow().
+//    batches here instead of Collector::record(). The runtime decomposes
+//    the stage's latency (once, kept per stage), re-checks fan-in joins,
+//    and returns the successor stage batches that became ready; the last
+//    sink completion records the flow end-to-end, split along its critical
+//    stage chain, through Collector::record_flow().
 //  * pay_hop() — inter-stage transfer accounting: zero when the consuming
 //    stage lands on its producer's node, a bandwidth + fixed-hop latency
 //    otherwise (Cluster::dispatch delays the enqueue by the returned
@@ -68,7 +69,7 @@ class WorkflowRuntime {
   /// through untouched.
   bool admit(workload::Batch& batch);
 
-  /// Stage completion: accounts components, expands ready successors (the
+  /// Stage completion: decomposes the stage, expands ready successors (the
   /// caller dispatches them), and records the flow when its last sink
   /// finishes. Duplicate completions (retry races) and stages of dead
   /// flows are ignored.
@@ -92,11 +93,9 @@ class WorkflowRuntime {
 
   void register_telemetry(telemetry::MetricsRegistry& registry);
 
-  /// Attribution engine (nullable). When set, every completing stage
-  /// snapshots its exact latency decomposition and finish_flow() walks the
-  /// critical stage chain back from the last-finishing sink, summing the
-  /// per-stage splits into one end-to-end decomposition whose total must
-  /// telescope to the flow latency (observe_flow checks it two-sided).
+  /// Attribution engine (nullable). When set, it identity-checks every
+  /// stage's decomposition and observes every recorded flow's critical
+  /// chain (observe_flow checks that it telescopes, two-sided).
   void set_attribution(attr::AttributionEngine* engine) noexcept {
     attr_ = engine;
   }
@@ -120,17 +119,17 @@ class WorkflowRuntime {
     std::vector<std::uint8_t> done;
     std::vector<NodeId> node;       ///< completing node per stage
     std::vector<SimTime> finished;  ///< completion time per stage
-    Duration queue = 0.0, cold = 0.0, deficiency = 0.0, interference = 0.0;
-    Duration transfer = 0.0;
-    Duration swap = 0.0;  ///< summed swap-stall across stages
-    /// Per-stage exact decompositions; allocated only when attribution is
-    /// on (empty otherwise, costing nothing on the default path).
-    std::vector<attr::Decomposition> parts;
+    std::vector<workload::Decomposition> parts;  ///< split per stage
   };
 
   workload::Batch make_stage_batch(std::uint64_t flow, const FlowState& state,
                                    int stage);
   void finish_flow(std::uint64_t flow, FlowState& state, SimTime completed_at);
+  /// The input edge from `stage`'s last-finishing predecessor (ties break
+  /// toward later edge order), or null for a source stage. Its completion
+  /// starts the stage's accounting span; earlier fan-in inputs overlap the
+  /// wait for it and are off the critical path.
+  const Edge* critical_input(const FlowState& state, int stage) const;
 
   sim::Simulator& sim_;
   WorkflowSpec spec_;

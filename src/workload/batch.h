@@ -29,9 +29,10 @@ struct Request {
 };
 
 /// A batch of same-model, same-strictness requests flowing through the
-/// system. Timing fields are filled in as the batch progresses so that the
-/// metrics module can attribute latency to queueing, cold start, resource
-/// deficiency and interference (Figs. 2 and 6).
+/// system. Timing fields are filled in as the batch progresses so that
+/// workload::decompose (workload/latency.h) can split its latency into
+/// queueing, cold start, resource deficiency, interference and the rest
+/// (Figs. 2 and 6).
 struct Batch {
   BatchId id = 0;
   const ModelProfile* model = nullptr;
@@ -67,48 +68,13 @@ struct Batch {
   double edge_mb = 0.0;          ///< intermediate tensor size on that edge
   Duration transfer = 0.0;       ///< inter-stage transfer latency paid
 
-  // --- attribution capture (src/attr; pure bookkeeping, zero by default) ---
+  // --- latency capture (workload::decompose; bookkeeping, zero by default) ---
   Duration weight_load = 0.0;       ///< weight-load share of cold_start
   Duration swap_stall = 0.0;        ///< exec time lost to memory swapping
   Duration retry_overhead = 0.0;    ///< wall time burned by failed attempts
   Duration reconfig_blackout = 0.0; ///< queue time under a reconfig blackout
   Duration blackout_mark = 0.0;     ///< blackout seen at last retry accrual
 
-  /// Queueing delay: formation wait plus time queued before execution,
-  /// minus any cold start (accounted separately).
-  Duration queue_delay() const noexcept {
-    const Duration d = (exec_start - first_arrival) - cold_start;
-    return d > 0.0 ? d : 0.0;
-  }
-  /// Queueing delay attributable to this stage alone (workflow stage
-  /// batches): wait since the stage job was spawned, excluding cold start
-  /// and transfer time. Source stages also count gateway formation wait;
-  /// later stages start the clock at their own creation, because time
-  /// spent in predecessor stages is their predecessors' to account.
-  Duration stage_queue_delay() const noexcept {
-    const SimTime since = stage > 0 ? formed_at : first_arrival;
-    const Duration d = (exec_start - since) - cold_start - transfer;
-    return d > 0.0 ? d : 0.0;
-  }
-  /// Extra latency from running on a smaller slice (Eq. 2's RDF effect).
-  Duration deficiency_delay() const noexcept {
-    const Duration d = solo_on_slice - solo_min;
-    return d > 0.0 ? d : 0.0;
-  }
-  /// Extra latency from MPS co-location contention (Eq. 1 effect). Swap
-  /// stalls from memory oversubscription are carried separately in
-  /// swap_stall_delay(); their sum equals the historical combined value
-  /// (exec_time − solo_on_slice, clamped).
-  Duration interference_delay() const noexcept {
-    const Duration d = exec_time - solo_on_slice - swap_stall;
-    return d > 0.0 ? d : 0.0;
-  }
-  /// Execution time lost to weight swapping under memory oversubscription
-  /// (memcache swap slowdown or soft-slice oversubscription). Zero unless
-  /// the serving slice actually swapped.
-  Duration swap_stall_delay() const noexcept {
-    return swap_stall > 0.0 ? swap_stall : 0.0;
-  }
   /// End-to-end latency of the batch's *earliest* request.
   Duration worst_latency() const noexcept {
     return completed_at - first_arrival;

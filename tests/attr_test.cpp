@@ -132,7 +132,7 @@ TEST(Decomposition, CauseNamesAreStableAndOrdered) {
 
 TEST(Decomposition, SumsExactlyToWorstLatency) {
   const workload::Batch batch = sample_batch();
-  const Decomposition d = AttributionEngine::decompose(batch);
+  const Decomposition d = attr::decompose(batch);
   EXPECT_NEAR(d.total(), batch.worst_latency(), 1e-12);
   EXPECT_NEAR(d[Cause::kFormation], 0.3, 1e-12);
   EXPECT_DOUBLE_EQ(d[Cause::kWeightLoad], 0.25);
@@ -146,19 +146,19 @@ TEST(Decomposition, SumsExactlyToWorstLatency) {
   EXPECT_GE(d[Cause::kQueue], 0.0);
 }
 
-// Satellite regression: swap stalls used to be folded into the
-// interference lane. The split must be lossless — the two new lanes sum to
-// the historical combined value.
+// Swap stalls used to be folded into the interference lane. The split must
+// be lossless — the two lanes sum to the historical combined value.
 TEST(Decomposition, SwapSplitPreservesCombinedInterference) {
   workload::Batch batch = sample_batch();
   const double combined = batch.exec_time - batch.solo_on_slice;
-  EXPECT_NEAR(batch.interference_delay() + batch.swap_stall_delay(), combined,
-              1e-12);
-  EXPECT_DOUBLE_EQ(batch.swap_stall_delay(), 0.1);
+  Decomposition d = attr::decompose(batch);
+  EXPECT_NEAR(d[Cause::kInterference] + d[Cause::kSwapStall], combined, 1e-12);
+  EXPECT_DOUBLE_EQ(d[Cause::kSwapStall], 0.1);
   // With no swap stall the interference lane reverts to the old value.
   batch.swap_stall = 0.0;
-  EXPECT_NEAR(batch.interference_delay(), combined, 1e-12);
-  EXPECT_DOUBLE_EQ(batch.swap_stall_delay(), 0.0);
+  d = attr::decompose(batch);
+  EXPECT_NEAR(d[Cause::kInterference], combined, 1e-12);
+  EXPECT_DOUBLE_EQ(d[Cause::kSwapStall], 0.0);
 }
 
 TEST(Decomposition, StageBatchesSpanFromTheirOwnFormation) {
@@ -166,7 +166,7 @@ TEST(Decomposition, StageBatchesSpanFromTheirOwnFormation) {
   batch.stage = 2;
   batch.flow = 7;
   batch.formed_at = 10.8;  // stage job spawned well after gateway arrival
-  const Decomposition d = AttributionEngine::decompose(batch);
+  const Decomposition d = attr::decompose(batch);
   // Later stages account only their own span; formation is the
   // predecessor's to account.
   EXPECT_DOUBLE_EQ(d[Cause::kFormation], 0.0);
@@ -181,11 +181,12 @@ TEST(Decomposition, CheckedFormCountsNegativeResiduals) {
   // Shrink the span below the summed components: the residual goes
   // negative, which debug builds treat as fatal and release builds count.
   batch.completed_at = batch.exec_start + 0.1;
+  const Decomposition d = attr::decompose(batch);
 #ifdef NDEBUG
-  engine.decompose_checked(batch);
+  engine.check_identity(d);
   EXPECT_EQ(engine.identity_violations(), 1u);
 #else
-  EXPECT_THROW(engine.decompose_checked(batch), std::logic_error);
+  EXPECT_THROW(engine.check_identity(d), std::logic_error);
   EXPECT_EQ(engine.identity_violations(), 1u);
 #endif
 }

@@ -11,12 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "fault/config.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
+#include "harness/options.h"
 #include "metrics/collector.h"
 #include "sched/registry.h"
 #include "sim/simulator.h"
+#include "trace/driver.h"
 #include "workflow/runtime.h"
 #include "workload/model.h"
 
@@ -433,6 +436,58 @@ TEST(WorkflowIntegration, FaultsComposeWithWorkflows) {
   EXPECT_LE(report.workflow.flows_dropped +
                 report.workflow.flows_completed,
             report.workflow.flows_admitted);
+}
+
+// Runs a protean_sim flag set through a hand-built deployment (the
+// run_experiment wiring, minus reporting) and checks every batch record
+// the collector kept: a flow's Fig. 6 lanes are the fold of its critical
+// chain, so they sum to its end-to-end latency. Summing every stage's
+// components instead overshoots on any DAG with parallel branches.
+void expect_flow_lanes_sum_to_latency(const std::vector<std::string>& cli) {
+  const harness::CliParseResult parsed = harness::parse_cli(cli);
+  ASSERT_TRUE(parsed.options.has_value()) << parsed.error;
+  const harness::ExperimentConfig& config = parsed.options->config;
+  sim::Simulator sim;
+  auto scheduler = sched::make_scheduler(parsed.options->schemes.front());
+  cluster::Cluster deployment(sim, config.cluster, *scheduler);
+  deployment.collector().set_measure_from(config.warmup);
+  const WorkflowSpec spec = WorkflowSpec::build(config.cluster.workflow);
+  trace::DriverConfig dc;
+  dc.trace = config.trace;
+  dc.strict_model = spec.entry_model();
+  dc.strict_fraction = config.strict_fraction;
+  dc.seed = config.seed;
+  dc.count_from = config.warmup;
+  trace::WorkloadDriver driver(sim, dc, deployment.sink());
+  deployment.start();
+  driver.start();
+  sim.run_until(config.trace.horizon);
+  deployment.flush_gateways();
+  sim.run_until(config.trace.horizon + config.drain_grace);
+
+  const metrics::Collector& collector = deployment.collector();
+  std::uint64_t flows = 0;
+  for (const auto& record : collector.batch_records()) {
+    // Strict requests all enter the DAG, so strict records are flows.
+    if (record.strict) ++flows;
+    EXPECT_NEAR(record.breakdown.total(), record.worst_latency, 1e-9)
+        << cli[1] << " flow completed at " << record.completed_at;
+  }
+  EXPECT_GT(flows, 0u) << cli[1];
+  EXPECT_EQ(flows, collector.flows_recorded()) << cli[1];
+  EXPECT_EQ(collector.negative_component_clamps(), 0u) << cli[1];
+  deployment.stop();
+}
+
+TEST(WorkflowIntegration, FlowBreakdownLanesSumToFlowLatency) {
+  expect_flow_lanes_sum_to_latency(
+      {"--workflow", "diamond", "--horizon", "30"});
+  expect_flow_lanes_sum_to_latency(
+      {"--workflow", "fanout:width=4", "--horizon", "30"});
+  expect_flow_lanes_sum_to_latency(
+      {"--workflow", "diamond", "--scheme", "protean-pipe", "--faults",
+       "crash@10:n1,kill-rate=40", "--spot", "hybrid", "--p-rev", "0.354",
+       "--horizon", "30"});
 }
 
 TEST(WorkflowIntegration, PipelineSchemeCoLocatesMoreThanGreedy) {
