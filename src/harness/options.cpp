@@ -456,7 +456,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
   bool rps_given = false;
   bool fault_retries_given = false;
   bool hedge_given = false;
-  std::string model_name = "ResNet 50";
 
   auto fail = [](const std::string& message) {
     CliParseResult r;
@@ -504,7 +503,12 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         return fail("unknown model: " + *value +
                     " (see --list-models)");
       }
-      model_name = *value;
+      // The model sets the default rate (language models run at 128 rps),
+      // unless --rps already set one.
+      opts.config.strict_model = *value;
+      if (!rps_given) {
+        opts.config.trace.target_rps = primary_config(*value).trace.target_rps;
+      }
     } else if (arg == "--trace") {
       const auto value = next();
       if (!value) return fail("--trace needs a value");
@@ -725,38 +729,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     } else {
       return fail("unknown option: " + arg + " (see --help)");
     }
-  }
-
-  // Re-derive the model-dependent defaults primary_config applies.
-  const Duration horizon = opts.config.trace.horizon;
-  const double strict_fraction = opts.config.strict_fraction;
-  const auto kind = opts.config.trace.kind;
-  const bool to_peak = opts.config.trace.scale_to_peak;
-  const double rps = opts.config.trace.target_rps;
-  const auto cluster = opts.config.cluster;
-  const auto warmup = opts.config.warmup;
-  const auto seed = opts.config.seed;
-  const bool keep_mem_timeline = opts.config.keep_mem_timeline;
-  const bool keep_cache_log = opts.config.keep_cache_access_log;
-  const auto trace_out = opts.config.trace_out;
-  const auto telemetry = opts.config.telemetry;
-  const bool sketch_collector = opts.config.sketch_collector;
-  const double sketch_alpha = opts.config.sketch_alpha;
-  opts.config = primary_config(model_name, horizon);
-  opts.config.strict_fraction = strict_fraction;
-  opts.config.trace.kind = kind;
-  opts.config.trace.scale_to_peak = to_peak;
-  opts.config.cluster = cluster;
-  opts.config.warmup = warmup;
-  opts.config.seed = seed;
-  opts.config.keep_mem_timeline = keep_mem_timeline;
-  opts.config.keep_cache_access_log = keep_cache_log;
-  opts.config.trace_out = trace_out;
-  opts.config.telemetry = telemetry;
-  opts.config.sketch_collector = sketch_collector;
-  opts.config.sketch_alpha = sketch_alpha;
-  if (rps_given) {
-    opts.config.trace.target_rps = rps;
   }
 
   if (!opts.trace_file.empty()) {

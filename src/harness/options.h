@@ -24,7 +24,6 @@ struct CliOptions {
   /// Optional numeric parameter axis (--sweep rps=1000:5000:500).
   SweepAxis sweep_axis;
   bool json = false;
-  int json_indent = 2;
   bool list_models = false;
   bool list_schemes = false;
   bool help = false;

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +23,44 @@ bool is_blank_or_comment(const std::string& line) {
     if (!std::isspace(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+// The field with surrounding whitespace (and a CRLF '\r') trimmed.
+std::string trimmed(const std::string& field) {
+  const auto first = field.find_first_not_of(" \t\r");
+  if (first == std::string::npos) return "";
+  return field.substr(first, field.find_last_not_of(" \t\r") - first + 1);
+}
+
+// Parses the whole field as one integer: "1x" or "2.7" is not a second.
+std::optional<long> whole_long(const std::string& field) {
+  const std::string token = trimmed(field);
+  if (token.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(token.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return value;
+}
+
+// Parses the whole field as one finite number: "5abc", "nan" and "inf"
+// are not rates.
+std::optional<double> whole_finite(const std::string& field) {
+  const std::string token = trimmed(field);
+  if (token.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(token.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+bool has_digit(const std::string& line) {
+  return std::any_of(line.begin(), line.end(), [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  });
 }
 
 }  // namespace
@@ -39,39 +81,40 @@ std::vector<double> parse_rate_csv(std::istream& in) {
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
                                   ": expected 'second,rps'");
     }
-    long second;
-    double rate;
-    try {
-      second = std::stol(sec_field);
-      rate = std::stod(rate_field);
-    } catch (const std::exception&) {
-      if (first_data_line) {
+    const auto second = whole_long(sec_field);
+    const auto rate = whole_finite(rate_field);
+    if (!second || !rate) {
+      if (first_data_line && !has_digit(line)) {
         first_data_line = false;  // tolerate a header row
         continue;
       }
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
-                                  ": non-numeric fields");
+                                  ": want an integer second and a finite "
+                                  "rate");
     }
     first_data_line = false;
-    if (second < expected_second) {
+    if (*second < expected_second) {
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
                                   ": seconds must be increasing");
     }
-    if (rate < 0.0) {
+    if (*rate < 0.0) {
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
                                   ": negative rate");
     }
     // Fill gaps by holding the previous rate.
-    const double hold = rates.empty() ? rate : rates.back();
-    while (expected_second < second) {
+    const double hold = rates.empty() ? *rate : rates.back();
+    while (expected_second < *second) {
       rates.push_back(hold);
       ++expected_second;
     }
-    rates.push_back(rate);
+    rates.push_back(*rate);
     ++expected_second;
   }
   if (rates.empty()) {
     throw std::invalid_argument("rate CSV contains no data rows");
+  }
+  if (*std::max_element(rates.begin(), rates.end()) <= 0.0) {
+    throw std::invalid_argument("rate CSV has no positive rate");
   }
   return rates;
 }

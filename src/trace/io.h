@@ -14,10 +14,12 @@
 
 namespace protean::trace {
 
-/// Parses a "second,rps" CSV stream (header line allowed; blank lines and
-/// '#' comments skipped). Seconds must be non-negative and strictly
-/// increasing; gaps hold the previous rate. Throws std::invalid_argument
-/// on malformed input.
+/// Parses a "second,rps" CSV stream (a first line without digits is a
+/// header; blank lines and '#' comments skipped). Each field must be one
+/// whole token: an integer second, non-negative and strictly increasing,
+/// and a finite, non-negative rate. Gaps hold the previous rate. Throws
+/// std::invalid_argument on malformed input, including a table with no
+/// positive rate.
 std::vector<double> parse_rate_csv(std::istream& in);
 
 /// Reads a rate table from a CSV file. Throws on I/O or parse errors.

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace protean::harness {
 namespace {
 
@@ -131,17 +136,6 @@ TEST(Cli, TraceFilterSelectsCategories) {
   EXPECT_EQ(opts.config.trace_out.categories,
             obs::kSched | obs::kCounters);
   EXPECT_FALSE((opts.config.trace_out.categories & obs::kSpans) != 0);
-}
-
-TEST(Cli, TraceSurvivesModelRederivation) {
-  // parse_cli re-derives model-dependent defaults at the end; the trace
-  // output spec must survive the config rebuild like the other knobs.
-  const auto opts =
-      must_parse({"--model", "BERT", "--trace", "run.json:spans"});
-  EXPECT_EQ(opts.config.strict_model, "BERT");
-  EXPECT_TRUE(opts.config.trace_out.enabled());
-  EXPECT_EQ(opts.config.trace_out.categories,
-            static_cast<unsigned>(obs::kSpans));
 }
 
 TEST(Cli, BadTraceFilterFails) {
@@ -321,20 +315,6 @@ TEST(Cli, FaultSpecFlagParses) {
   EXPECT_FALSE(parse_cli({"--faults"}).options);
 }
 
-TEST(Cli, FaultSurvivesModelDerivation) {
-  // --model re-derives the primary config; fault settings must survive it
-  // in either flag order.
-  for (const auto& args :
-       {std::vector<std::string>{"--faults", "crash-rate=30", "--model",
-                                 "ALBERT"},
-        std::vector<std::string>{"--model", "ALBERT", "--faults",
-                                 "crash-rate=30"}}) {
-    const auto opts = must_parse(args);
-    EXPECT_TRUE(opts.config.cluster.fault.enabled);
-    EXPECT_DOUBLE_EQ(opts.config.cluster.fault.crash_rate, 30.0);
-  }
-}
-
 TEST(Cli, FaultRetriesAndHedgeRequireFaults) {
   const auto opts = must_parse(
       {"--faults", "crash-rate=30", "--fault-retries", "5", "--hedge"});
@@ -381,18 +361,6 @@ TEST(Cli, AutoscaleFlagParses) {
   EXPECT_EQ(eq.config.cluster.autoscale.policy,
             autoscale::PolicyKind::kReactive);
   EXPECT_TRUE(eq.config.cluster.autoscale.vertical);
-}
-
-TEST(Cli, AutoscaleSurvivesModelDerivation) {
-  for (const auto& args :
-       {std::vector<std::string>{"--autoscale", "predictive:max=12",
-                                 "--model", "ALBERT"},
-        std::vector<std::string>{"--model", "ALBERT", "--autoscale",
-                                 "predictive:max=12"}}) {
-    const auto opts = must_parse(args);
-    EXPECT_TRUE(opts.config.cluster.autoscale.enabled);
-    EXPECT_EQ(opts.config.cluster.autoscale.max_nodes, 12u);
-  }
 }
 
 TEST(Cli, AutoscaleErrorPathsAreClear) {
@@ -445,18 +413,6 @@ TEST(Cli, SubstrateFlagParses) {
   EXPECT_EQ(ts.config.cluster.softgpu.mode, gpu::SharingMode::kTimeShare);
 }
 
-TEST(Cli, SubstrateSurvivesModelDerivation) {
-  for (const auto& args :
-       {std::vector<std::string>{"--substrate", "softslice:penalty=0.4",
-                                 "--model", "ALBERT"},
-        std::vector<std::string>{"--model", "ALBERT", "--substrate",
-                                 "softslice:penalty=0.4"}}) {
-    const auto opts = must_parse(args);
-    EXPECT_TRUE(opts.config.cluster.softgpu.enabled);
-    EXPECT_DOUBLE_EQ(opts.config.cluster.softgpu.cross_penalty, 0.4);
-  }
-}
-
 TEST(Cli, SubstrateErrorPathsAreClear) {
   EXPECT_NE(must_fail({"--substrate", "hami"}).find("unknown substrate"),
             std::string::npos);
@@ -504,18 +460,6 @@ TEST(Cli, WorkflowFlagParses) {
             workflow::DagShape::kShared);
 }
 
-TEST(Cli, WorkflowSurvivesModelDerivation) {
-  for (const auto& args :
-       {std::vector<std::string>{"--workflow", "diamond:transfer=128",
-                                 "--model", "ALBERT"},
-        std::vector<std::string>{"--model", "ALBERT", "--workflow",
-                                 "diamond:transfer=128"}}) {
-    const auto opts = must_parse(args);
-    EXPECT_TRUE(opts.config.cluster.workflow.enabled);
-    EXPECT_DOUBLE_EQ(opts.config.cluster.workflow.transfer_mb, 128.0);
-  }
-}
-
 TEST(Cli, WorkflowErrorPathsAreClear) {
   EXPECT_NE(must_fail({"--workflow", "tree"}).find("unknown workflow"),
             std::string::npos);
@@ -529,6 +473,78 @@ TEST(Cli, WorkflowErrorPathsAreClear) {
   EXPECT_FALSE(parse_cli({"--workflow", "chain:"}).options);
   EXPECT_FALSE(parse_cli({"--workflow", "chain:stages=100"}).options);
   EXPECT_FALSE(parse_cli({"--workflow", "fanout:width=1"}).options);
+}
+
+// --model sets only the strict model and, unless --rps is given, its
+// default rate; every other flag keeps its value in either flag order.
+TEST(Cli, FlagsSurviveModelSelectionInEitherOrder) {
+  using Check = std::function<void(const ExperimentConfig&)>;
+  const std::vector<std::pair<std::vector<std::string>, Check>> cases = {
+      {{"--trace", "run.json:spans"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.trace_out.enabled());
+         EXPECT_EQ(c.trace_out.categories, static_cast<unsigned>(obs::kSpans));
+       }},
+      {{"--faults", "crash-rate=30"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.fault.enabled);
+         EXPECT_DOUBLE_EQ(c.cluster.fault.crash_rate, 30.0);
+       }},
+      {{"--autoscale", "predictive:max=12"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.autoscale.enabled);
+         EXPECT_EQ(c.cluster.autoscale.max_nodes, 12u);
+       }},
+      {{"--substrate", "softslice:penalty=0.4"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.softgpu.enabled);
+         EXPECT_DOUBLE_EQ(c.cluster.softgpu.cross_penalty, 0.4);
+       }},
+      {{"--workflow", "diamond:transfer=128"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.workflow.enabled);
+         EXPECT_DOUBLE_EQ(c.cluster.workflow.transfer_mb, 128.0);
+       }},
+      {{"--memcache", "gdsf:12.5"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.memcache.enabled);
+         EXPECT_DOUBLE_EQ(c.cluster.memcache.capacity_gb, 12.5);
+       }},
+      {{"--telemetry", "m.jsonl:5"},
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.telemetry.path, "m.jsonl");
+         EXPECT_DOUBLE_EQ(c.telemetry.interval, 5.0);
+       }},
+      {{"--attr", "on:alpha=0.02"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.cluster.attr.enabled);
+         EXPECT_DOUBLE_EQ(c.cluster.attr.sketch_alpha, 0.02);
+       }},
+      {{"--sketch", "0.05"},
+       [](const ExperimentConfig& c) {
+         EXPECT_TRUE(c.sketch_collector);
+         EXPECT_DOUBLE_EQ(c.sketch_alpha, 0.05);
+       }},
+      {{"--dump-mem-timeline", "mem.json"},
+       [](const ExperimentConfig& c) { EXPECT_TRUE(c.keep_mem_timeline); }},
+      {{"--warmup", "7"},
+       [](const ExperimentConfig& c) { EXPECT_DOUBLE_EQ(c.warmup, 7.0); }},
+      {{"--seed", "9"},
+       [](const ExperimentConfig& c) { EXPECT_EQ(c.seed, 9u); }},
+  };
+  const std::vector<std::string> model = {"--model", "ALBERT"};
+  for (const auto& [flag, check] : cases) {
+    for (const bool model_first : {true, false}) {
+      SCOPED_TRACE(flag[0] + (model_first ? " after" : " before") + " --model");
+      auto args = flag;
+      args.insert(model_first ? args.begin() : args.end(), model.begin(),
+                  model.end());
+      const auto opts = must_parse(args);
+      EXPECT_EQ(opts.config.strict_model, "ALBERT");
+      EXPECT_DOUBLE_EQ(opts.config.trace.target_rps, 128.0);
+      check(opts.config);
+    }
+  }
 }
 
 TEST(Cli, SpecFlagsReportFlagSpecDetail) {

@@ -8,53 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "telemetry/pipeline.h"
+#include "tool_runner.h"
 
 namespace protean {
 namespace {
-
-// ctest runs each test of this suite as its own process in parallel, and
-// every process materializes the fixture artifacts — the paths must not
-// collide across processes.
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "-" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void spit(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-}
-
-/// Runs `cmd`, captures stdout into `out`, returns the exit status (-1 when
-/// the child did not exit normally).
-int run_tool(const std::string& cmd, std::string* out = nullptr) {
-  const std::string capture = temp_path("tool-stdout.txt");
-  const int raw =
-      std::system((cmd + " > " + capture + " 2>/dev/null").c_str());
-  if (out != nullptr) *out = slurp(capture);
-  std::remove(capture.c_str());
-  if (raw == -1 || !WIFEXITED(raw)) return -1;
-  return WEXITSTATUS(raw);
-}
 
 // One attribution-enabled violating run shared by every test below; the
 // fixture materializes all three artifacts once (run JSON, telemetry
@@ -80,6 +44,7 @@ class ToolsAttr : public ::testing::Test {
   static void TearDownTestSuite() {
     std::remove(json_path().c_str());
     std::remove(jsonl_path().c_str());
+    std::remove((jsonl_path() + ".om").c_str());
     std::remove(trace_path().c_str());
     delete report_;
     delete config_;
@@ -166,8 +131,9 @@ TEST_F(ToolsAttr, NumericArgumentsRejectTrailingGarbage) {
   EXPECT_EQ(run_tool(stats + " --top-causes 5"), 0);
 }
 
-// Damaged artifacts make every reader exit 1 with a message; a crash
-// (run_tool's -1) or any other status fails.
+// Damaged artifacts make every reader exit 1 with a message on stderr; a
+// crash (run_tool's -1, or a status of 128 and above) or any other status
+// fails.
 TEST_F(ToolsAttr, MalformedArtifactsAreErrorsNotCrashes) {
   const std::string trace = slurp(trace_path());
   const std::string jsonl = slurp(jsonl_path());
@@ -180,14 +146,14 @@ TEST_F(ToolsAttr, MalformedArtifactsAreErrorsNotCrashes) {
   for (const auto& [name, text] : inputs) {
     const std::string path = temp_path(name);
     spit(path, text);
-    EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " " + path), 1) << name;
-    EXPECT_EQ(run_tool(std::string(TRACE_STATS_BIN) + " " + path + " --check"),
-              1)
-        << name;
-    EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + path + " " +
-                       jsonl_path()),
-              1)
-        << name;
+    for (const std::string& cmd :
+         {std::string(SLO_EXPLAIN_BIN) + " " + path,
+          std::string(TRACE_STATS_BIN) + " " + path + " --check",
+          std::string(METRICS_DIFF_BIN) + " " + path + " " + jsonl_path()}) {
+      std::string err;
+      EXPECT_EQ(run_tool(cmd, nullptr, &err), 1) << cmd;
+      EXPECT_FALSE(err.empty()) << cmd;
+    }
     std::remove(path.c_str());
   }
 }

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace protean::trace {
 namespace {
@@ -57,6 +60,61 @@ TEST(RateCsv, RejectsMalformedInput) {
     std::istringstream in("0,100\nx,y\n");  // non-numeric mid-file
     EXPECT_THROW(parse_rate_csv(in), std::invalid_argument);
   }
+  // Every field is one whole finite token, and some rate is positive.
+  for (const char* text :
+       {"0,0\n1,0\n", "0,nan\n", "0,100\n1,nan\n", "0,inf\n",
+        "0,100\n1,-inf\n", "0,100\n1x,5\n", "0,100\n1,5abc\n",
+        "1x,5abc\n", "2.7,6\n", "0,100\n2.7,6\n", "0,1e999\n",
+        "0,100\n1,\n", "0,100\n,5\n", "0,100\n1,5,6\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(parse_rate_csv(in), std::invalid_argument) << text;
+  }
+}
+
+TEST(RateCsv, AcceptsPaddedFieldsAndCrlf) {
+  std::istringstream in("second,rps\r\n0, 100\r\n 1 ,0\r\n");
+  EXPECT_EQ(parse_rate_csv(in), (std::vector<double>{100.0, 0.0}));
+}
+
+// Deterministic mutation loop: every one-byte deletion, insertion or
+// replacement of a valid table either parses into finite, non-negative
+// rates with at least one positive, or throws std::invalid_argument.
+TEST(RateCsv, OneByteMutationsParseOrThrow) {
+  // One positive rate, so a single byte can zero the table.
+  const std::string valid = "second,rps\n0,0\n2,5\n# gap\n3,0.0e1\n";
+  const std::string alphabet = "0123456789.,-+eExna#\n ";
+  std::vector<std::string> mutants;
+  for (std::size_t i = 0; i <= valid.size(); ++i) {
+    if (i < valid.size()) {
+      mutants.push_back(valid.substr(0, i) + valid.substr(i + 1));
+    }
+    for (char c : alphabet) {
+      mutants.push_back(valid.substr(0, i) + c + valid.substr(i));
+      if (i < valid.size()) {
+        std::string replaced = valid;
+        replaced[i] = c;
+        mutants.push_back(replaced);
+      }
+    }
+  }
+  std::size_t parsed = 0;
+  for (const auto& text : mutants) {
+    std::istringstream in(text);
+    std::vector<double> rates;
+    try {
+      rates = parse_rate_csv(in);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++parsed;
+    bool positive = false;
+    for (double r : rates) {
+      ASSERT_TRUE(std::isfinite(r) && r >= 0.0) << text;
+      positive = positive || r > 0.0;
+    }
+    ASSERT_TRUE(positive) << text;
+  }
+  EXPECT_GT(parsed, 0u);  // the loop exercised the accepting path too
 }
 
 TEST(RateCsv, RoundTripsThroughSave) {

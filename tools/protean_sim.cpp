@@ -262,9 +262,8 @@ int main(int argc, char** argv) {
     const auto sweep = opts.sweep_config();
     const auto cells = runner.run_aggregate(sweep);
     if (opts.json) {
-      std::printf("%s\n", harness::aggregates_to_json(sweep, cells)
-                              .dump(opts.json_indent)
-                              .c_str());
+      std::printf("%s\n",
+                  harness::aggregates_to_json(sweep, cells).dump(2).c_str());
     } else {
       print_aggregates(opts, cells);
     }
@@ -285,9 +284,7 @@ int main(int argc, char** argv) {
 
   if (opts.json) {
     std::printf("%s\n",
-                harness::reports_to_json(opts.config, reports)
-                    .dump(opts.json_indent)
-                    .c_str());
+                harness::reports_to_json(opts.config, reports).dump(2).c_str());
     return 0;
   }
   print_reports(opts, reports);
