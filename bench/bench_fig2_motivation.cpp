@@ -71,8 +71,8 @@ Result run(sched::Scheme scheme, const workload::ModelProfile& model) {
   const auto& collector = deployment.collector();
   Result result;
   result.compliance = collector.slo_compliance_pct_for(&model);
-  auto latencies = collector.latencies_for(&model, /*strict=*/true);
-  result.p99_ms = to_ms(metrics::percentile(std::move(latencies), 99.0));
+  result.p99_ms = to_ms(metrics::percentile(
+      collector.latencies_for(&model, /*strict=*/true), 99.0));
   result.tail = collector.tail_breakdown_for(&model, 99.0);
   deployment.stop();
   return result;

@@ -21,7 +21,7 @@ int main() {
                         "INFless/Llama", "PROTEAN"});
   constexpr std::array<double, 8> kPs = {10.0, 25.0, 50.0, 75.0,
                                          80.0, 90.0, 95.0, 99.0};
-  // One multi-rank selection per scheme, in place on its own samples.
+  // One multi-rank selection per scheme over its strict latency ramps.
   std::vector<std::array<double, kPs.size()>> columns(reports.size());
   for (std::size_t s = 0; s < reports.size(); ++s) {
     metrics::select_percentiles(reports[s].strict_latencies, kPs, columns[s]);

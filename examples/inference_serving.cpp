@@ -79,10 +79,10 @@ int main() {
                         "SLO compliance"});
   for (const Tenant& tenant : tenants) {
     const bool strict = tenant.strict_fraction > 0.0;
-    auto latencies = collector.latencies_for(tenant.model, strict);
+    const auto latencies = collector.latencies_for(tenant.model, strict);
     const auto served = latencies.size();
     const double p50 = metrics::percentile(latencies, 50.0);
-    const double p99 = metrics::percentile(std::move(latencies), 99.0);
+    const double p99 = metrics::percentile(latencies, 99.0);
     table.add_row(
         {tenant.description, tenant.model->name,
          strfmt("%zu", served), strfmt("%.0f", to_ms(p50)),

@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -200,11 +201,15 @@ Report run_experiment(const ExperimentConfig& config) {
   }
   report.slo_compliance_pct = denom > 0.0 ? 100.0 * compliant / denom : 100.0;
 
-  report.strict_p50_ms = to_ms(collector.strict_percentile(50.0));
-  report.strict_p99_ms = to_ms(collector.strict_percentile(99.0));
+  static constexpr std::array<double, 2> kPs = {50.0, 99.0};
+  std::array<double, kPs.size()> strict{}, be{};
+  collector.percentiles(true, kPs, strict);
+  collector.percentiles(false, kPs, be);
+  report.strict_p50_ms = to_ms(strict[0]);
+  report.strict_p99_ms = to_ms(strict[1]);
   report.strict_mean_ms = to_ms(collector.strict_mean());
-  report.be_p50_ms = to_ms(collector.be_percentile(50.0));
-  report.be_p99_ms = to_ms(collector.be_percentile(99.0));
+  report.be_p50_ms = to_ms(be[0]);
+  report.be_p99_ms = to_ms(be[1]);
   report.tail_breakdown = collector.tail_breakdown(99.0);
 
   const double gpu_seconds =
@@ -231,9 +236,7 @@ Report run_experiment(const ExperimentConfig& config) {
   report.evictions = deployment.market().evictions();
 
   if (config.keep_latency_samples) {
-    // The percentile queries above were the last reads of the store, so
-    // the buffer moves into the report instead of being copied.
-    report.strict_latencies = deployment.collector().take_strict_latencies();
+    report.strict_latencies = collector.strict_latencies();
   }
 
   if (cluster_config.memcache.enabled) {

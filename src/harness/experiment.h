@@ -40,7 +40,8 @@ struct ExperimentConfig {
   Duration drain_grace = 15.0;
   /// Count strict requests still unserved after the drain as SLO misses.
   bool count_unfinished_as_violations = true;
-  /// Keep per-request strict latencies in the report (CDF figures).
+  /// Keep the strict request latencies, as per-batch ramps, in the report
+  /// (CDF figures, the --json percentile block).
   bool keep_latency_samples = false;
   /// Keep per-node resident-weight timelines in the report (memcache only).
   bool keep_mem_timeline = false;
@@ -351,7 +352,9 @@ struct Report {
   };
   AttributionStats attribution;
 
-  std::vector<float> strict_latencies;  ///< filled if keep_latency_samples
+  /// Strict request latencies, one ramp per batch record; filled if
+  /// keep_latency_samples (exact store only).
+  metrics::LatencyRamps strict_latencies;
   /// Per-node (time, resident GB) timelines; filled if keep_mem_timeline.
   std::vector<std::vector<std::pair<SimTime, MemGb>>> mem_timelines;
   /// Per-node weight access logs; filled if keep_cache_access_log.

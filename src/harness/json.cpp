@@ -184,10 +184,8 @@ Json report_to_json(const Report& report) {
   if (!report.strict_latencies.empty()) {
     static constexpr std::array<double, 8> kPs = {10.0, 25.0, 50.0, 75.0,
                                                   90.0, 95.0, 99.0, 99.9};
-    // One scratch copy (the report is const) and one multi-rank selection.
-    std::vector<float> scratch = report.strict_latencies;
     std::array<double, kPs.size()> values{};
-    metrics::select_percentiles(scratch, kPs, values);
+    metrics::select_percentiles(report.strict_latencies, kPs, values);
     Json::Object percentiles;
     for (std::size_t i = 0; i < kPs.size(); ++i) {
       char key[16];

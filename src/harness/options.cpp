@@ -406,11 +406,10 @@ Output:
                         plus an OpenMetrics snapshot to FILE.om after the
                         run. Multi-run grids write FILE-0, FILE-1, ...
                         See docs/telemetry.md
-  --sketch ALPHA        back the collector's latency store with
+  --sketch ALPHA        report latency percentiles and means from
                         relative-error quantile sketches (ALPHA in
-                        (0, 0.5], e.g. 0.01): percentiles carry an ALPHA
-                        relative-error bound, memory stops growing with
-                        request count
+                        (0, 0.5], e.g. 0.01) instead of exactly: they
+                        carry an ALPHA relative-error bound
   --dump-mem-timeline FILE
                         write per-node resident-weight timelines as JSON
                         (requires --memcache; classic runs only)

@@ -21,8 +21,32 @@ Breakdown fold(const workload::Decomposition& d) noexcept {
   return out;
 }
 
+namespace {
+
+/// Requests of one ramp that meet the SLO. The ramp is monotone, so they
+/// form a contiguous run at its fast end, found by one binary search over
+/// the requests ordered from the fastest.
+std::uint64_t slo_good(double lat_first, double lat_last, int count,
+                       double slo) {
+  const bool rising = lat_last > lat_first;
+  int lo = 0, hi = count;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    const int i = rising ? mid : count - 1 - mid;
+    if (workload::meets_slo(
+            workload::request_latency(lat_first, lat_last, i, count), slo)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return static_cast<std::uint64_t>(lo);
+}
+
+}  // namespace
+
 void Collector::use_sketch_store(double alpha) {
-  PROTEAN_CHECK_MSG(strict_exact_.samples.empty() && be_exact_.samples.empty(),
+  PROTEAN_CHECK_MSG(batches_.empty(),
                     "use_sketch_store must precede the first record()");
   strict_sketch_.emplace(alpha);
   be_sketch_.emplace(alpha);
@@ -32,8 +56,7 @@ std::size_t Collector::latency_store_bytes() const noexcept {
   if (strict_sketch_) {
     return strict_sketch_->approx_bytes() + be_sketch_->approx_bytes();
   }
-  return (strict_exact_.samples.capacity() + be_exact_.samples.capacity()) *
-         sizeof(float);
+  return batches_.size() * sizeof(LatencyRamp);
 }
 
 void Collector::record(const workload::Batch& batch) {
@@ -75,20 +98,22 @@ void Collector::record(const workload::Batch& batch) {
 void Collector::record_requests(bool strict, int count, double lat_first,
                                 double lat_last, double slo) {
   auto& sketch = strict ? strict_sketch_ : be_sketch_;
-  auto& sink = (strict ? strict_exact_ : be_exact_).samples;
+  LatencyTotals& totals = strict ? strict_totals_ : be_totals_;
   for (int i = 0; i < count; ++i) {
     const double lat = workload::request_latency(lat_first, lat_last, i, count);
     if (sketch) {
       sketch->add(lat);
     } else {
-      sink.push_back(static_cast<float>(lat));
+      totals.sum += static_cast<double>(static_cast<float>(lat));
     }
-    if (strict) {
-      ++strict_total_;
-      if (workload::meets_slo(lat, slo)) ++strict_compliant_;
-    } else {
-      ++be_total_;
-    }
+  }
+  totals.requests += static_cast<std::uint64_t>(count);
+  ++totals.ramps;
+  if (strict) {
+    strict_total_ += static_cast<std::uint64_t>(count);
+    strict_compliant_ += slo_good(lat_first, lat_last, count, slo);
+  } else {
+    be_total_ += static_cast<std::uint64_t>(count);
   }
 }
 
@@ -140,43 +165,61 @@ double Collector::slo_compliance_pct() const noexcept {
          static_cast<double>(strict_total_);
 }
 
-void Collector::ExactStore::fold() noexcept {
-  for (; summed < samples.size(); ++summed) {
-    sum += static_cast<double>(samples[summed]);
+LatencyRamps Collector::ramps(bool strict,
+                              const workload::ModelProfile* model) const {
+  const auto in_scope = [strict, model](const BatchBreakdown& b) {
+    return b.strict == strict && (model == nullptr || b.model == model);
+  };
+  LatencyRamps out;
+  out.reserve(model != nullptr
+                  ? static_cast<std::size_t>(std::count_if(
+                        batches_.begin(), batches_.end(), in_scope))
+                  : (strict ? strict_totals_ : be_totals_).ramps);
+  for (const auto& b : batches_) {
+    if (in_scope(b)) out.add(b.worst_latency, b.best_latency, b.count);
   }
-}
-
-double Collector::ExactStore::percentile(double p) {
-  fold();
-  double out = 0.0;
-  select_percentiles(samples, {&p, 1}, {&out, 1});
   return out;
 }
 
-double Collector::ExactStore::mean() noexcept {
-  fold();
-  return samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
+void Collector::percentiles(bool strict, std::span<const double> ps,
+                            std::span<double> out) const {
+  if (const auto& sketch = strict ? strict_sketch_ : be_sketch_) {
+    PROTEAN_CHECK_MSG(out.size() == ps.size(),
+                      "percentiles needs one output per percentile");
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      out[i] = sketch->percentile(ps[i]);
+    }
+    return;
+  }
+  select_percentiles(ramps(strict, nullptr), ps, out);
 }
 
 double Collector::strict_percentile(double p) const {
-  return strict_sketch_ ? strict_sketch_->percentile(p)
-                        : strict_exact_.percentile(p);
+  double out = 0.0;
+  percentiles(true, {&p, 1}, {&out, 1});
+  return out;
 }
 
 double Collector::be_percentile(double p) const {
-  return be_sketch_ ? be_sketch_->percentile(p) : be_exact_.percentile(p);
+  double out = 0.0;
+  percentiles(false, {&p, 1}, {&out, 1});
+  return out;
 }
 
 double Collector::strict_mean() const {
-  return strict_sketch_ ? strict_sketch_->mean() : strict_exact_.mean();
+  return strict_sketch_ ? strict_sketch_->mean() : strict_totals_.mean();
 }
 
 double Collector::be_mean() const {
-  return be_sketch_ ? be_sketch_->mean() : be_exact_.mean();
+  return be_sketch_ ? be_sketch_->mean() : be_totals_.mean();
 }
 
-std::vector<float> Collector::take_strict_latencies() noexcept {
-  return std::exchange(strict_exact_, {}).samples;
+LatencyRamps Collector::strict_latencies() const {
+  return strict_sketch_ ? LatencyRamps{} : ramps(true, nullptr);
+}
+
+LatencyRamps Collector::be_latencies() const {
+  return be_sketch_ ? LatencyRamps{} : ramps(false, nullptr);
 }
 
 Breakdown Collector::tail_of(const workload::ModelProfile* model,
@@ -203,30 +246,13 @@ Breakdown Collector::tail_of(const workload::ModelProfile* model,
   return sum /= static_cast<double>(n);
 }
 
-std::vector<float> Collector::latencies_for(
-    const workload::ModelProfile* model, bool strict) const {
-  std::vector<float> out;
-  for (const auto& b : batches_) {
-    if (b.model != model || b.strict != strict) continue;
-    for (int i = 0; i < b.count; ++i) {
-      out.push_back(static_cast<float>(workload::request_latency(
-          b.worst_latency, b.best_latency, i, b.count)));
-    }
-  }
-  return out;
-}
-
 double Collector::slo_compliance_pct_for(
     const workload::ModelProfile* model) const {
   std::uint64_t total = 0, compliant = 0;
   for (const auto& b : batches_) {
     if (b.model != model || !b.strict) continue;
-    for (int i = 0; i < b.count; ++i) {
-      const double lat = workload::request_latency(
-          b.worst_latency, b.best_latency, i, b.count);
-      ++total;
-      if (workload::meets_slo(lat, b.slo)) ++compliant;
-    }
+    total += static_cast<std::uint64_t>(b.count);
+    compliant += slo_good(b.worst_latency, b.best_latency, b.count, b.slo);
   }
   if (total == 0) return 100.0;
   return 100.0 * static_cast<double>(compliant) / static_cast<double>(total);

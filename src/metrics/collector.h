@@ -1,18 +1,21 @@
 // Metrics collection for experiment runs.
 //
-// The collector receives every completed Batch, expands it into per-request
-// end-to-end latencies (arrivals interpolated uniformly across the batch's
-// arrival span), tracks SLO compliance for strict requests, and keeps
-// per-batch latency breakdowns so that Fig. 2/6-style stacked-bar rows can
-// be reconstructed (queueing vs cold start vs resource deficiency vs
-// interference vs minimum possible time). Each breakdown is the fold of the
-// batch's exact decomposition (workload/latency.h), taken once at record
-// time, so its lanes sum to the batch's worst latency.
+// The collector receives every completed Batch, whose per-request
+// end-to-end latencies are a linear ramp (arrivals interpolated uniformly
+// across the batch's arrival span), tracks SLO compliance for strict
+// requests, and keeps per-batch records: the latency ramps every exact
+// percentile is selected from, and latency breakdowns so that Fig.
+// 2/6-style stacked-bar rows can be reconstructed (queueing vs cold start
+// vs resource deficiency vs interference vs minimum possible time). Each
+// breakdown is the fold of the batch's exact decomposition
+// (workload/latency.h), taken once at record time, so its lanes sum to the
+// batch's worst latency.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -139,19 +142,19 @@ class Collector {
     attr_drop_hook_ = std::move(hook);
   }
 
-  /// Switches the latency store from per-request float vectors to
+  /// Switches percentiles and means from the exact per-batch ramps to
   /// relative-error quantile sketches (DDSketch-style, see
-  /// metrics/sketch.h): percentiles then carry an `alpha` relative-error
-  /// bound instead of being exact, `strict_latencies()`/`be_latencies()`
-  /// stay empty, and memory no longer grows O(requests). SLO-compliance
-  /// counting is unaffected — it never reads the store. Must be called
-  /// before the first record().
+  /// metrics/sketch.h) fed every request latency: percentiles then carry an
+  /// `alpha` relative-error bound instead of being exact, and
+  /// `strict_latencies()`/`be_latencies()` stay empty. The batch records
+  /// are kept either way, so this saves no memory. SLO-compliance counting
+  /// is unaffected. Must be called before the first record().
   void use_sketch_store(double alpha);
   bool sketch_store() const noexcept { return strict_sketch_.has_value(); }
 
-  /// Approximate heap footprint of the latency store (bytes): vector
-  /// capacities, or sketch buckets in sketch mode. The telemetry overhead
-  /// bench compares the two.
+  /// Approximate bytes the percentile path reads: one LatencyRamp per
+  /// batch record, or the sketch buckets in sketch mode. The telemetry
+  /// overhead bench compares the two.
   std::size_t latency_store_bytes() const noexcept;
 
   /// Records a completed batch. The batch must have completed_at set.
@@ -177,7 +180,7 @@ class Collector {
 
   /// Per-request (terminal) path: one end-to-end flow. Claims the flow id
   /// (a retried/raced duplicate is discarded under dedup), applies the
-  /// measure_from filter, expands the same per-request latency ramp as
+  /// measure_from filter, records the same per-request latency ramp as
   /// record(), and counts SLO compliance against the flow's end-to-end
   /// deadline. The batch-records entry is the fold of the flow's chain.
   /// Returns true iff the flow entered the statistics (not deduped or
@@ -252,35 +255,24 @@ class Collector {
     return negative_component_clamps_;
   }
 
-  /// Latency percentile in seconds over strict (or BE) request latencies.
-  /// Exact over the sample vectors; within the configured relative-error
-  /// bound in sketch mode. The exact path selects in place on the store
-  /// (see strict_latencies()): const to callers, but it reorders the
-  /// samples, so one collector must not be queried from two threads at
-  /// once. SweepRunner gives every run its own collector.
+  /// Latency percentiles in seconds over strict (or BE) request latencies,
+  /// out[i] for ps[i], all from one selection. Exact: bit-identical to
+  /// selecting over every request's float latency, read from the ramps of
+  /// the batch records; within the configured relative-error bound in
+  /// sketch mode.
+  void percentiles(bool strict, std::span<const double> ps,
+                   std::span<double> out) const;
   double strict_percentile(double p) const;
   double be_percentile(double p) const;
-  /// Mean in seconds. Exact-store means are the sequential sum over the
-  /// samples in recording order, whatever percentile queries did since.
+  /// Mean in seconds: the sequential sum of every request's float latency,
+  /// in recording order, over the request count.
   double strict_mean() const;
   double be_mean() const;
 
-  /// Full latency samples (seconds), for CDFs and significance tests.
-  /// Empty in sketch mode (per-request samples are not retained). The
-  /// element order is unspecified: percentile queries reorder the store in
-  /// place, so only order-free statistics of it are meaningful.
-  const std::vector<float>& strict_latencies() const noexcept {
-    return strict_exact_.samples;
-  }
-  const std::vector<float>& be_latencies() const noexcept {
-    return be_exact_.samples;
-  }
-
-  /// Moves the strict samples out (order unspecified, as above) and leaves
-  /// the strict store empty: report finalization hands the buffer to the
-  /// Report instead of copying it. Call it after the last strict
-  /// percentile or mean query; the completion counters are unaffected.
-  std::vector<float> take_strict_latencies() noexcept;
+  /// Request latencies as one ramp per batch record, for CDFs and
+  /// significance tests. Empty in sketch mode.
+  LatencyRamps strict_latencies() const;
+  LatencyRamps be_latencies() const;
 
   /// Average breakdown over strict batches whose worst latency is at or
   /// above the given percentile of strict batch latencies (the Fig. 6 tail
@@ -293,9 +285,11 @@ class Collector {
 
   // ---- per-model queries (multi-workload experiments, e.g. Fig. 2) -------
 
-  /// Per-request latencies of one (model, strictness) stream, seconds.
-  std::vector<float> latencies_for(const workload::ModelProfile* model,
-                                   bool strict) const;
+  /// Request latencies of one (model, strictness) stream, seconds.
+  LatencyRamps latencies_for(const workload::ModelProfile* model,
+                             bool strict) const {
+    return ramps(strict, model);
+  }
   /// SLO compliance over one model's strict requests, in [0,100].
   double slo_compliance_pct_for(const workload::ModelProfile* model) const;
   /// Tail breakdown restricted to one model's strict batches.
@@ -305,32 +299,32 @@ class Collector {
   }
 
  private:
-  /// Shared per-request path of record()/record_flow(): expands the linear
-  /// latency ramp into the store and the SLO counters.
+  /// Shared per-request path of record()/record_flow(): folds the linear
+  /// latency ramp into the running sum (or sketch) and the SLO counters.
   void record_requests(bool strict, int count, double lat_first,
                        double lat_last, double slo);
+
+  /// The ramps of the strict (or BE) batch records of `model` (every model
+  /// when null).
+  LatencyRamps ramps(bool strict, const workload::ModelProfile* model) const;
 
   /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches
   /// of `model` (every model when null).
   Breakdown tail_of(const workload::ModelProfile* model, double p) const;
 
-  /// Exact per-request store of one strictness class. `sum` folds
-  /// samples[0, summed) in recording order; every reorder first folds the
-  /// whole store, so the samples past `summed` are always the newest ones,
-  /// still in recording order, and the mean never depends on queries.
-  struct ExactStore {
-    std::vector<float> samples;
+  /// One class's recorded latencies: the recording-order sum of its float
+  /// request latencies, its request count, and its batch records.
+  struct LatencyTotals {
     double sum = 0.0;
-    std::size_t summed = 0;
-
-    void fold() noexcept;
-    double percentile(double p);
-    double mean() noexcept;
+    std::uint64_t requests = 0;
+    std::size_t ramps = 0;
+    double mean() const noexcept {
+      return requests == 0 ? 0.0 : sum / static_cast<double>(requests);
+    }
   };
 
-  // Mutable: percentile queries are logically const but select in place.
-  mutable ExactStore strict_exact_;
-  mutable ExactStore be_exact_;
+  LatencyTotals strict_totals_;
+  LatencyTotals be_totals_;
   std::optional<QuantileSketch> strict_sketch_;
   std::optional<QuantileSketch> be_sketch_;
   BatchObserver observer_;

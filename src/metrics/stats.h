@@ -27,10 +27,49 @@ void select_percentiles(std::span<float> xs, std::span<const double> ps,
 void select_percentiles(std::span<double> xs, std::span<const double> ps,
                         std::span<double> out);
 
+/// The request latencies of one recorded batch (or flow): request i of
+/// `count` took float(workload::request_latency(first, last, i, count))
+/// seconds. The ramp is monotone under IEEE rounding: non-increasing when
+/// last <= first, non-decreasing otherwise.
+struct LatencyRamp {
+  double first = 0.0;  ///< the earliest (longest-waiting) request's latency
+  double last = 0.0;   ///< the latest request's latency
+  int count = 0;
+};
+
+/// A multiset of request latencies kept as one ramp per batch: size() is
+/// the number of requests, not of ramps.
+class LatencyRamps {
+ public:
+  void reserve(std::size_t ramps) { ramps_.reserve(ramps); }
+  void add(double first, double last, int count) {
+    ramps_.push_back({first, last, count});
+    requests_ += static_cast<std::size_t>(count);
+  }
+  std::size_t size() const noexcept { return requests_; }
+  bool empty() const noexcept { return requests_ == 0; }
+  std::span<const LatencyRamp> ramps() const noexcept { return ramps_; }
+
+ private:
+  std::vector<LatencyRamp> ramps_;
+  std::size_t requests_ = 0;
+};
+
+/// The same percentiles as the float overload over the expanded multiset,
+/// bit for bit, without expanding it. Each rank is bracketed in the floats'
+/// order-preserving bit keys and the bracket narrowed on exact counts (a
+/// monotone ramp counts the values below a key with one guessed binary
+/// search) until at most 2^16 values remain; only those are expanded.
+/// Short ramps (about ten requests or fewer on average) are expanded
+/// whole instead, which is faster for them. Memory is O(ramps) either way.
+void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,
+                        std::span<double> out);
+
 /// One percentile of a sample the caller hands over by value: a thin
 /// wrapper over select_percentiles. Move the vector in to avoid a copy.
 double percentile(std::vector<float> xs, double p) noexcept;
 double percentile(std::vector<double> xs, double p) noexcept;
+double percentile(const LatencyRamps& xs, double p);
 
 /// Half-width of the 95% confidence interval of the mean (normal approx).
 double ci95_halfwidth(const std::vector<double>& xs) noexcept;

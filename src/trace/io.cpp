@@ -97,6 +97,12 @@ std::vector<double> parse_rate_csv(std::istream& in) {
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
                                   ": seconds must be increasing");
     }
+    if (*second > kMaxRateCsvSecond) {
+      throw std::invalid_argument(
+          "rate CSV line " + std::to_string(line_no) + ": second " +
+          std::to_string(*second) + " is past the last allowed second " +
+          std::to_string(kMaxRateCsvSecond));
+    }
     if (*rate < 0.0) {
       throw std::invalid_argument("rate CSV line " + std::to_string(line_no) +
                                   ": negative rate");

@@ -14,12 +14,17 @@
 
 namespace protean::trace {
 
+/// Latest second a rate CSV may name (about 116 days): gaps are filled one
+/// entry per second, so an unbounded second could demand any amount of
+/// memory.
+inline constexpr long kMaxRateCsvSecond = 10'000'000;
+
 /// Parses a "second,rps" CSV stream (a first line without digits is a
 /// header; blank lines and '#' comments skipped). Each field must be one
-/// whole token: an integer second, non-negative and strictly increasing,
-/// and a finite, non-negative rate. Gaps hold the previous rate. Throws
-/// std::invalid_argument on malformed input, including a table with no
-/// positive rate.
+/// whole token: an integer second, non-negative, strictly increasing and
+/// at most kMaxRateCsvSecond, and a finite, non-negative rate. Gaps hold
+/// the previous rate. Throws std::invalid_argument on malformed input,
+/// including a table with no positive rate.
 std::vector<double> parse_rate_csv(std::istream& in);
 
 /// Reads a rate table from a CSV file. Throws on I/O or parse errors.

@@ -160,7 +160,8 @@ INSTANTIATE_TEST_SUITE_P(Repeat, CliGate, ::testing::ValuesIn(kRepeat));
 INSTANTIATE_TEST_SUITE_P(Same, CliGate, ::testing::ValuesIn(kSame));
 
 // A malformed command exits with `status` and `message` on stderr. It runs
-// in a directory that holds zero.csv, an all-zero rate table.
+// in a directory that holds zero.csv, an all-zero rate table, and gap.csv,
+// whose second row names a second far past the parser's limit.
 struct Reject {
   std::string command;
   int status;
@@ -190,6 +191,7 @@ const Reject kReject[] = {
     {"protean_sim --attr on:alpha=9", 2, "bad value for 'alpha'"},
     {"protean_sim --trace-file zero.csv --rps 100", 2,
      "rate CSV has no positive rate"},
+    {"protean_sim --trace-file gap.csv --rps 100", 2, "rate CSV line 2: "},
 };
 
 // "protean_sim --p-rev inf" prints as "p_rev_inf".
@@ -208,6 +210,7 @@ TEST_P(CliGateReject, ExitsWithMessage) {
   const std::string dir = temp_path("reject");
   std::filesystem::create_directories(dir);
   spit(dir + "/zero.csv", "second,rps\n0,0\n1,0\n");
+  spit(dir + "/gap.csv", "0,1\n99999999999,1\n");
   std::string err;
   EXPECT_EQ(run_in(dir, row.command, nullptr, &err), row.status) << err;
   EXPECT_NE(err.find(row.message), std::string::npos) << err;

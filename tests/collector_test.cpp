@@ -1,7 +1,8 @@
-// Contract tests for the Collector's exact latency store: percentile
-// queries select in place, so the store's order is unspecified, but every
-// query result, the mean, and the sample multiset must not depend on which
-// queries ran before. Also: the Fig. 6 breakdown, folded from the exact
+// Contract tests for the Collector's exact latency statistics: percentiles
+// are selected from the per-batch latency ramps, and every percentile and
+// mean must equal, bit for bit, what the per-request float store the
+// collector used to keep returned. A verbatim copy of that store is the
+// reference. Also: the Fig. 6 breakdown, folded from the exact
 // decomposition, reproduces the clamped formulas it replaced wherever those
 // formulas were well defined.
 #include <gtest/gtest.h>
@@ -21,6 +22,61 @@
 
 namespace protean::metrics {
 namespace {
+
+// ---- the reference: the retired per-request float store -------------------
+
+// Collector::ExactStore and the per-request loop of
+// Collector::record_requests as they were before percentiles were selected
+// from ramps, copied verbatim. `sum` folds samples[0, summed) in recording
+// order; every reorder first folds the whole store.
+struct ExactStore {
+  std::vector<float> samples;
+  double sum = 0.0;
+  std::size_t summed = 0;
+  std::uint64_t compliant = 0;  // requests that met `slo` in record()
+
+  void fold() noexcept {
+    for (; summed < samples.size(); ++summed) {
+      sum += static_cast<double>(samples[summed]);
+    }
+  }
+  double percentile(double p) {
+    fold();
+    double out = 0.0;
+    select_percentiles(samples, {&p, 1}, {&out, 1});
+    return out;
+  }
+  double mean() noexcept {
+    fold();
+    return samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
+  }
+  void record(int count, double lat_first, double lat_last,
+              double slo = kNeverTime) {
+    for (int i = 0; i < count; ++i) {
+      const double lat =
+          workload::request_latency(lat_first, lat_last, i, count);
+      samples.push_back(static_cast<float>(lat));
+      if (workload::meets_slo(lat, slo)) ++compliant;
+    }
+  }
+};
+
+// The reference store of a ramp sequence, in its order.
+ExactStore expanded(const LatencyRamps& ramps) {
+  ExactStore store;
+  for (const LatencyRamp& r : ramps.ramps()) {
+    store.record(r.count, r.first, r.last);
+  }
+  return store;
+}
+
+std::vector<float> sorted(std::vector<float> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs;
+}
+
+const double kOraclePs[] = {0.0,  0.99, 10.0, 25.0, 50.0, 75.0,
+                            90.0, 95.0, 99.0, 99.9, 100.0};
 
 // Seeded batches of varied size and latency, strict and BE interleaved.
 std::vector<workload::Batch> seeded_batches(int n, std::uint64_t seed) {
@@ -48,43 +104,192 @@ std::vector<workload::Batch> seeded_batches(int n, std::uint64_t seed) {
   return out;
 }
 
+// Seeded batches with the ramp shapes the selection must get right:
+// single requests, flat ramps, ramps that rise by rounding noise (up to
+// 1e-9 s), 10^4-request ramps, and exact repeats of earlier batches, so
+// values tie across batches. Microsecond latencies next to second-scale
+// ones make the double sum round, so the mean depends on summation order.
+constexpr int kShapes = 6;
+
+std::vector<workload::Batch> edge_batches(int n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<workload::Batch> out;
+  for (int i = 0; i < n; ++i) {
+    if (i >= 8 && i % 8 == 0) {
+      workload::Batch twin = out[static_cast<std::size_t>(i / 2)];
+      twin.id = static_cast<BatchId>(i + 1);
+      out.push_back(twin);
+      continue;
+    }
+    workload::Batch b;
+    b.id = static_cast<BatchId>(i + 1);
+    b.model = &workload::ModelCatalog::instance().by_name("ResNet 50");
+    b.strict = i % 3 != 0;
+    b.first_arrival = 1.0 + 0.01 * i;
+    b.completed_at = b.first_arrival + 0.05 + u(rng);
+    switch (i % kShapes) {
+      case 0:  // one request
+        b.count = 1;
+        b.last_arrival = b.first_arrival;
+        break;
+      case 1:  // flat: every request has the same latency
+        b.count = 2 + static_cast<int>(u(rng) * 60);
+        b.last_arrival = b.first_arrival;
+        break;
+      case 2:  // rises by rounding noise
+        b.count = 2 + static_cast<int>(u(rng) * 60);
+        b.last_arrival = b.first_arrival - u(rng) * 1e-9;
+        break;
+      case 3:  // a long falling ramp
+        b.count = 10000;
+        b.last_arrival = b.first_arrival + 0.2 * u(rng);
+        break;
+      case 4:  // microseconds
+        b.count = 1 + static_cast<int>(u(rng) * 128);
+        b.completed_at = b.first_arrival + 2e-6 * u(rng);
+        b.last_arrival =
+            b.first_arrival + (b.completed_at - b.first_arrival) * u(rng);
+        break;
+      default:
+        b.count = 1 + static_cast<int>(u(rng) * 128);
+        b.last_arrival = b.first_arrival + 0.05 * u(rng);
+    }
+    b.formed_at = std::max(b.first_arrival, b.last_arrival);
+    b.slo = b.strict ? 0.5 : kNeverTime;
+    b.exec_time = 0.01;
+    b.exec_start = b.completed_at - b.exec_time;
+    b.solo_min = 0.01;
+    b.solo_on_slice = 0.01;
+    out.push_back(b);
+  }
+  return out;
+}
+
 Collector filled(const std::vector<workload::Batch>& batches) {
   Collector c;
   for (const auto& b : batches) c.record(b);
   return c;
 }
 
-std::vector<float> sorted(std::vector<float> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs;
+// The reference stores of a batch stream: per class, recording order.
+struct Reference {
+  ExactStore strict;
+  ExactStore be;
+  explicit Reference(const std::vector<workload::Batch>& batches) {
+    for (const auto& b : batches) {
+      (b.strict ? strict : be)
+          .record(b.count, b.completed_at - b.first_arrival,
+                  b.completed_at - b.last_arrival, b.slo);
+    }
+  }
+};
+
+void expect_matches_reference(const std::vector<workload::Batch>& batches) {
+  const Collector collector = filled(batches);
+  Reference ref(batches);
+  ASSERT_EQ(collector.strict_latencies().size(), ref.strict.samples.size());
+  ASSERT_EQ(collector.be_latencies().size(), ref.be.samples.size());
+  std::vector<double> strict(std::size(kOraclePs)), be(std::size(kOraclePs));
+  collector.percentiles(true, kOraclePs, strict);
+  collector.percentiles(false, kOraclePs, be);
+  for (std::size_t i = 0; i < std::size(kOraclePs); ++i) {
+    const double p = kOraclePs[i];
+    EXPECT_EQ(strict[i], ref.strict.percentile(p)) << p;
+    EXPECT_EQ(be[i], ref.be.percentile(p)) << p;
+    EXPECT_EQ(collector.strict_percentile(p), strict[i]) << p;
+    EXPECT_EQ(percentile(collector.be_latencies(), p), be[i]) << p;
+  }
+  EXPECT_EQ(collector.strict_mean(), ref.strict.mean());
+  EXPECT_EQ(collector.be_mean(), ref.be.mean());
+  // SLO compliance: one binary search per ramp, same verdicts.
+  EXPECT_EQ(collector.strict_violations(),
+            ref.strict.samples.size() - ref.strict.compliant);
+  if (!batches.empty()) {
+    EXPECT_EQ(collector.slo_compliance_pct_for(batches[0].model),
+              collector.slo_compliance_pct());
+  }
 }
 
-const double kPs[] = {50.0, 99.0, 0.0, 100.0, 99.9, 10.0};
+TEST(CollectorStore, RampSelectionMatchesTheFloatStoreOnSeededBatches) {
+  expect_matches_reference(seeded_batches(400, 11));
+  expect_matches_reference(seeded_batches(3, 12));
+}
+
+TEST(CollectorStore, RampSelectionMatchesTheFloatStoreOnEdgeRamps) {
+  for (std::uint64_t seed : {21u, 22u, 23u}) {
+    const auto batches = edge_batches(120, seed);
+    expect_matches_reference(batches);
+    // The same ramps taken one shape at a time, the flat and the
+    // rising ones alone included.
+    for (int shape = 0; shape < kShapes; ++shape) {
+      std::vector<workload::Batch> only;
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        if (static_cast<int>(i % kShapes) == shape) {
+          only.push_back(batches[i]);
+        }
+      }
+      expect_matches_reference(only);
+    }
+  }
+}
+
+// Checks one run's report against the reference; returns its strict
+// request count.
+std::size_t expect_report_matches_reference(
+    const harness::ExperimentConfig& config) {
+  const harness::Report report = harness::run_experiment(config);
+  ExactStore ref = expanded(report.strict_latencies);
+  EXPECT_FALSE(ref.samples.empty()) << report.scheme;
+  EXPECT_EQ(report.strict_p50_ms, to_ms(ref.percentile(50.0)))
+      << report.scheme;
+  EXPECT_EQ(report.strict_p99_ms, to_ms(ref.percentile(99.0)))
+      << report.scheme;
+  EXPECT_EQ(report.strict_mean_ms, to_ms(ref.mean())) << report.scheme;
+  std::vector<double> got(std::size(kOraclePs));
+  select_percentiles(report.strict_latencies, kOraclePs, got);
+  for (std::size_t i = 0; i < std::size(kOraclePs); ++i) {
+    EXPECT_EQ(got[i], ref.percentile(kOraclePs[i]))
+        << report.scheme << " p" << kOraclePs[i];
+  }
+  return ref.samples.size();
+}
+
+TEST(CollectorStore, RampSelectionMatchesTheFloatStoreOnEveryScheme) {
+  harness::ExperimentConfig config =
+      harness::primary_config("ResNet 50", /*horizon=*/30.0);
+  config.warmup = 10.0;
+  config.with_latency_samples();
+  for (const sched::Scheme scheme : sched::all_schemes()) {
+    config.scheme = scheme;
+    expect_report_matches_reference(config);
+  }
+  // A fleet cell with several hundred thousand strict requests, so every
+  // rank is narrowed far below the band the latencies fill.
+  config.scheme = sched::Scheme::kProtean;
+  config.cluster.node_count = 64;
+  config.trace.target_rps = 40000.0;
+  EXPECT_GT(expect_report_matches_reference(config), std::size_t{1} << 18);
+}
 
 TEST(CollectorStore, QueryOrderDoesNotChangeResults) {
   const auto batches = seeded_batches(400, 11);
-  // Reference values: the by-value percentile over untouched copies.
-  const Collector pristine = filled(batches);
-  const std::vector<float> strict = pristine.strict_latencies();
-  const std::vector<float> be = pristine.be_latencies();
-  const double strict_mean = pristine.strict_mean();
-  const double be_mean = pristine.be_mean();
-
-  Collector forward = filled(batches);
-  Collector backward = filled(batches);
+  Reference ref(batches);
+  const Collector forward = filled(batches);
+  const Collector backward = filled(batches);
+  const double ps[] = {50.0, 99.0, 0.0, 100.0, 99.9, 10.0};
   for (int round = 0; round < 2; ++round) {
-    for (double p : kPs) {
-      EXPECT_EQ(forward.strict_percentile(p), percentile(strict, p)) << p;
-      EXPECT_EQ(forward.be_percentile(p), percentile(be, p)) << p;
+    for (double p : ps) {
+      EXPECT_EQ(forward.strict_percentile(p), ref.strict.percentile(p)) << p;
+      EXPECT_EQ(forward.be_percentile(p), ref.be.percentile(p)) << p;
     }
-    for (auto it = std::rbegin(kPs); it != std::rend(kPs); ++it) {
-      EXPECT_EQ(backward.be_percentile(*it), percentile(be, *it)) << *it;
-      EXPECT_EQ(backward.strict_percentile(*it), percentile(strict, *it))
+    for (auto it = std::rbegin(ps); it != std::rend(ps); ++it) {
+      EXPECT_EQ(backward.be_percentile(*it), ref.be.percentile(*it)) << *it;
+      EXPECT_EQ(backward.strict_percentile(*it), ref.strict.percentile(*it))
           << *it;
     }
-    // The mean is the recording-order sum whatever the queries reordered.
-    EXPECT_EQ(forward.strict_mean(), strict_mean);
-    EXPECT_EQ(backward.be_mean(), be_mean);
+    EXPECT_EQ(forward.strict_mean(), ref.strict.mean());
+    EXPECT_EQ(backward.be_mean(), ref.be.mean());
   }
 }
 
@@ -101,7 +306,7 @@ TEST(CollectorStore, RecordingAfterQueriesMatchesAFreshCollector) {
   const Collector fresh = filled(batches);
   EXPECT_EQ(interleaved.strict_mean(), fresh.strict_mean());
   EXPECT_EQ(interleaved.be_mean(), fresh.be_mean());
-  for (double p : kPs) {
+  for (double p : kOraclePs) {
     EXPECT_EQ(interleaved.strict_percentile(p), fresh.strict_percentile(p));
     EXPECT_EQ(interleaved.be_percentile(p), fresh.be_percentile(p));
   }
@@ -110,30 +315,28 @@ TEST(CollectorStore, RecordingAfterQueriesMatchesAFreshCollector) {
 TEST(CollectorStore, QueriesKeepTheSampleMultiset) {
   const auto batches = seeded_batches(250, 13);
   const Collector collector = filled(batches);
-  const std::vector<float> strict_before = sorted(collector.strict_latencies());
-  const std::vector<float> be_before = sorted(collector.be_latencies());
-  for (double p : kPs) {
+  Reference ref(batches);
+  const std::vector<float> strict_before = sorted(ref.strict.samples);
+  const std::vector<float> be_before = sorted(ref.be.samples);
+  for (double p : kOraclePs) {
     collector.strict_percentile(p);
     collector.be_percentile(p);
   }
-  EXPECT_EQ(sorted(collector.strict_latencies()), strict_before);
-  EXPECT_EQ(sorted(collector.be_latencies()), be_before);
+  EXPECT_EQ(sorted(expanded(collector.strict_latencies()).samples),
+            strict_before);
+  EXPECT_EQ(sorted(expanded(collector.be_latencies()).samples), be_before);
 }
 
-TEST(CollectorStore, TakeStrictLatenciesHandsOverEverySample) {
+TEST(CollectorStore, StrictLatenciesHoldEverySample) {
   const auto batches = seeded_batches(250, 14);
-  Collector collector = filled(batches);
-  const std::vector<float> before = sorted(collector.strict_latencies());
-  const double p99 = collector.strict_percentile(99.0);
-  const std::uint64_t completed = collector.strict_completed();
-
-  std::vector<float> taken = collector.take_strict_latencies();
-  EXPECT_EQ(taken.size(), completed);
-  EXPECT_EQ(percentile(taken, 99.0), p99);
-  EXPECT_EQ(sorted(std::move(taken)), before);
-  // The store is empty; counters and the BE side are untouched.
-  EXPECT_TRUE(collector.strict_latencies().empty());
-  EXPECT_EQ(collector.strict_completed(), completed);
+  const Collector collector = filled(batches);
+  Reference ref(batches);
+  const LatencyRamps strict = collector.strict_latencies();
+  EXPECT_EQ(strict.size(), collector.strict_completed());
+  EXPECT_EQ(percentile(strict, 99.0), collector.strict_percentile(99.0));
+  EXPECT_EQ(sorted(expanded(strict).samples), sorted(ref.strict.samples));
+  // A copy, not a hand-over: the collector still answers from its records.
+  EXPECT_EQ(collector.strict_latencies().size(), strict.size());
   EXPECT_FALSE(collector.be_latencies().empty());
 }
 

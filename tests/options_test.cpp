@@ -601,5 +601,58 @@ TEST(Cli, FlagListHasNoDuplicates) {
   EXPECT_EQ(std::adjacent_find(flags.begin(), flags.end()), flags.end());
 }
 
+// ---- spec flags under one-byte mutations ------------------------------------
+
+// Deterministic mutation loop: every one-byte deletion, insertion or
+// replacement (from a fixed alphabet) of a valid spec for each spec-valued
+// flag either parses or returns an error. It never throws or aborts.
+TEST(Cli, SpecFlagMutantsParseOrFail) {
+  const std::pair<const char*, std::string> kValid[] = {
+      {"--faults", "crash@10:n1,kill-rate=40,reconfig-fail=0.2,ecc-rate=15"},
+      {"--autoscale",
+       "predictive:tick=5,min=4,max=12,step-up=3,settle=2,util=55,"
+       "headroom=1.3,no-prefetch"},
+      {"--memcache", "gdsf:12.5"},
+      {"--substrate",
+       "softslice:discipline=timeslice,penalty=0.4,oversub=2,nodes=0.5"},
+      {"--workflow", "diamond:transfer=256,bw=8,hop=0.01"},
+      {"--workflow", "chain:stages=5"},
+      {"--attr", "on:alpha=0.02"},
+  };
+  const std::string alphabet = "0123456789.,:=@-+_eEnaxiz ";
+  std::size_t parsed = 0, failed = 0;
+  for (const auto& [flag, valid] : kValid) {
+    ASSERT_TRUE(parse_cli({flag, valid}).options) << flag << " " << valid;
+    std::vector<std::string> mutants;
+    for (std::size_t i = 0; i <= valid.size(); ++i) {
+      if (i < valid.size()) {
+        mutants.push_back(valid.substr(0, i) + valid.substr(i + 1));
+      }
+      for (char c : alphabet) {
+        mutants.push_back(valid.substr(0, i) + c + valid.substr(i));
+        if (i < valid.size() && valid[i] != c) {
+          std::string replaced = valid;
+          replaced[i] = c;
+          mutants.push_back(std::move(replaced));
+        }
+      }
+    }
+    for (const std::string& mutant : mutants) {
+      CliParseResult result;
+      EXPECT_NO_THROW(result = parse_cli({flag, mutant}))
+          << flag << " " << mutant;
+      if (result.options) {
+        ++parsed;
+      } else {
+        EXPECT_FALSE(result.error.empty()) << flag << " " << mutant;
+        ++failed;
+      }
+    }
+  }
+  // Both outcomes occur, so the loop reaches past the lexer.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(failed, 0u);
+}
+
 }  // namespace
 }  // namespace protean::harness

@@ -213,11 +213,24 @@ TEST(SketchCollector, MatchesExactStoreAcrossAllSchemes) {
   }
 }
 
-// The sketch store drops per-request samples by design.
+// The sketch store hands out no latency ramps by design, even with batches
+// recorded.
 TEST(SketchCollector, SketchModeKeepsNoSamples) {
   Collector collector;
   collector.use_sketch_store(0.01);
   EXPECT_TRUE(collector.sketch_store());
+  workload::Batch batch;
+  batch.count = 3;
+  batch.first_arrival = 0.0;
+  batch.last_arrival = 0.1;
+  batch.completed_at = 1.0;
+  for (const bool strict : {true, false}) {
+    batch.id = strict ? 1 : 2;
+    batch.strict = strict;
+    collector.record(batch);
+  }
+  EXPECT_EQ(collector.strict_completed(), 3u);
+  EXPECT_EQ(collector.be_completed(), 3u);
   EXPECT_TRUE(collector.strict_latencies().empty());
   EXPECT_TRUE(collector.be_latencies().empty());
 }

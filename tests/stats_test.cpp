@@ -6,6 +6,7 @@
 
 #include "metrics/collector.h"
 #include "metrics/stats.h"
+#include "workload/latency.h"
 #include "workload/model.h"
 
 namespace protean::metrics {
@@ -110,6 +111,92 @@ TEST(SelectPercentiles, NeedsOneOutputPerPercentile) {
   double out[1] = {};
   EXPECT_THROW(select_percentiles(std::span<float>(xs), ps, out),
                std::logic_error);
+}
+
+// ---- select_percentiles over latency ramps ---------------------------------
+
+// What the per-request float store held for the same ramps.
+std::vector<float> expand(const LatencyRamps& xs) {
+  std::vector<float> out;
+  for (const LatencyRamp& r : xs.ramps()) {
+    for (int i = 0; i < r.count; ++i) {
+      out.push_back(static_cast<float>(
+          workload::request_latency(r.first, r.last, i, r.count)));
+    }
+  }
+  return out;
+}
+
+void expect_ramps_match_floats(const LatencyRamps& xs, const char* what) {
+  std::vector<float> floats = expand(xs);
+  ASSERT_EQ(floats.size(), xs.size()) << what;
+  std::vector<double> want(kPropertyPs.size()), got(kPropertyPs.size(), -1.0);
+  select_percentiles(std::span<float>(floats), kPropertyPs, want);
+  select_percentiles(xs, kPropertyPs, got);
+  for (std::size_t i = 0; i < kPropertyPs.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " p=" << kPropertyPs[i];
+  }
+}
+
+// Ramps of `count` requests whose latencies start uniformly in
+// [lo, lo + width) and fall (or, with rise > 0, rise) by up to `spread`.
+LatencyRamps seeded_ramps(int ramps, int count, double lo, double width,
+                          double spread, std::uint64_t seed,
+                          double rise = 0.0) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  LatencyRamps out;
+  for (int i = 0; i < ramps; ++i) {
+    const double first = lo + width * u(rng);
+    const double last = rise > 0.0 ? first + rise * u(rng)
+                                   : first - spread * u(rng);
+    out.add(first, last, count > 0 ? count : 1 + static_cast<int>(
+                                                     u(rng) * -count));
+  }
+  return out;
+}
+
+TEST(SelectPercentiles, RampsMatchTheExpandedFloats) {
+  expect_ramps_match_floats(LatencyRamps{}, "empty");
+  {
+    LatencyRamps one;
+    one.add(0.3, 0.3, 1);
+    expect_ramps_match_floats(one, "one request");
+  }
+  // Batches of a few requests, which select as expanded floats.
+  expect_ramps_match_floats(seeded_ramps(20000, -8, 0.01, 2.0, 0.05, 6),
+                            "short ramps");
+  // Mixed sizes 1..256 over a log-wide range.
+  expect_ramps_match_floats(seeded_ramps(3000, -256, 0.01, 2.0, 0.05, 1),
+                            "mixed");
+  // 10^6 requests in a band a few ramps wide: every rank needs the
+  // bracket narrowed far below the band.
+  expect_ramps_match_floats(seeded_ramps(100, 10000, 0.2349, 0.002, 0.001, 2),
+                            "dense band");
+  // Ramps that rise by rounding noise only.
+  expect_ramps_match_floats(seeded_ramps(200, 500, 0.1, 0.01, 0.0, 3, 1e-9),
+                            "rising by noise");
+  // Many requests per float: each ramp spans a few float steps, so the
+  // real-arithmetic estimates miss and exact counts must take over.
+  expect_ramps_match_floats(seeded_ramps(100, 10000, 0.5, 1e-6, 1e-7, 4),
+                            "many requests per float");
+  // Ties beyond the expansion window at one latency, with outliers.
+  LatencyRamps ties = seeded_ramps(50, 64, 1.0, 9.0, 0.5, 5);
+  for (int i = 0; i < 30; ++i) ties.add(0.25, 0.25, 10000);
+  ties.add(0.5, 0.1, 10000);
+  expect_ramps_match_floats(ties, "ties");
+}
+
+TEST(SelectPercentiles, RampSizeCountsRequests) {
+  LatencyRamps xs;
+  EXPECT_TRUE(xs.empty());
+  xs.add(0.2, 0.1, 3);
+  xs.add(0.5, 0.5, 1);
+  EXPECT_EQ(xs.size(), 4u);
+  EXPECT_EQ(xs.ramps().size(), 2u);
+  EXPECT_FALSE(xs.empty());
+  EXPECT_EQ(percentile(xs, 100.0), static_cast<double>(0.5f));
+  EXPECT_EQ(percentile(xs, 0.0), static_cast<double>(0.1f));
 }
 
 TEST(Stats, NormalCdf) {

@@ -60,6 +60,24 @@ TEST(RateCsv, RejectsMalformedInput) {
     std::istringstream in("0,100\nx,y\n");  // non-numeric mid-file
     EXPECT_THROW(parse_rate_csv(in), std::invalid_argument);
   }
+  {
+    // A far second would fill ~800 GB of gap; it is refused by line.
+    std::istringstream in("0,1\n99999999999,1\n");
+    try {
+      parse_rate_csv(in);
+      ADD_FAILURE() << "a second past kMaxRateCsvSecond parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rate CSV line 2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    // The bound is the named constant: one second past it is refused.
+    std::istringstream in("0,1\n" + std::to_string(kMaxRateCsvSecond + 1) +
+                          ",1\n");
+    EXPECT_THROW(parse_rate_csv(in), std::invalid_argument);
+  }
   // Every field is one whole finite token, and some rate is positive.
   for (const char* text :
        {"0,0\n1,0\n", "0,nan\n", "0,100\n1,nan\n", "0,inf\n",
