@@ -1,7 +1,9 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "common/check.h"
@@ -79,6 +81,8 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
     shards_[s].hi =
         (static_cast<std::uint64_t>(s + 1) * slots + shard_count - 1) /
         shard_count;
+    shards_[s].accepting.resize(shards_[s].hi - shards_[s].lo);
+    shards_[s].ready.resize(shards_[s].hi - shards_[s].lo);
   }
   index_.resize(slots);
   nodes_.reserve(slots);
@@ -274,25 +278,108 @@ std::uint32_t Cluster::shard_of(NodeId id) const noexcept {
                                     shards_.size() / nodes_.size());
 }
 
+void Cluster::SlotSet::assign(std::size_t i, bool on) noexcept {
+  std::uint64_t& word = words[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (((word & bit) != 0) == on) return;
+  word ^= bit;
+  if (on) {
+    ++count;
+  } else {
+    --count;
+  }
+}
+
+std::size_t Cluster::SlotSet::select(std::size_t k) const {
+  PROTEAN_CHECK_MSG(k < count, "SlotSet::select rank out of range");
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t word = words[w];
+    const auto set = static_cast<std::size_t>(std::popcount(word));
+    if (k >= set) {
+      k -= set;
+      continue;
+    }
+    for (; k > 0; --k) word &= word - 1;  // drop the k lowest set bits
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+  }
+  return words.size() * 64;  // unreachable: count tracks the set bits
+}
+
 void Cluster::on_node_load_changed(NodeId id) {
   WorkerNode& node = *nodes_[id];
   ShardState& shard = shards_[shard_of(id)];
   IndexEntry& entry = index_[id];
+  const std::size_t slot = id - shard.lo;
   const bool member = node.accepting();
+  shard.ready.assign(slot, member && !node.gpu().reconfiguring());
   const double load = node.outstanding_work();
   if (entry.member == member && (!member || entry.load == load)) return;
   if (entry.member) {
     shard.by_load.erase({entry.load, id});
     shard.load_sum -= entry.load;
-    if (!member) shard.accepting.erase(id);
   }
   if (member) {
     shard.by_load.insert({load, id});
     shard.load_sum += load;
-    if (!entry.member) shard.accepting.insert(id);
   }
+  shard.accepting.assign(slot, member);
   entry.member = member;
   entry.load = load;
+}
+
+std::string Cluster::audit_dispatch_index() const {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::string problem = audit_shard(s);
+    if (!problem.empty()) return problem;
+  }
+  return {};
+}
+
+std::string Cluster::audit_shard(std::size_t s) const {
+  const ShardState& shard = shards_[s];
+  std::ostringstream problem;
+  std::size_t accepting = 0;
+  std::size_t ready = 0;
+  for (NodeId id = shard.lo; id < shard.hi; ++id) {
+    const WorkerNode& node = *nodes_[id];
+    const std::size_t slot = id - shard.lo;
+    const bool live_accepting = node.accepting();
+    const bool live_ready = live_accepting && !node.gpu().reconfiguring();
+    accepting += live_accepting ? 1 : 0;
+    ready += live_ready ? 1 : 0;
+    if (shard.accepting.test(slot) != live_accepting) {
+      problem << "node " << id << ": accepting bit " << !live_accepting
+              << ", live " << live_accepting;
+      return problem.str();
+    }
+    if (shard.ready.test(slot) != live_ready) {
+      problem << "node " << id << ": ready bit " << !live_ready << ", live "
+              << live_ready;
+      return problem.str();
+    }
+    const IndexEntry& entry = index_[id];
+    if (entry.member != live_accepting ||
+        (live_accepting &&
+         (entry.load != node.outstanding_work() ||
+          shard.by_load.count({entry.load, id}) == 0))) {
+      problem << "node " << id << ": stale least-loaded entry";
+      return problem.str();
+    }
+    const WorkerNode::DispatchEstimate& memo = node.dispatch_estimate();
+    if (memo.pressure != node.estimated_pressure() ||
+        memo.free_memory != node.estimated_free_memory()) {
+      problem << "node " << id << ": dispatch estimate memo {"
+              << memo.pressure << ", " << memo.free_memory
+              << "} != fresh {" << node.estimated_pressure() << ", "
+              << node.estimated_free_memory() << "}";
+      return problem.str();
+    }
+  }
+  if (shard.accepting.count != accepting || shard.ready.count != ready ||
+      shard.by_load.size() != accepting) {
+    problem << "shard " << s << ": index counts drifted";
+  }
+  return problem.str();
 }
 
 WorkerNode* Cluster::pick_node(const workload::Batch& batch) {
@@ -356,66 +443,52 @@ WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) {
 WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
                                    std::size_t s) {
   const ShardState& shard = shards_[s];
+  // A missed listener notification or memo stamp shows up here, not as a
+  // silent routing divergence.
+  PROTEAN_DCHECK(audit_shard(s).empty());
   if (dispatch_policy_ == DispatchPolicy::kConsolidate) {
-    // INFless/Llama-style packing: the busiest GPU that still has memory
-    // for the batch and whose contention pressure stays under the limit.
-    // Pressure reads live GPU slice state that mutates outside the load
-    // hooks, so consolidation stays on the scan path (the policy is O(n)
-    // by definition — it compares a live estimate on every candidate).
+    // INFless/Llama-style packing: the busiest ready GPU that still has
+    // memory for the batch and whose contention pressure stays under the
+    // limit. The policy compares every candidate by definition; each one
+    // costs a memo read (WorkerNode::dispatch_estimate), not a slice and
+    // queue walk.
+    const double demand = std::max(batch.model->fbr, batch.model->sm_req);
     WorkerNode* best = nullptr;
+    double best_pressure = 0.0;
     for (NodeId id = shard.lo; id < shard.hi; ++id) {
+      if (!shard.ready.test(id - shard.lo)) continue;
       WorkerNode* node = nodes_[id].get();
-      if (!node->accepting() || node->gpu().reconfiguring()) continue;
-      const double pressure = node->estimated_pressure();
-      if (pressure + std::max(batch.model->fbr, batch.model->sm_req) >
-          config_.consolidate_pressure_limit) {
-        continue;
-      }
-      if (node->estimated_free_memory() < batch.model->mem_gb) continue;
-      if (best == nullptr ||
-          node->estimated_pressure() > best->estimated_pressure()) {
+      const WorkerNode::DispatchEstimate& est = node->dispatch_estimate();
+      if (est.pressure + demand > config_.consolidate_pressure_limit) continue;
+      if (est.free_memory < batch.model->mem_gb) continue;
+      if (best == nullptr || est.pressure > best_pressure) {
         best = node;
+        best_pressure = est.pressure;
       }
     }
     if (best != nullptr) return best;
-    // Everything is saturated: spill to the least-pressured node.
+    // Everything is saturated: spill to the least-pressured accepting node.
     for (NodeId id = shard.lo; id < shard.hi; ++id) {
+      if (!shard.accepting.test(id - shard.lo)) continue;
       WorkerNode* node = nodes_[id].get();
-      if (!node->accepting()) continue;
-      if (best == nullptr ||
-          node->estimated_pressure() < best->estimated_pressure()) {
+      const double pressure = node->dispatch_estimate().pressure;
+      if (best == nullptr || pressure < best_pressure) {
         best = node;
+        best_pressure = pressure;
       }
     }
     return best;
   }
   if (dispatch_policy_ == DispatchPolicy::kRandom) {
-    // Uniform random routing over serviceable nodes; nodes mid-
-    // reconfiguration are only used when nothing else is up. Walks only the
-    // shard's accepting set (id-ascending) instead of every slot.
-    WorkerNode* fallback = nullptr;
-    std::vector<WorkerNode*> ready;
-    ready.reserve(shard.accepting.size());
-    for (NodeId id : shard.accepting) {
-      WorkerNode* node = nodes_[id].get();
-      PROTEAN_DCHECK(node->accepting());
-      if (node->gpu().reconfiguring()) {
-        if (fallback == nullptr) fallback = node;
-        continue;
-      }
-      ready.push_back(node);
+    // Uniform random routing over ready nodes, in id order; nodes mid-
+    // reconfiguration are only used when nothing else is up, and then the
+    // lowest accepting id (every accepting node is reconfiguring).
+    if (shard.ready.count == 0) {
+      if (shard.accepting.count == 0) return nullptr;
+      return nodes_[shard.lo + shard.accepting.select(0)].get();
     }
-#ifndef NDEBUG
-    // The index must mirror live accepting() over the whole slot range —
-    // a missed load-listener notification shows up here, not as a silent
-    // routing divergence.
-    for (NodeId id = shard.lo; id < shard.hi; ++id) {
-      PROTEAN_CHECK(nodes_[id]->accepting() ==
-                    (shard.accepting.count(id) != 0));
-    }
-#endif
-    if (ready.empty()) return fallback;
-    return ready[dispatch_rng_.index(ready.size())];
+    const std::size_t rank = dispatch_rng_.index(shard.ready.count);
+    return nodes_[shard.lo + shard.ready.select(rank)].get();
   }
   // Least-loaded: the first entry of the (work, id) order that passes the
   // reconfiguring filter — the argmin, lowest id on ties, that the
@@ -431,12 +504,10 @@ WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
   }
   PROTEAN_DCHECK(best == least_loaded_scan(shard.lo, shard.hi));
   if (best != nullptr) return best;
-  // Fall back to any accepting node (all may be reconfiguring + loaded);
-  // the membership set is id-ordered, so begin() is the lowest accepting id.
-  if (!shard.accepting.empty()) {
-    return nodes_[*shard.accepting.begin()].get();
-  }
-  return nullptr;
+  // Fall back to any accepting node (all may be reconfiguring + loaded):
+  // the lowest accepting id.
+  if (shard.accepting.count == 0) return nullptr;
+  return nodes_[shard.lo + shard.accepting.select(0)].get();
 }
 
 void Cluster::dispatch(workload::Batch&& batch) {

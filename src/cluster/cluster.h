@@ -15,6 +15,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -139,17 +140,42 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   int total_failed_reconfigurations() const;
   std::size_t backlog() const noexcept { return backlog_.size(); }
 
+  /// Cross-checks every shard's dispatch index against live node state:
+  /// the accepting and ready bitsets, the least-loaded order and load sum,
+  /// and each node's dispatch_estimate() memo against a fresh evaluation.
+  /// Returns an empty string when all agree, else the first mismatch. Runs
+  /// in every build type (tests call it between events); Debug builds also
+  /// check the dispatching shard on every pick.
+  std::string audit_dispatch_index() const;
+
  private:
+  /// Membership over one shard's contiguous slot range: bit i is node
+  /// lo + i. Rank selection walks words with popcount, so a draw costs
+  /// O(range / 64) and never allocates.
+  struct SlotSet {
+    std::vector<std::uint64_t> words;
+    std::size_t count = 0;
+
+    void resize(std::size_t slots) { words.assign((slots + 63) / 64, 0); }
+    bool test(std::size_t i) const noexcept {
+      return (words[i / 64] >> (i % 64)) & 1u;
+    }
+    void assign(std::size_t i, bool on) noexcept;
+    /// Offset of the k-th set bit, lowest first; k must be below count.
+    std::size_t select(std::size_t k) const;
+  };
   /// Incrementally-maintained dispatch index for one shard: accepting
   /// nodes ordered by (outstanding work, id) — the least-loaded argmin with
-  /// its lowest-id tie-break — plus the same membership in id order for
-  /// random routing and fallbacks, and the running load sum the p2c layer
-  /// compares.
+  /// its lowest-id tie-break — the accepting set and its ready subset
+  /// (accepting and not reconfiguring) as id-ordered bitsets for random
+  /// routing, consolidation and fallbacks, and the running load sum the
+  /// p2c layer compares.
   struct ShardState {
     NodeId lo = 0;  // contiguous node-slot range [lo, hi)
     NodeId hi = 0;
     std::set<std::pair<double, NodeId>> by_load;
-    std::set<NodeId> accepting;
+    SlotSet accepting;
+    SlotSet ready;
     double load_sum = 0.0;
   };
   /// Per-node mirror of its index entry, so updates are erase/insert pairs.
@@ -170,8 +196,11 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   WorkerNode* pick_in_shard(const workload::Batch& batch, std::size_t shard);
   std::size_t pick_shard();
   std::uint32_t shard_of(NodeId id) const noexcept;
-  /// Load-listener target: refreshes node `id`'s index entry.
+  /// Load-listener target: refreshes node `id`'s index entry and its
+  /// accepting/ready bits.
   void on_node_load_changed(NodeId id);
+  /// audit_dispatch_index() for one shard.
+  std::string audit_shard(std::size_t s) const;
   /// Reference least-loaded scan over [lo, hi); Debug builds check every
   /// indexed least-loaded choose against it.
   WorkerNode* least_loaded_scan(NodeId lo, NodeId hi);
@@ -214,7 +243,6 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   DispatchPolicy dispatch_policy_ = DispatchPolicy::kRandom;
   Rng dispatch_rng_{0x5eed};
   Rng shard_rng_{0x5eed};  // p2c draws; untouched at shards == 1
-  std::size_t rr_cursor_ = 0;
   SimTime started_at_ = 0.0;
 
   mutable std::uint64_t util_cache_event_ = ~0ull;

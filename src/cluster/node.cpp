@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -49,10 +50,7 @@ WorkerNode::WorkerNode(sim::Simulator& simulator, NodeId id,
                     "node " + std::to_string(id_));
   }
   gpu_ = make_gpu();
-  gpu_->set_capacity_callback([this] {
-    sync_fleet_gpu_counters();
-    try_dispatch();
-  });
+  gpu_->set_capacity_callback([this] { on_gpu_capacity(); });
   install_reconfig_fault_hook();
   if (config_.memcache.enabled) {
     cache_ = std::make_unique<memcache::ModelCache>(sim_, config_.memcache,
@@ -66,6 +64,14 @@ WorkerNode::WorkerNode(sim::Simulator& simulator, NodeId id,
 }
 
 WorkerNode::~WorkerNode() = default;
+
+void WorkerNode::on_gpu_capacity() {
+  sync_fleet_gpu_counters();
+  // A finished reconfiguration clears gpu().reconfiguring(), which the
+  // dispatcher's ready index mirrors.
+  notify_load();
+  try_dispatch();
+}
 
 std::unique_ptr<gpu::Gpu> WorkerNode::make_gpu() {
   // The substrate layer may override the scheduler's native sharing mode on
@@ -126,15 +132,15 @@ void WorkerNode::register_telemetry(telemetry::MetricsRegistry& registry) {
         "{node=\"" + std::to_string(id_) + "\",slice=\"" +
         std::to_string(slot) + "\"}";
     registry.gauge("slice_pressure" + label, [this, slot] {
-      const gpu::Slice* s = gpu_ ? gpu_->slice_at(slot) : nullptr;
+      const gpu::Slice* s = live_slice(slot);
       return s != nullptr ? s->pressure() : 0.0;
     });
     registry.gauge("slice_slowdown" + label, [this, slot] {
-      const gpu::Slice* s = gpu_ ? gpu_->slice_at(slot) : nullptr;
+      const gpu::Slice* s = live_slice(slot);
       return s != nullptr ? s->current_slowdown() : 0.0;
     });
     registry.gauge("slice_resident_gb" + label, [this, slot] {
-      const gpu::Slice* s = gpu_ ? gpu_->slice_at(slot) : nullptr;
+      const gpu::Slice* s = live_slice(slot);
       return s != nullptr ? s->memory_in_use() : 0.0;
     });
   }
@@ -155,6 +161,7 @@ void WorkerNode::insert_by_policy(workload::Batch&& batch) {
   } else {
     queue_.push_back(std::move(batch));
   }
+  ++queue_version_;
 }
 
 void WorkerNode::enqueue(workload::Batch batch) {
@@ -202,8 +209,7 @@ std::size_t WorkerNode::be_queued() const noexcept {
 double WorkerNode::estimated_pressure() const noexcept {
   double total = 0.0;
   if (gpu_) {
-    for (const gpu::Slice* s :
-         const_cast<const gpu::Gpu&>(*gpu_).slices()) {
+    for (const gpu::Slice* s : std::as_const(*gpu_).slices()) {
       total += s->pressure();
     }
   }
@@ -216,13 +222,24 @@ double WorkerNode::estimated_pressure() const noexcept {
 MemGb WorkerNode::estimated_free_memory() const noexcept {
   MemGb free = 0.0;
   if (gpu_) {
-    for (const gpu::Slice* s :
-         const_cast<const gpu::Gpu&>(*gpu_).slices()) {
+    for (const gpu::Slice* s : std::as_const(*gpu_).slices()) {
       free += s->available_memory();
     }
   }
   for (const auto& b : queue_) free -= b.model->mem_gb;
   return free;
+}
+
+const WorkerNode::DispatchEstimate& WorkerNode::dispatch_estimate()
+    const noexcept {
+  const std::uint64_t gpu_version = gpu_ ? gpu_->state_version() : 0;
+  if (estimate_queue_version_ != queue_version_ ||
+      estimate_gpu_version_ != gpu_version) {
+    estimate_ = {estimated_pressure(), estimated_free_memory()};
+    estimate_queue_version_ = queue_version_;
+    estimate_gpu_version_ = gpu_version;
+  }
+  return estimate_;
 }
 
 MemGb WorkerNode::take_be_demand_estimate() {
@@ -306,7 +323,8 @@ void WorkerNode::maybe_sync_cache() {
   // rebuilds and ECC slice losses (identical to reconfigurations() when
   // fault injection is off).
   if (gpu_->topology_version() == synced_topology_) return;
-  cache_->sync_slices(gpu_->slices());
+  const auto live = gpu_->slices();
+  cache_->sync_slices({live.begin(), live.end()});
   synced_topology_ = gpu_->topology_version();
 }
 
@@ -337,6 +355,7 @@ void WorkerNode::try_dispatch() {
       if (slice == nullptr) continue;
       workload::Batch batch = std::move(*it);
       queue_.erase(it);
+      ++queue_version_;
       start_batch(std::move(batch), slice);
       progress = true;
       break;  // iterators invalidated; rescan from the front
@@ -436,6 +455,12 @@ void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
     }
     begin_exec(std::move(pending), slice_id, /*reserved=*/true);
   });
+}
+
+const gpu::Slice* WorkerNode::live_slice(std::size_t slot) const noexcept {
+  if (!gpu_) return nullptr;
+  const auto live = std::as_const(*gpu_).slices();
+  return slot < live.size() ? live[slot] : nullptr;
 }
 
 gpu::Slice* WorkerNode::find_slice(SliceId slice_id) {
@@ -609,6 +634,9 @@ bool WorkerNode::begin_reconfigure(const gpu::Geometry& target) {
   // A degraded HBM region blocks repartitioning until the ECC repair runs.
   if (ecc_degraded_) return false;
   if (!gpu_->request_reconfigure(target)) return false;
+  // The GPU may have just started draining: refresh the dispatcher's ready
+  // index before the queue flush below routes batches through it.
+  notify_load();
   // Only flush the queue when the GPU actually went down for a drain: a
   // no-op request (already in the target geometry) and a soft in-place
   // repartition leave the node serving, and redistributing queued batches
@@ -621,7 +649,7 @@ bool WorkerNode::begin_reconfigure(const gpu::Geometry& target) {
 
 bool WorkerNode::inject_ecc(double selector) {
   if (!up_ || !gpu_ || gpu_->reconfiguring() || ecc_degraded_) return false;
-  std::vector<gpu::Slice*> live = gpu_->slices();
+  const auto live = gpu_->slices();
   if (live.size() <= 1) return false;  // can't heal around the only slice
   healthy_geometry_ = gpu_->geometry();
   const auto pick = std::min(
@@ -655,6 +683,7 @@ std::vector<workload::Batch> WorkerNode::take_queue() {
       std::make_move_iterator(queue_.begin()),
       std::make_move_iterator(queue_.end()));
   queue_.clear();
+  ++queue_version_;
   obs::Tracer* tracer = config_.tracer;
   for (workload::Batch& b : flushed) {
     close_blackout_sample(b);
@@ -680,6 +709,7 @@ std::vector<workload::Batch> WorkerNode::evict() {
       std::make_move_iterator(queue_.begin()),
       std::make_move_iterator(queue_.end()));
   queue_.clear();
+  ++queue_version_;
   obs::Tracer* tracer = config_.tracer;
   for (workload::Batch& b : flushed) close_blackout_sample(b);
   if (tracer != nullptr && tracer->wants(obs::kSpans)) {
@@ -748,10 +778,8 @@ void WorkerNode::restore() {
   draining_ = false;
   ++epoch_;
   gpu_ = make_gpu();
-  gpu_->set_capacity_callback([this] {
-    sync_fleet_gpu_counters();
-    try_dispatch();
-  });
+  gpu_->set_capacity_callback([this] { on_gpu_capacity(); });
+  ++queue_version_;  // the fresh GPU restarts its state_version()
   install_reconfig_fault_hook();
   sorted_slices_.clear();
   sorted_topology_ = -1;
@@ -764,7 +792,8 @@ const std::vector<gpu::Slice*>& WorkerNode::sorted_slices() {
   static const std::vector<gpu::Slice*> kNoSlices;
   if (!gpu_ || gpu_->reconfiguring()) return kNoSlices;
   if (gpu_->topology_version() != sorted_topology_) {
-    sorted_slices_ = gpu_->slices();
+    const auto live = gpu_->slices();
+    sorted_slices_.assign(live.begin(), live.end());
     std::sort(sorted_slices_.begin(), sorted_slices_.end(),
               gpu::slice_order_ascending);
     sorted_topology_ = gpu_->topology_version();

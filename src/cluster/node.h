@@ -64,8 +64,12 @@ class WorkerNode {
   /// counter bumps are mirrored into it from then on.
   void set_fleet_counters(FleetCounters* fleet) noexcept { fleet_ = fleet; }
 
-  /// Invoked whenever outstanding_work() or accepting() may have changed,
-  /// so the dispatcher's load index can update incrementally.
+  /// Invoked whenever any dispatch input may have changed — accepting(),
+  /// outstanding_work(), or gpu().reconfiguring() — so the dispatcher's
+  /// per-shard indexes can update incrementally. The reconfiguring flag
+  /// fires it right after begin_reconfigure takes the GPU down and from the
+  /// GPU capacity callback, which runs whenever a reconfiguration ends
+  /// (including a failed, timed-out one).
   void set_load_listener(std::function<void()> fn) {
     load_listener_ = std::move(fn);
   }
@@ -147,6 +151,16 @@ class WorkerNode {
   double estimated_pressure() const noexcept;
   /// Free GPU memory across live slices, minus queued batch demand.
   MemGb estimated_free_memory() const noexcept;
+  /// Both estimates, as consolidating dispatch reads them per candidate.
+  struct DispatchEstimate {
+    double pressure = 0.0;
+    MemGb free_memory = 0.0;
+  };
+  /// Memoized {estimated_pressure(), estimated_free_memory()}: recomputed
+  /// by the same summation only when the GPU's state_version() or this
+  /// node's queue has changed since the last call, so every value is
+  /// bit-identical to a fresh evaluation.
+  const DispatchEstimate& dispatch_estimate() const noexcept;
   /// Total GPU memory demanded by queued best-effort batches (Algorithm 1's
   /// BE_mem input).
   MemGb be_mem_queued() const noexcept;
@@ -257,6 +271,9 @@ class WorkerNode {
   /// Schedules the post-repair reconfiguration back to the healthy layout.
   void schedule_ecc_heal(Duration delay);
   gpu::Slice* find_slice(SliceId slice_id);
+  /// The live slice in `slot` (descending-size order), or nullptr when the
+  /// slot is absent, the GPU is down, or the VM is gone.
+  const gpu::Slice* live_slice(std::size_t slot) const noexcept;
   void reap_containers();
   void insert_by_policy(workload::Batch&& batch);
   /// Reconfiguration-blackout bracketing (src/attr): a queued batch's
@@ -273,6 +290,8 @@ class WorkerNode {
   void notify_load() {
     if (load_listener_) load_listener_();
   }
+  /// The capacity callback installed on every GPU this node builds.
+  void on_gpu_capacity();
   /// Mirrors the GPU-internal reconfiguration counters into the fleet
   /// block by delta (the engine has no push hook for them); invoked from
   /// the capacity callback, which fires on every path that bumps them.
@@ -295,6 +314,13 @@ class WorkerNode {
   std::function<void()> load_listener_;
 
   std::deque<workload::Batch> queue_;
+  /// Bumped on every queue_ mutation, and when restore() installs a GPU
+  /// whose state_version() restarts; with that version it stamps the
+  /// dispatch_estimate() memo.
+  std::uint64_t queue_version_ = 0;
+  mutable DispatchEstimate estimate_;
+  mutable std::uint64_t estimate_gpu_version_ = 0;
+  mutable std::uint64_t estimate_queue_version_ = ~std::uint64_t{0};
   std::function<void(workload::Batch&&)> redistribute_;
   std::map<const workload::ModelProfile*, ContainerPool> containers_;
   /// Batches whose container is still booting; evictions redistribute them

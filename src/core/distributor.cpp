@@ -20,9 +20,10 @@ gpu::JobSpec probe_spec(const workload::Batch& batch, const gpu::Slice& slice) {
 }  // namespace
 
 std::vector<TaggedSlice> JobDistributor::compute_tags(
-    std::vector<gpu::Slice*> slices, MemGb be_mem) {
-  std::sort(slices.begin(), slices.end(), gpu::slice_order_ascending);
-  return compute_tags_ordered(slices, be_mem);
+    std::span<gpu::Slice* const> slices, MemGb be_mem) {
+  std::vector<gpu::Slice*> ascending(slices.begin(), slices.end());
+  std::sort(ascending.begin(), ascending.end(), gpu::slice_order_ascending);
+  return compute_tags_ordered(ascending, be_mem);
 }
 
 std::vector<TaggedSlice> JobDistributor::compute_tags_ordered(

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "gpu/engine.h"
@@ -30,7 +31,7 @@ class JobDistributor {
   /// Algorithm 1 lines 1–8: walks slices in ascending size order, spreading
   /// `be_mem` GB of queued best-effort demand across them as tag values.
   static std::vector<TaggedSlice> compute_tags(
-      std::vector<gpu::Slice*> slices, MemGb be_mem);
+      std::span<gpu::Slice* const> slices, MemGb be_mem);
 
   /// Same tagging pass over slices *already* in canonical ascending order
   /// (gpu::slice_order_ascending). Hot-path variant consumed with the

@@ -1,6 +1,7 @@
 #include "core/protean.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.h"
 
@@ -89,8 +90,7 @@ void ProteanScheduler::on_monitor(cluster::WorkerNode& node,
   // service × footprint — robust when short BE jobs drain between ticks).
   info.be_mem_demand = node.be_mem_queued();
   info.be_batches = static_cast<int>(node.be_queued());
-  for (const gpu::Slice* slice :
-       const_cast<const gpu::Gpu&>(node.gpu()).slices()) {
+  for (const gpu::Slice* slice : std::as_const(node.gpu()).slices()) {
     info.be_mem_demand += slice->be_memory_in_use();
   }
   info.be_mem_demand =

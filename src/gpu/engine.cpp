@@ -56,6 +56,10 @@ obs::Tracer* Slice::tracer() const noexcept {
   return owner_ != nullptr ? owner_->tracer_ : nullptr;
 }
 
+void Slice::touch_owner() noexcept {
+  if (owner_ != nullptr) ++owner_->state_version_;
+}
+
 int Slice::trace_pid() const noexcept {
   return owner_ != nullptr ? static_cast<int>(owner_->id_) + 1 : 0;
 }
@@ -186,6 +190,7 @@ void Slice::submit(const JobSpec& spec, CompletionCallback on_done) {
   if (!spec.strict) be_mem_in_use_ += charge;
   fbr_sum_ += spec.fbr;
   sm_sum_ += spec.sm_share;
+  touch_owner();
   if (was_idle) {
     busy_since_ = sim_.now();
     if (owner_ != nullptr) owner_->on_slice_activity_change(true);
@@ -289,6 +294,7 @@ void Slice::complete_front_runner() {
     fbr_sum_ = std::max(0.0, fbr_sum_);
     sm_sum_ = std::max(0.0, sm_sum_);
   }
+  touch_owner();
   const bool now_idle = jobs_.empty();
   reschedule_completion();
   // The idle transition must land *before* the completion callbacks: a
@@ -330,6 +336,7 @@ std::size_t Slice::abort_jobs() {
   sm_sum_ = 0.0;
   weight_refs_.clear();
   weight_charged_gb_ = 0.0;
+  touch_owner();
   // The container died with its jobs: the next time-share submit of the
   // same model must boot a fresh context and pay the swap overhead again.
   last_model_tag_ = nullptr;
@@ -367,6 +374,7 @@ void Slice::reserve_memory(MemGb gb) {
   settle();
   reserved_gb_ += gb;
   ++reservation_count_;
+  touch_owner();
   trace_counters();
   // Reservations count against the soft oversubscription budget, so the
   // swap factor (and with it every co-resident job's rate) just moved.
@@ -382,6 +390,7 @@ void Slice::release_reservation(MemGb gb) {
   reserved_gb_ = std::max(0.0, reserved_gb_ - gb);
   --reservation_count_;
   if (reservation_count_ == 0) reserved_gb_ = 0.0;
+  touch_owner();
   trace_counters();
   if (mode_ == SharingMode::kSoftSlice && owner_ != nullptr) {
     owner_->soft_resettle();
@@ -394,6 +403,7 @@ void Slice::clear_reservations() {
   settle();
   reserved_gb_ = 0.0;
   reservation_count_ = 0;
+  touch_owner();
   trace_counters();
   if (mode_ == SharingMode::kSoftSlice && owner_ != nullptr) {
     owner_->soft_resettle();
@@ -449,6 +459,7 @@ Gpu::Gpu(sim::Simulator& simulator, GpuId id, Geometry geometry,
   PROTEAN_CHECK_MSG(geometry_.valid(), "invalid initial geometry");
   PROTEAN_CHECK_MSG(memory_gb_ > 0.0, "GPU memory must be positive");
   build_slices();
+  refresh_live();
 }
 
 Gpu::~Gpu() {
@@ -474,25 +485,17 @@ void Gpu::build_slices() {
   }
 }
 
-std::vector<Slice*> Gpu::slices() {
-  std::vector<Slice*> out;
-  if (state_ != State::kReady && state_ != State::kDraining) return out;
-  out.reserve(slices_.size());
-  for (auto& s : slices_) out.push_back(s.get());
-  return out;
+void Gpu::set_state(State state) {
+  state_ = state;
+  refresh_live();
 }
 
-std::vector<const Slice*> Gpu::slices() const {
-  std::vector<const Slice*> out;
-  if (state_ != State::kReady && state_ != State::kDraining) return out;
-  out.reserve(slices_.size());
-  for (auto& s : slices_) out.push_back(s.get());
-  return out;
-}
-
-const Slice* Gpu::slice_at(std::size_t i) const noexcept {
-  if (state_ != State::kReady && state_ != State::kDraining) return nullptr;
-  return i < slices_.size() ? slices_[i].get() : nullptr;
+void Gpu::refresh_live() {
+  live_.clear();
+  if (state_ == State::kReady || state_ == State::kDraining) {
+    for (auto& s : slices_) live_.push_back(s.get());
+  }
+  ++state_version_;
 }
 
 bool Gpu::request_reconfigure(const Geometry& target,
@@ -510,7 +513,7 @@ bool Gpu::request_reconfigure(const Geometry& target,
             << " -> " << target.to_string();
   target_geometry_ = target;
   reconfig_done_ = std::move(on_done);
-  state_ = State::kDraining;
+  set_state(State::kDraining);
   for (auto& s : slices_) s->set_accepting(false);
   maybe_finish_drain();
   return true;
@@ -524,7 +527,7 @@ void Gpu::maybe_finish_drain() {
   // All drained: take the MIG downtime, then swap the geometry. A failed
   // attempt (injected fault) pays a longer downtime and comes back with the
   // old layout; the caller's reconfigurator retries on a later tick.
-  state_ = State::kDown;
+  set_state(State::kDown);
   down_since_ = sim_.now();
   const bool fault = reconfig_should_fail_ && reconfig_should_fail_();
   const Duration downtime =
@@ -544,7 +547,7 @@ void Gpu::maybe_finish_drain() {
     }
     if (fault) {
       build_slices();
-      state_ = State::kReady;
+      set_state(State::kReady);
       ++failed_reconfig_count_;
       ++topology_version_;
       reconfig_done_ = nullptr;
@@ -553,7 +556,7 @@ void Gpu::maybe_finish_drain() {
     }
     geometry_ = target_geometry_;
     build_slices();
-    state_ = State::kReady;
+    set_state(State::kReady);
     ++reconfig_count_;
     ++topology_version_;
     auto done = std::move(reconfig_done_);
@@ -594,6 +597,7 @@ bool Gpu::soft_reconfigure(const Geometry& target,
         sim_, this, next_slice_id_++, profile, mode_, interference_,
         memory_gb_, shared_weights_, soft_));
   }
+  refresh_live();
   ++reconfig_count_;
   ++topology_version_;
   if (tracer_ != nullptr && tracer_->wants(obs::kSpans)) {
@@ -684,6 +688,7 @@ bool Gpu::fail_slice(SliceId id) {
   if (profile_it != remaining.end()) remaining.erase(profile_it);
   geometry_ = Geometry(std::move(remaining));
   slices_.erase(it);
+  refresh_live();
   ++topology_version_;
   if (on_capacity_) on_capacity_();
   return true;

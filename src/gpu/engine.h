@@ -43,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -265,6 +266,10 @@ class Slice {
     return swap_factor_ * soft_swap_factor();
   }
 
+  /// Bumps the owning GPU's state_version(); every method that changes the
+  /// FBR/SM sums, memory in use, reservations or weight charges calls it.
+  void touch_owner() noexcept;
+
   /// Fault path (Gpu::fail_slice): drops in-flight boot reservations so a
   /// destroyed slice cannot leave the owning GPU's drain waiting on memory
   /// that no longer exists.
@@ -361,13 +366,14 @@ class Gpu {
   const Geometry& geometry() const noexcept { return geometry_; }
   SharingMode mode() const noexcept { return mode_; }
 
-  /// Live slices, descending by size. Empty while reconfiguring.
-  std::vector<Slice*> slices();
-  std::vector<const Slice*> slices() const;
-
-  /// Allocation-free variant for hot paths (telemetry gauges): the i-th
-  /// live slice, or nullptr when absent or the GPU is not serving.
-  const Slice* slice_at(std::size_t i) const noexcept;
+  /// Live slices, descending by size. Empty while the GPU is down for a
+  /// reconfiguration (still populated while it drains). The view is over a
+  /// maintained pointer array, so reading it never allocates; it stays
+  /// valid until the next change to the slice set or the GPU's state.
+  std::span<Slice* const> slices() noexcept { return live_; }
+  std::span<const Slice* const> slices() const noexcept {
+    return {static_cast<const Slice* const*>(live_.data()), live_.size()};
+  }
 
   bool reconfiguring() const noexcept { return state_ != State::kReady; }
 
@@ -429,6 +435,15 @@ class Gpu {
   /// consumers keying residency syncs on it see identical behaviour.
   int topology_version() const noexcept { return topology_version_; }
 
+  /// Bumps whenever anything an estimate summed over slices() may read has
+  /// changed: a live slice's FBR/SM sums, memory in use, reservations or
+  /// weight charges, the slice set, or the GPU's state. The bumps live in
+  /// the mutating Slice/Gpu methods themselves, so a caller keying a memo
+  /// on this stamp cannot miss one (WorkerNode::dispatch_estimate). A
+  /// replacement Gpu restarts the count, so whoever swaps in a new Gpu
+  /// must invalidate memos keyed on the old one.
+  std::uint64_t state_version() const noexcept { return state_version_; }
+
   /// Whole-GPU busy time (>=1 job anywhere), seconds up to now.
   double busy_seconds() const noexcept;
   /// Memory utilization integral across slices, GB·s up to now.
@@ -457,6 +472,11 @@ class Gpu {
   enum class State { kReady, kDraining, kDown };
 
   void build_slices();
+  /// Enters `state` and republishes slices() for it.
+  void set_state(State state);
+  /// Rebuilds the slices() view from slices_ and state_, and bumps
+  /// state_version(); called after every change to either.
+  void refresh_live();
   void on_slice_activity_change(bool became_busy);
   void on_job_complete();
   void maybe_finish_drain();
@@ -482,6 +502,9 @@ class Gpu {
   obs::Tracer* tracer_ = nullptr;
 
   std::vector<std::unique_ptr<Slice>> slices_;
+  /// slices() view: slices_ while kReady/kDraining, empty while kDown.
+  std::vector<Slice*> live_;
+  std::uint64_t state_version_ = 0;
   /// kSoftSlice: busy slices superseded by an in-place repartition; they
   /// finish (and contend) in the background and are reaped when idle.
   std::vector<std::unique_ptr<Slice>> retiring_;

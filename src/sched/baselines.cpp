@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace protean::sched {
 
@@ -18,7 +19,7 @@ int slice_units(const gpu::Slice& slice) {
 
 /// The single slice of a whole-GPU geometry, or nullptr while reconfiguring.
 gpu::Slice* whole_gpu_slice(cluster::WorkerNode& node) {
-  auto slices = node.gpu().slices();
+  const auto slices = node.gpu().slices();
   return slices.empty() ? nullptr : slices.front();
 }
 
@@ -58,7 +59,8 @@ gpu::Slice* NaiveSlicingScheduler::place(const workload::Batch& batch,
   const double affinity = node.config().memcache.affinity_weight;
   gpu::Slice* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (gpu::Slice* slice : node.gpu().slices()) {
+  const auto slices = node.gpu().slices();
+  for (gpu::Slice* slice : slices) {
     if (!batch.model->fits(slice->profile())) continue;
     if (!slice->can_admit(probe(batch, *slice))) continue;
     double score = slice->available_memory();
@@ -71,8 +73,7 @@ gpu::Slice* NaiveSlicingScheduler::place(const workload::Batch& batch,
       best_score = score;
     }
   }
-  cluster::trace_placement(node, batch, "naive-slicing",
-                           node.gpu().slices().size(), best,
+  cluster::trace_placement(node, batch, "naive-slicing", slices.size(), best,
                            best != nullptr ? best_score : 0.0);
   return best;
 }
@@ -124,11 +125,12 @@ gpu::Slice* SmartMpsMigScheduler::place(const workload::Batch& batch,
                                         cluster::WorkerNode& node) {
   // Strict requests get the largest slice; BE requests are kept off it
   // whenever any other slice can take them (Section 2.2 straw man).
-  auto slices = node.gpu().slices();
-  if (slices.empty()) {
+  const auto live = node.gpu().slices();
+  if (live.empty()) {
     cluster::trace_placement(node, batch, "smart-mps-mig", 0, nullptr, 0.0);
     return nullptr;
   }
+  std::vector<gpu::Slice*> slices(live.begin(), live.end());
   std::sort(slices.begin(), slices.end(),
             [](const gpu::Slice* a, const gpu::Slice* b) {
               return gpu::traits(a->profile()).compute_units >

@@ -2,6 +2,8 @@
 // (Section 3).
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/distributor.h"
 #include "core/slowdown.h"
 #include "gpu/engine.h"
@@ -37,7 +39,7 @@ struct GpuFixture {
   gpu::Gpu gpu;
   explicit GpuFixture(Geometry geometry = Geometry::g4_2_1())
       : gpu(sim, 0, std::move(geometry), SharingMode::kMps) {}
-  std::vector<Slice*> slices() { return gpu.slices(); }
+  std::span<Slice* const> slices() { return gpu.slices(); }
 };
 
 TEST(Eq1, ExecTimeMatchesPaperFormula) {

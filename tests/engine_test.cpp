@@ -536,5 +536,55 @@ TEST(Gpu, FailSliceDropsBootReservationsAndReconfigureCompletes) {
   }
 }
 
+TEST(Gpu, StateVersionBumpsOnEveryEstimateInput) {
+  // Memos over the live slices (consolidating dispatch) key on this stamp,
+  // so every method that moves the FBR/SM sums, memory in use,
+  // reservations, the slice set or the GPU's state must bump it itself.
+  sim::Simulator sim;
+  Gpu gpu(sim, 0, Geometry::g4_3(), SharingMode::kMps, 2.0);
+  std::uint64_t seen = gpu.state_version();
+  const auto bumped = [&] {
+    const bool moved = gpu.state_version() != seen;
+    seen = gpu.state_version();
+    return moved;
+  };
+  Slice* big = gpu.slices()[0];
+  Slice* small = gpu.slices()[1];
+  Done done;
+  big->submit(job(1, 1.0, 0.4, 0.5, 2.0), done.cb());
+  EXPECT_TRUE(bumped()) << "submit";
+  sim.run_until(1.5);
+  EXPECT_TRUE(bumped()) << "completion";
+  small->reserve_memory(3.0);
+  EXPECT_TRUE(bumped()) << "reserve_memory";
+  small->release_reservation(3.0);
+  EXPECT_TRUE(bumped()) << "release_reservation";
+  big->submit(job(2, 5.0, 0.4, 0.5, 2.0), done.cb());
+  EXPECT_TRUE(bumped());
+  EXPECT_EQ(gpu.abort_all_jobs(), 1u);
+  EXPECT_TRUE(bumped()) << "abort_all_jobs";
+  ASSERT_TRUE(gpu.fail_slice(small->id()));
+  EXPECT_TRUE(bumped()) << "fail_slice";
+  ASSERT_TRUE(gpu.request_reconfigure(Geometry::g4_3()));
+  EXPECT_TRUE(bumped()) << "drain, then down";
+  EXPECT_TRUE(gpu.slices().empty());
+  sim.run_to_completion();
+  EXPECT_TRUE(bumped()) << "reconfiguration rebuild";
+  EXPECT_EQ(gpu.slices().size(), 2u);
+  // Unrelated reads leave it alone.
+  (void)gpu.max_pressure();
+  (void)gpu.resident_gb();
+  EXPECT_FALSE(bumped());
+}
+
+TEST(Gpu, SoftRepartitionBumpsStateVersion) {
+  sim::Simulator sim;
+  Gpu gpu(sim, 0, Geometry::full(), SharingMode::kSoftSlice);
+  const std::uint64_t before = gpu.state_version();
+  ASSERT_TRUE(gpu.request_reconfigure(Geometry::g4_3()));
+  EXPECT_NE(gpu.state_version(), before);
+  EXPECT_EQ(gpu.slices().size(), 2u);
+}
+
 }  // namespace
 }  // namespace protean::gpu

@@ -1,21 +1,25 @@
 // Tests for the control-plane scale refactor (docs/scale.md): per-scheme
 // dispatch determinism, sharded gateways, incrementally-maintained
-// fleet counters, and the batch object pool.
+// fleet counters, the dispatch-index audit, and the batch object pool.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "autoscale/controller.h"
 #include "cluster/cluster.h"
 #include "cluster/gateway.h"
 #include "common/pool.h"
+#include "fault/injector.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "sched/registry.h"
+#include "telemetry/pipeline.h"
 #include "trace/driver.h"
 
 namespace protean {
@@ -240,6 +244,147 @@ TEST(FleetCounters, AggregatesMatchPerNodeRescan) {
   EXPECT_EQ(deployment.total_reconfigurations(), reconfigs);
   EXPECT_EQ(deployment.total_failed_reconfigurations(), failed);
 }
+
+// ---- dispatch-index audit -------------------------------------------------
+//
+// The ready bitset, the least-loaded order and the per-node consolidation
+// memo are maintained by listener calls and version stamps; a missed one
+// routes silently differently. These runs step the simulator one event at
+// a time and audit every index against live node state after each event,
+// in every build type.
+
+/// Whole-GPU MPS with no dispatch_policy() override (so the cluster routes
+/// at random), flipping each node between the full and a 4g+3g geometry on
+/// a staggered monitor schedule: real drains, downtimes and rebuilds.
+class FlippingScheduler final : public cluster::Scheduler {
+ public:
+  std::string name() const override { return "flipping"; }
+  gpu::Slice* place(const workload::Batch& batch,
+                    cluster::WorkerNode& node) override {
+    for (gpu::Slice* slice : node.gpu().slices()) {
+      if (!batch.model->fits(slice->profile())) continue;
+      if (slice->can_admit(workload::job_spec_for(batch, slice->profile()))) {
+        return slice;
+      }
+    }
+    return nullptr;
+  }
+  void on_monitor(cluster::WorkerNode& node, int& reconfig_budget) override {
+    if (reconfig_budget <= 0 || node.gpu().reconfiguring()) return;
+    if ((++ticks_ + node.id()) % 3 != 0) return;
+    const gpu::Geometry next = node.gpu().geometry() == gpu::Geometry::full()
+                                   ? gpu::Geometry::g4_3()
+                                   : gpu::Geometry::full();
+    if (node.begin_reconfigure(next)) --reconfig_budget;
+  }
+
+ private:
+  std::uint64_t ticks_ = 0;
+};
+
+struct AuditedDeployment {
+  sim::Simulator sim;
+  std::unique_ptr<cluster::Scheduler> scheduler;
+  std::optional<telemetry::TelemetryPipeline> pipeline;
+  std::unique_ptr<cluster::Cluster> cluster;
+  std::unique_ptr<trace::WorkloadDriver> driver;
+  std::optional<autoscale::AutoscaleController> controller;
+  std::uint64_t audited_events = 0;
+
+  AuditedDeployment(std::unique_ptr<cluster::Scheduler> policy,
+                    cluster::ClusterConfig config, double rps)
+      : scheduler(std::move(policy)) {
+    if (config.autoscale.enabled) {
+      telemetry::TelemetryOptions fileless;
+      fileless.interval = config.autoscale.tick;
+      pipeline.emplace(sim, fileless, telemetry::BurnRateConfig{});
+      config.telemetry = &pipeline->registry();
+    }
+    cluster = std::make_unique<cluster::Cluster>(sim, config, *scheduler);
+    trace::DriverConfig dc;
+    dc.trace.kind = trace::TraceKind::kConstant;
+    dc.trace.target_rps = rps;
+    dc.trace.horizon = 40.0;
+    dc.strict_model = &ModelCatalog::instance().by_name("ResNet 50");
+    dc.seed = 13;
+    driver = std::make_unique<trace::WorkloadDriver>(sim, dc,
+                                                     cluster->sink());
+    if (pipeline.has_value()) {
+      controller.emplace(sim, *cluster, *pipeline, config.autoscale,
+                         dc.strict_model);
+    }
+  }
+
+  /// Steps to `until`, auditing the dispatch index after every event.
+  void run_audited(SimTime until) {
+    cluster->start();
+    driver->start();
+    while (sim.now() < until && sim.step()) {
+      ++audited_events;
+      const std::string problem = cluster->audit_dispatch_index();
+      ASSERT_TRUE(problem.empty())
+          << "t=" << sim.now() << " event " << sim.executed() << ": "
+          << problem;
+    }
+  }
+};
+
+TEST(DispatchIndexAudit, RandomRoutingThroughReconfigurations) {
+  cluster::ClusterConfig config;
+  config.node_count = 6;
+  config.monitor_interval = 1.0;
+  config.max_reconfig_fraction = 0.5;
+  // Timed-out reconfigurations come back through the fault path's rebuild.
+  config.fault.enabled = true;
+  config.fault.reconfig_fail_prob = 0.3;
+  AuditedDeployment d(std::make_unique<FlippingScheduler>(), config, 1500.0);
+  d.run_audited(40.0);
+  EXPECT_GT(d.audited_events, 1000u);
+  EXPECT_GT(d.cluster->total_reconfigurations(), 5);
+  EXPECT_GT(d.cluster->total_failed_reconfigurations(), 0);
+  EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
+}
+
+/// Consolidating dispatch (INFless's own policy; Naive Slicing via the
+/// cluster default, so ECC faults have a multi-slice GPU to land on) under
+/// crashes with reboots, ECC losses with repair reconfigurations, the
+/// model cache, and autoscale drains.
+class ConsolidateAudit : public ::testing::TestWithParam<sched::Scheme> {};
+
+TEST_P(ConsolidateAudit, HoldsUnderFaultsMemcacheAndAutoscale) {
+  cluster::ClusterConfig config;
+  config.node_count = 6;
+  config.dispatch = cluster::DispatchPolicy::kConsolidate;
+  config.memcache.enabled = true;
+  config.fault.enabled = true;
+  config.fault.crash_rate = 300.0;  // per node-hour
+  config.fault.ecc_rate = 300.0;
+  config.fault.reboot_delay = 4.0;
+  config.fault.ecc_repair_delay = 4.0;
+  config.autoscale.enabled = true;
+  config.autoscale.tick = 2.0;
+  config.autoscale.settle_ticks = 1;
+  AuditedDeployment d(sched::make_scheduler(GetParam()), config, 1200.0);
+  d.run_audited(40.0);
+  EXPECT_GT(d.audited_events, 1000u);
+  const fault::FaultInjector& faults = *d.cluster->injector();
+  EXPECT_GT(faults.injected_crashes(), 0);
+  if (GetParam() == sched::Scheme::kNaiveSlicing) {
+    EXPECT_GT(faults.injected_ecc(), 0);
+  }
+  EXPECT_GT(d.cluster->total_lost_batches(), 0u);
+  EXPECT_GT(d.controller->stats().releases, 0);
+  EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ConsolidateAudit,
+    ::testing::Values(sched::Scheme::kInflessLlama,
+                      sched::Scheme::kNaiveSlicing),
+    [](const ::testing::TestParamInfo<sched::Scheme>& param) {
+      return param.param == sched::Scheme::kInflessLlama ? "infless"
+                                                         : "naive";
+    });
 
 // ---- batch object pool ----------------------------------------------------
 
