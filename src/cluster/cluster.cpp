@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -81,6 +82,7 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
     shards_[s].hi =
         (static_cast<std::uint64_t>(s + 1) * slots + shard_count - 1) /
         shard_count;
+    shards_[s].by_load.resize(shards_[s].hi - shards_[s].lo);
     shards_[s].accepting.resize(shards_[s].hi - shards_[s].lo);
     shards_[s].ready.resize(shards_[s].hi - shards_[s].lo);
   }
@@ -305,26 +307,47 @@ std::size_t Cluster::SlotSet::select(std::size_t k) const {
   return words.size() * 64;  // unreachable: count tracks the set bits
 }
 
+void Cluster::LoadTree::resize(std::size_t slots) {
+  leaves = std::bit_ceil(std::max<std::size_t>(slots, 1));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  nodes.assign(2 * leaves, Entry{kInf, 0});
+  for (std::size_t i = 0; i < leaves; ++i) {
+    nodes[leaves + i].slot = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t i = leaves - 1; i >= 1; --i) {
+    nodes[i] = lower(nodes[2 * i], nodes[2 * i + 1]);
+  }
+}
+
+void Cluster::LoadTree::set(std::size_t slot, double key) {
+  std::size_t i = leaves + slot;
+  if (nodes[i].key == key) return;
+  nodes[i].key = key;
+  for (i /= 2; i >= 1; i /= 2) {
+    const Entry& winner = lower(nodes[2 * i], nodes[2 * i + 1]);
+    if (nodes[i] == winner) break;  // every ancestor is unchanged too
+    nodes[i] = winner;
+  }
+}
+
 void Cluster::on_node_load_changed(NodeId id) {
   WorkerNode& node = *nodes_[id];
   ShardState& shard = shards_[shard_of(id)];
   IndexEntry& entry = index_[id];
   const std::size_t slot = id - shard.lo;
   const bool member = node.accepting();
-  shard.ready.assign(slot, member && !node.gpu().reconfiguring());
+  const bool ready = member && !node.gpu().reconfiguring();
   const double load = node.outstanding_work();
-  if (entry.member == member && (!member || entry.load == load)) return;
-  if (entry.member) {
-    shard.by_load.erase({entry.load, id});
-    shard.load_sum -= entry.load;
-  }
-  if (member) {
-    shard.by_load.insert({load, id});
-    shard.load_sum += load;
-  }
+  shard.ready.assign(slot, ready);
   shard.accepting.assign(slot, member);
-  entry.member = member;
-  entry.load = load;
+  if (entry.member != member || (member && entry.load != load)) {
+    if (entry.member) shard.load_sum -= entry.load;
+    if (member) shard.load_sum += load;
+    entry.member = member;
+    entry.load = load;
+  }
+  shard.by_load.set(slot,
+                    ready ? load : std::numeric_limits<double>::infinity());
 }
 
 std::string Cluster::audit_dispatch_index() const {
@@ -336,6 +359,7 @@ std::string Cluster::audit_dispatch_index() const {
 }
 
 std::string Cluster::audit_shard(std::size_t s) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const ShardState& shard = shards_[s];
   std::ostringstream problem;
   std::size_t accepting = 0;
@@ -359,10 +383,15 @@ std::string Cluster::audit_shard(std::size_t s) const {
     }
     const IndexEntry& entry = index_[id];
     if (entry.member != live_accepting ||
-        (live_accepting &&
-         (entry.load != node.outstanding_work() ||
-          shard.by_load.count({entry.load, id}) == 0))) {
-      problem << "node " << id << ": stale least-loaded entry";
+        (live_accepting && entry.load != node.outstanding_work())) {
+      problem << "node " << id << ": stale load entry";
+      return problem.str();
+    }
+    const double key = live_ready ? entry.load : kInf;
+    if (shard.by_load.nodes[shard.by_load.leaves + slot].key != key) {
+      problem << "node " << id << ": tree leaf "
+              << shard.by_load.nodes[shard.by_load.leaves + slot].key
+              << ", expected " << key;
       return problem.str();
     }
     const WorkerNode::DispatchEstimate& memo = node.dispatch_estimate();
@@ -375,9 +404,28 @@ std::string Cluster::audit_shard(std::size_t s) const {
       return problem.str();
     }
   }
-  if (shard.accepting.count != accepting || shard.ready.count != ready ||
-      shard.by_load.size() != accepting) {
+  if (shard.accepting.count != accepting || shard.ready.count != ready) {
     problem << "shard " << s << ": index counts drifted";
+    return problem.str();
+  }
+  const LoadTree& tree = shard.by_load;
+  for (std::size_t i = shard.hi - shard.lo; i < tree.leaves; ++i) {
+    if (tree.nodes[tree.leaves + i].key != kInf) {
+      problem << "shard " << s << ": padding leaf " << i << " is finite";
+      return problem.str();
+    }
+  }
+  for (std::size_t i = 1; i < tree.leaves; ++i) {
+    if (!(tree.nodes[i] ==
+          LoadTree::lower(tree.nodes[2 * i], tree.nodes[2 * i + 1]))) {
+      problem << "shard " << s << ": tree node " << i
+              << " does not hold its children's winner";
+      return problem.str();
+    }
+  }
+  if (least_loaded_pick(shard) != least_loaded_scan(shard.lo, shard.hi)) {
+    problem << "shard " << s
+            << ": indexed least-loaded pick differs from the scan";
   }
   return problem.str();
 }
@@ -426,7 +474,7 @@ WorkerNode* Cluster::pick_node_base(const workload::Batch& batch) {
   return chosen;
 }
 
-WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) {
+WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) const {
   WorkerNode* best = nullptr;
   for (NodeId id = lo; id < hi; ++id) {
     WorkerNode* node = nodes_[id].get();
@@ -438,6 +486,36 @@ WorkerNode* Cluster::least_loaded_scan(NodeId lo, NodeId hi) {
     }
   }
   return best;
+}
+
+WorkerNode* Cluster::least_loaded_pick(const ShardState& shard) const {
+  // The argmin of (outstanding work, id) over accepting nodes, skipping
+  // reconfiguring ones with more than four queued batches — what the
+  // reference least_loaded_scan computes in O(n). Ready nodes compete in
+  // the tree (O(log n) per update, O(1) to read); reconfiguring ones are
+  // few and their queues change without a listener call, so they are
+  // checked live from the accepting-but-not-ready words.
+  const LoadTree::Entry& root = shard.by_load.root();
+  bool found = root.key != std::numeric_limits<double>::infinity();
+  double best_load = root.key;
+  std::size_t best_slot = root.slot;
+  for (std::size_t w = 0; w < shard.accepting.words.size(); ++w) {
+    for (std::uint64_t bits = shard.accepting.words[w] & ~shard.ready.words[w];
+         bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const NodeId id = shard.lo + static_cast<NodeId>(slot);
+      if (nodes_[id]->queued() > 4) continue;
+      const double load = index_[id].load;
+      if (!found || load < best_load ||
+          (load == best_load && slot < best_slot)) {
+        found = true;
+        best_load = load;
+        best_slot = slot;
+      }
+    }
+  }
+  return found ? nodes_[shard.lo + best_slot].get() : nullptr;
 }
 
 WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
@@ -490,20 +568,9 @@ WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
     const std::size_t rank = dispatch_rng_.index(shard.ready.count);
     return nodes_[shard.lo + shard.ready.select(rank)].get();
   }
-  // Least-loaded: the first entry of the (work, id) order that passes the
-  // reconfiguring filter — the argmin, lowest id on ties, that the
-  // reference least_loaded_scan computes in O(n), found here in O(log n)
-  // maintenance + O(skips) per choose.
-  WorkerNode* best = nullptr;
-  for (const auto& [load, id] : shard.by_load) {
-    WorkerNode* node = nodes_[id].get();
-    PROTEAN_DCHECK(node->accepting() && node->outstanding_work() == load);
-    if (node->gpu().reconfiguring() && node->queued() > 4) continue;
-    best = node;
-    break;
+  if (WorkerNode* best = least_loaded_pick(shard); best != nullptr) {
+    return best;
   }
-  PROTEAN_DCHECK(best == least_loaded_scan(shard.lo, shard.hi));
-  if (best != nullptr) return best;
   // Fall back to any accepting node (all may be reconfiguring + loaded):
   // the lowest accepting id.
   if (shard.accepting.count == 0) return nullptr;

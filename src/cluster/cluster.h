@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,21 +163,46 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
     /// Offset of the k-th set bit, lowest first; k must be below count.
     std::size_t select(std::size_t k) const;
   };
-  /// Incrementally-maintained dispatch index for one shard: accepting
-  /// nodes ordered by (outstanding work, id) — the least-loaded argmin with
-  /// its lowest-id tie-break — the accepting set and its ready subset
-  /// (accepting and not reconfiguring) as id-ordered bitsets for random
-  /// routing, consolidation and fallbacks, and the running load sum the
-  /// p2c layer compares.
+  /// Tournament tree over one shard's slot range: leaf i holds slot i's
+  /// key and every inner node the lower (key, slot) of its two children,
+  /// the left one on ties, so the root is the argmin with the lowest-slot
+  /// tie-break. Padding leaves past the range hold +inf. An update rewrites
+  /// one leaf-to-root path and stops at the first unchanged winner; nothing
+  /// allocates after resize().
+  struct LoadTree {
+    struct Entry {
+      double key = 0.0;
+      std::uint32_t slot = 0;
+      bool operator==(const Entry&) const = default;
+    };
+    std::size_t leaves = 0;     // a power of two >= the slot count
+    std::vector<Entry> nodes;   // 1-based heap layout; leaves at [leaves, 2·leaves)
+
+    void resize(std::size_t slots);
+    void set(std::size_t slot, double key);
+    const Entry& root() const noexcept { return nodes[1]; }
+    /// The winner of two entries (`a` is the left one).
+    static const Entry& lower(const Entry& a, const Entry& b) noexcept {
+      return b.key < a.key ? b : a;
+    }
+  };
+  /// Incrementally-maintained dispatch index for one shard: the accepting
+  /// set and its ready subset (accepting and not reconfiguring) as
+  /// id-ordered bitsets for random routing, consolidation and fallbacks; a
+  /// tournament tree keyed by outstanding work on ready slots (+inf on the
+  /// rest) for least-loaded routing; and the running load sum the p2c layer
+  /// compares.
   struct ShardState {
     NodeId lo = 0;  // contiguous node-slot range [lo, hi)
     NodeId hi = 0;
-    std::set<std::pair<double, NodeId>> by_load;
+    LoadTree by_load;
     SlotSet accepting;
     SlotSet ready;
     double load_sum = 0.0;
   };
-  /// Per-node mirror of its index entry, so updates are erase/insert pairs.
+  /// Per-node mirror of what the index last saw, so updates touch only what
+  /// changed: the outstanding work summed into load_sum (while a member)
+  /// and the node's tree key.
   struct IndexEntry {
     double load = 0.0;
     bool member = false;
@@ -201,9 +225,13 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   void on_node_load_changed(NodeId id);
   /// audit_dispatch_index() for one shard.
   std::string audit_shard(std::size_t s) const;
-  /// Reference least-loaded scan over [lo, hi); Debug builds check every
-  /// indexed least-loaded choose against it.
-  WorkerNode* least_loaded_scan(NodeId lo, NodeId hi);
+  /// Indexed least-loaded choice in a shard: the tree's root among ready
+  /// nodes, against the reconfiguring accepting nodes with a short queue.
+  /// nullptr when no node qualifies.
+  WorkerNode* least_loaded_pick(const ShardState& shard) const;
+  /// Reference least-loaded scan over [lo, hi); audit_shard checks every
+  /// shard's indexed choice against it.
+  WorkerNode* least_loaded_scan(NodeId lo, NodeId hi) const;
   /// One-pass-per-event cache for the fleet busy/memory integrals, so a
   /// telemetry scrape reading several utilization gauges walks the nodes
   /// once instead of once per gauge.

@@ -524,10 +524,20 @@ void WorkerNode::begin_exec(workload::Batch batch, SliceId slice_id,
   const double fill = batch.work_fraction();
   batch.solo_min = batch.model->solo_time_7g * fill;
   batch.solo_on_slice = batch.model->solo_time_on(slice->profile()) * fill;
-  auto shared = std::make_shared<workload::Batch>(std::move(batch));
-  slice->submit(spec, [this, shared, slice_id](const gpu::JobCompletion& done) {
-    if (cache_) cache_->release(slice_id, shared->model);
-    on_complete(std::move(*shared), done);
+  std::uint32_t slot;
+  if (in_flight_free_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(batch));
+  } else {
+    slot = in_flight_free_.back();
+    in_flight_free_.pop_back();
+    in_flight_[slot] = std::move(batch);
+  }
+  slice->submit(spec, [this, slot, slice_id](const gpu::JobCompletion& done) {
+    workload::Batch finished = std::move(in_flight_[slot]);
+    in_flight_free_.push_back(slot);
+    if (cache_) cache_->release(slice_id, finished.model);
+    on_complete(std::move(finished), done);
   });
 }
 
@@ -759,6 +769,9 @@ std::vector<workload::Batch> WorkerNode::evict() {
     failed_reconfigs_retired_ += gpu_->failed_reconfigurations();
   }
   gpu_.reset();  // cancels all pending completions
+  // Whatever the abort above did not hand back died unrun with the GPU.
+  in_flight_.clear();
+  in_flight_free_.clear();
   // The cached slice pointers died with the GPU; a replacement GPU restarts
   // topology numbering at 0, so an explicit reset is required for safety.
   sorted_slices_.clear();

@@ -144,6 +144,12 @@ class WorkerNode {
   void enqueue(workload::Batch batch);
   std::size_t queued() const noexcept { return queue_.size(); }
   std::size_t running() const noexcept { return running_; }
+  /// Batches parked in the in-flight table (their jobs are on the GPU),
+  /// and the table's size, occupied or free.
+  std::size_t in_flight() const noexcept {
+    return in_flight_.size() - in_flight_free_.size();
+  }
+  std::size_t in_flight_slots() const noexcept { return in_flight_.size(); }
   /// Load metric for the dispatcher: solo-time-weighted outstanding work.
   double outstanding_work() const noexcept { return outstanding_work_; }
   /// Estimated contention pressure of this node's GPU: resident slice
@@ -322,6 +328,13 @@ class WorkerNode {
   mutable std::uint64_t estimate_gpu_version_ = 0;
   mutable std::uint64_t estimate_queue_version_ = ~std::uint64_t{0};
   std::function<void(workload::Batch&&)> redistribute_;
+  /// Batches executing on the GPU, parked by begin_exec until their job's
+  /// completion callback takes them out. The callback captures only the
+  /// slot, so it fits std::function's inline buffer and starting a batch
+  /// allocates nothing. Free slots are reused last-freed first; evict()
+  /// empties the table, since the GPU's reset drops the callbacks unrun.
+  std::vector<workload::Batch> in_flight_;
+  std::vector<std::uint32_t> in_flight_free_;
   std::map<const workload::ModelProfile*, ContainerPool> containers_;
   /// Batches whose container is still booting; evictions redistribute them
   /// instead of losing them with the VM.

@@ -23,15 +23,17 @@ std::vector<TaggedSlice> JobDistributor::compute_tags(
     std::span<gpu::Slice* const> slices, MemGb be_mem) {
   std::vector<gpu::Slice*> ascending(slices.begin(), slices.end());
   std::sort(ascending.begin(), ascending.end(), gpu::slice_order_ascending);
-  return compute_tags_ordered(ascending, be_mem);
+  std::vector<TaggedSlice> tagged;
+  compute_tags_into(ascending, be_mem, tagged);
+  return tagged;
 }
 
-std::vector<TaggedSlice> JobDistributor::compute_tags_ordered(
-    const std::vector<gpu::Slice*>& slices, MemGb be_mem) {
+void JobDistributor::compute_tags_into(const std::vector<gpu::Slice*>& slices,
+                                       MemGb be_mem,
+                                       std::vector<TaggedSlice>& tagged) {
   PROTEAN_DCHECK(std::is_sorted(slices.begin(), slices.end(),
                                 gpu::slice_order_ascending));
-  std::vector<TaggedSlice> tagged;
-  tagged.reserve(slices.size());
+  tagged.clear();
   for (gpu::Slice* s : slices) tagged.push_back(TaggedSlice{s, 0.0});
   // Algorithm 1 lines 2–8: fill tag values ascending until BE demand is
   // exhausted.
@@ -45,7 +47,6 @@ std::vector<TaggedSlice> JobDistributor::compute_tags_ordered(
     ts.tag_value = std::min(1.0, be_mem / avail);
     be_mem = std::max(0.0, be_mem - avail);
   }
-  return tagged;
 }
 
 gpu::Slice* JobDistributor::choose_strict_slice(

@@ -34,10 +34,13 @@ class JobDistributor {
       std::span<gpu::Slice* const> slices, MemGb be_mem);
 
   /// Same tagging pass over slices *already* in canonical ascending order
-  /// (gpu::slice_order_ascending). Hot-path variant consumed with the
-  /// node-side sorted-slice cache so placement skips the per-call sort.
-  static std::vector<TaggedSlice> compute_tags_ordered(
-      const std::vector<gpu::Slice*>& ascending, MemGb be_mem);
+  /// (gpu::slice_order_ascending), written into `tagged` (its old contents
+  /// are replaced). Hot-path variant consumed with the node-side
+  /// sorted-slice cache and a caller-owned buffer, so placement skips the
+  /// per-call sort and allocation.
+  static void compute_tags_into(const std::vector<gpu::Slice*>& ascending,
+                                MemGb be_mem,
+                                std::vector<TaggedSlice>& tagged);
 
   /// choose_strict_slice ⑦: among slices with tag_value < 1 that can admit
   /// the batch, pick the one with the least η. The tag contributes expected

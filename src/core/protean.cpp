@@ -32,8 +32,8 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
     cluster::trace_placement(node, batch, scheme, 0, nullptr, 0.0);
     return nullptr;
   }
-  const auto tagged =
-      JobDistributor::compute_tags_ordered(slices, node.be_mem_queued());
+  JobDistributor::compute_tags_into(slices, node.be_mem_queued(), tagged_);
+  const std::vector<TaggedSlice>& tagged = tagged_;
   if (batch.strict) {
     if (!options_.use_eta) {
       // Ablation: always take the largest admitting slice, ignoring the

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cluster/node.h"
 #include "cluster/scheduler.h"
@@ -77,6 +78,9 @@ class ProteanScheduler : public cluster::Scheduler {
  private:
   ProteanOptions options_;
   std::map<NodeId, Reconfigurator> per_node_;
+  /// place()'s tagged-slice list, reused across calls so a placement
+  /// allocates nothing.
+  std::vector<TaggedSlice> tagged_;
 };
 
 }  // namespace protean::core

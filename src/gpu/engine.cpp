@@ -254,7 +254,10 @@ void Slice::reschedule_completion() {
 
 void Slice::complete_front_runner() {
   // Complete every job whose work has drained (ties complete together).
+  // The list borrows the member buffer by swap, so a callback re-entering
+  // this slice finds an empty scratch of its own.
   std::vector<Running> done;
+  done.swap(done_scratch_);
   for (auto it = jobs_.begin(); it != jobs_.end();) {
     if (it->remaining_work <= kWorkEpsilon) {
       done.push_back(std::move(*it));
@@ -320,6 +323,8 @@ void Slice::complete_front_runner() {
     completion.swap_stall = job.swap_stall;
     if (job.on_done) job.on_done(completion);
   }
+  done.clear();
+  done_scratch_.swap(done);
   if (owner_ != nullptr) owner_->on_job_complete();
 }
 

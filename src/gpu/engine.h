@@ -306,6 +306,9 @@ class Slice {
   std::size_t gpu_jobs_ = 0;
 
   std::vector<Running> jobs_;
+  /// complete_front_runner()'s list of drained jobs, kept between calls so
+  /// a completion allocates nothing.
+  std::vector<Running> done_scratch_;
   MemGb mem_in_use_ = 0.0;
   MemGb be_mem_in_use_ = 0.0;
   MemGb reserved_gb_ = 0.0;

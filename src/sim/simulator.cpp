@@ -15,22 +15,47 @@ EventHandle Simulator::schedule_at(SimTime when, Callback cb) {
   PROTEAN_CHECK_MSG(when >= now_, "cannot schedule into the past");
   PROTEAN_CHECK_MSG(static_cast<bool>(cb), "null event callback");
   const std::uint64_t seq = next_seq_++;
-  queue_.push_back(Event{when, seq, std::move(cb)});
-  std::push_heap(queue_.begin(), queue_.end(), EventAfter{});
-  live_seqs_.insert(seq);
-  return EventHandle(seq);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+    slot_seq_.push_back(seq);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+    slot_seq_[slot] = seq;
+  }
+  queue_.push_back(Key{when, seq, slot});
+  std::push_heap(queue_.begin(), queue_.end(), KeyAfter{});
+  return EventHandle(seq, slot);
 }
 
 bool Simulator::cancel(EventHandle handle) {
   if (!handle.valid()) return false;
-  // We cannot remove from the middle of a binary heap; instead the event is
-  // delisted from live_seqs_, turning its queue entry into a tombstone that
-  // pop paths discard (and compaction sweeps in bulk). Cancelling an event
-  // that already executed (or was already cancelled) is a no-op, so nothing
-  // accumulates across repeated PeriodicTask stops.
-  const bool was_live = live_seqs_.erase(handle.id()) > 0;
-  if (was_live) maybe_compact();
-  return was_live;
+  // We cannot remove from the middle of a binary heap; instead the event's
+  // slot is freed, turning its key into a tombstone that pop paths discard
+  // (and compaction sweeps in bulk). The callback — and whatever it
+  // captured — is destroyed now, not when the tombstone surfaces.
+  // Cancelling an event that already executed (or was already cancelled)
+  // is a no-op even after its slot was reused, since the reused slot
+  // carries a newer seq; nothing accumulates across repeated PeriodicTask
+  // stops.
+  if (handle.slot_ >= slot_seq_.size() ||
+      slot_seq_[handle.slot_] != handle.seq_) {
+    return false;
+  }
+  take(handle.slot_);  // the returned callback is destroyed right here
+  maybe_compact();
+  return true;
+}
+
+Simulator::Callback Simulator::take(std::uint32_t slot) {
+  Callback cb = std::move(callbacks_[slot]);
+  callbacks_[slot] = nullptr;
+  slot_seq_[slot] = 0;
+  free_slots_.push_back(slot);
+  return cb;
 }
 
 void Simulator::maybe_compact() {
@@ -38,24 +63,20 @@ void Simulator::maybe_compact() {
   // live ones (i.e. more than half the heap is garbage). Amortized O(1) per
   // cancel — each compaction is O(n) but at least halves the heap.
   if (queue_.size() < kCompactionFloor) return;
-  const std::size_t live = live_seqs_.size();
-  if (queue_.size() <= 2 * live) return;
-  std::erase_if(queue_,
-                [&](const Event& e) { return live_seqs_.count(e.seq) == 0; });
-  std::make_heap(queue_.begin(), queue_.end(), EventAfter{});
+  if (queue_.size() <= 2 * pending()) return;
+  std::erase_if(queue_, [&](const Key& key) { return !live(key); });
+  std::make_heap(queue_.begin(), queue_.end(), KeyAfter{});
 }
 
-Simulator::Event Simulator::pop_top() {
-  std::pop_heap(queue_.begin(), queue_.end(), EventAfter{});
-  Event event = std::move(queue_.back());
+Simulator::Key Simulator::pop_top() {
+  std::pop_heap(queue_.begin(), queue_.end(), KeyAfter{});
+  const Key key = queue_.back();
   queue_.pop_back();
-  return event;
+  return key;
 }
 
 void Simulator::pop_cancelled() {
-  while (!queue_.empty() && live_seqs_.count(queue_.front().seq) == 0) {
-    pop_top();
-  }
+  while (!queue_.empty() && !live(queue_.front())) pop_top();
 }
 
 void Simulator::extract_batch() {
@@ -66,16 +87,34 @@ void Simulator::extract_batch() {
   }
 }
 
+std::size_t Simulator::run_batch() {
+  now_ = batch_.front().when;
+  std::size_t count = 0;
+  for (const Key& key : batch_) {
+    // A callback earlier in the batch may cancel a later member; re-check
+    // liveness immediately before running, exactly like the per-pop path.
+    if (!live(key)) continue;
+    const Callback cb = take(key.slot);
+    ++executed_;
+    ++count;
+    cb();
+  }
+  // Events the callbacks scheduled *at* this same timestamp carry larger
+  // seqs than anything already executed; the next extraction picks them up
+  // in order, preserving the FIFO contract.
+  return count;
+}
+
 bool Simulator::step() {
   pop_cancelled();
   if (queue_.empty()) return false;
-  // Move the event out before running so the callback may schedule freely.
-  Event event = pop_top();
-  PROTEAN_DCHECK(event.when >= now_);
-  now_ = event.when;
-  live_seqs_.erase(event.seq);
+  const Key key = pop_top();
+  PROTEAN_DCHECK(key.when >= now_);
+  now_ = key.when;
+  // Take the callback out before running so it may schedule freely.
+  const Callback cb = take(key.slot);
   ++executed_;
-  event.cb();
+  cb();
   return true;
 }
 
@@ -88,18 +127,7 @@ std::size_t Simulator::run_until(SimTime until) {
     // heap pops at equal `when` yield ascending seq, so execution order is
     // identical to popping one event at a time.
     extract_batch();
-    now_ = batch_.front().when;
-    for (Event& event : batch_) {
-      // A callback earlier in the batch may cancel a later member; re-check
-      // liveness immediately before running, exactly like the per-pop path.
-      if (live_seqs_.erase(event.seq) == 0) continue;
-      ++executed_;
-      ++count;
-      event.cb();
-    }
-    // Events the callbacks scheduled *at* this same timestamp carry larger
-    // seqs than anything already executed; the next loop iteration extracts
-    // them in order, preserving the FIFO contract.
+    count += run_batch();
   }
   batch_.clear();
   // Advance the clock to the horizon even if no event landed exactly there,
@@ -114,13 +142,7 @@ std::size_t Simulator::run_to_completion() {
     pop_cancelled();
     if (queue_.empty()) break;
     extract_batch();
-    now_ = batch_.front().when;
-    for (Event& event : batch_) {
-      if (live_seqs_.erase(event.seq) == 0) continue;
-      ++executed_;
-      ++count;
-      event.cb();
-    }
+    count += run_batch();
   }
   batch_.clear();
   return count;

@@ -5,18 +5,21 @@
 // callbacks on it. Events scheduled at the same timestamp fire in FIFO order
 // of scheduling, which makes runs deterministic.
 //
-// Scale hygiene (docs/scale.md): cancelled events leave tombstones in the
-// heap; a lazy compaction pass rebuilds the heap whenever tombstones
-// outnumber live entries, so heavy cancel churn (hedging, autoscale drain,
-// PeriodicTask stops) keeps memory bounded by the live event count. The run
-// loops extract all events sharing the earliest timestamp in one batch,
-// touching the heap once per pop instead of re-checking the top between
-// callbacks.
+// Scale hygiene (docs/scale.md): the heap holds 24-byte POD keys
+// {when, seq, slot}; callbacks live in a slot slab recycled through a free
+// list, so scheduling an event allocates nothing once the slab has grown to
+// the peak live count. An event is live iff its slot still carries its
+// seq. Cancelling one frees its slot and destroys its callback at once and
+// leaves the key behind as a tombstone; a lazy compaction pass rebuilds the
+// heap whenever tombstones outnumber live entries, so heavy cancel churn
+// (hedging, autoscale drain, PeriodicTask stops) keeps memory bounded by the
+// live event count. The run loops extract all keys sharing the earliest
+// timestamp in one batch, touching the heap once per pop instead of
+// re-checking the top between callbacks.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -24,18 +27,22 @@
 
 namespace protean::sim {
 
-/// Handle that allows a scheduled event to be cancelled.
+/// Handle that allows a scheduled event to be cancelled: the event's
+/// sequence number and its slab slot. A handle outliving its event (run or
+/// cancelled) stays harmless after the slot is reused, because the slot
+/// then carries a different sequence number.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  bool valid() const noexcept { return id_ != 0; }
-  std::uint64_t id() const noexcept { return id_; }
+  bool valid() const noexcept { return seq_ != 0; }
 
  private:
   friend class Simulator;
-  explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
+  EventHandle(std::uint64_t seq, std::uint32_t slot)
+      : seq_(seq), slot_(slot) {}
+  std::uint64_t seq_ = 0;
+  std::uint32_t slot_ = 0;
 };
 
 class Simulator {
@@ -72,7 +79,9 @@ class Simulator {
   bool step();
 
   /// Number of events currently pending (cancelled tombstones excluded).
-  std::size_t pending() const noexcept { return live_seqs_.size(); }
+  std::size_t pending() const noexcept {
+    return callbacks_.size() - free_slots_.size();
+  }
 
   /// Heap entries including tombstones awaiting compaction (test/debug
   /// observability for the bounded-memory guarantee).
@@ -82,36 +91,46 @@ class Simulator {
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Event {
+  /// Heap key. The callback lives in callbacks_[slot]; the key is a
+  /// tombstone once slot_seq_[slot] no longer equals seq.
+  struct Key {
     SimTime when;
-    std::uint64_t seq;  // FIFO tiebreak + cancellation key.
-    Callback cb;
+    std::uint64_t seq;  // FIFO tiebreak + liveness stamp
+    std::uint32_t slot;
   };
 
   // Min-heap order for std::push_heap/pop_heap (which build max-heaps):
   // "after" = later time, then later sequence number.
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  struct KeyAfter {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
+  bool live(const Key& key) const noexcept {
+    return slot_seq_[key.slot] == key.seq;
+  }
+  /// Frees a live event's slot: the callback is moved out (the slab may
+  /// grow while it runs) and the slot returns to the free list.
+  Callback take(std::uint32_t slot);
   void pop_cancelled();
   void maybe_compact();
-  Event pop_top();
-  /// Moves every event sharing the earliest timestamp into `batch_`
+  Key pop_top();
+  /// Moves every key sharing the earliest timestamp into `batch_`
   /// (ascending seq — heap pops at equal `when` preserve FIFO order).
   void extract_batch();
+  /// Runs the live members of batch_ in order; returns how many ran.
+  std::size_t run_batch();
 
-  std::vector<Event> queue_;  // binary heap under EventAfter
-  // Sequence numbers of live (scheduled, not cancelled, not yet executed)
-  // events. A queue entry whose seq is absent is a cancellation tombstone;
-  // tombstones are pruned when they reach the top of the heap and compacted
-  // wholesale once they outnumber live entries, so memory stays bounded by
-  // the number of live events even under sustained cancel churn.
-  std::unordered_set<std::uint64_t> live_seqs_;
-  std::vector<Event> batch_;  // scratch for same-timestamp coalescing
+  std::vector<Key> queue_;  // binary heap under KeyAfter
+  // The slot slab: callbacks_[i] is the callback of the live event whose
+  // seq is slot_seq_[i] (0 while the slot is free). Free slots are reused
+  // last-freed first.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint64_t> slot_seq_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Key> batch_;  // scratch for same-timestamp coalescing
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "metrics/collector.h"
 #include "sched/baselines.h"
 
@@ -162,6 +164,41 @@ TEST(WorkerNode, EvictDropsRunningWorkAndRestoreRecovers) {
   f.node->enqueue(make_batch(resnet(), true, f.sim.now()));
   f.sim.run_until(f.sim.now() + 30.0);
   EXPECT_EQ(f.node->batches_served(), 1u);
+}
+
+TEST(WorkerNode, EvictReleasesInFlightSlotsWithoutAFaultLayer) {
+  // Without a lost-batch handler, jobs on the GPU at eviction die with it
+  // and never run their completion callbacks; their in-flight table slots
+  // must be released by evict() itself, not leak one per eviction.
+  Fixture f;
+  const std::size_t kBatches = 3;
+  std::size_t peak_slots = 0;
+  for (int round = 0; round < 20; ++round) {
+    f.node->prewarm(resnet(), static_cast<int>(kBatches));
+    for (std::size_t i = 0; i < kBatches; ++i) {
+      f.node->enqueue(make_batch(resnet(), true, f.sim.now()));
+    }
+    ASSERT_EQ(f.node->running(), kBatches);
+    ASSERT_EQ(f.node->in_flight(), kBatches);
+    peak_slots = std::max(peak_slots, f.node->in_flight_slots());
+    f.node->evict();
+    EXPECT_EQ(f.node->in_flight(), 0u);
+    EXPECT_EQ(f.node->in_flight_slots(), 0u);
+    f.sim.run_until(f.sim.now() + 1.0);
+    f.node->restore();
+  }
+  EXPECT_EQ(peak_slots, kBatches);
+  EXPECT_EQ(f.node->dropped_jobs(), 20 * kBatches);
+  EXPECT_EQ(f.node->batches_served(), 0u);
+  // The node still serves normally afterwards, and the served batch's slot
+  // goes back to the free list.
+  f.node->prewarm(resnet(), 1);
+  f.node->enqueue(make_batch(resnet(), true, f.sim.now()));
+  EXPECT_EQ(f.node->in_flight(), 1u);
+  f.sim.run_until(f.sim.now() + 30.0);
+  EXPECT_EQ(f.node->batches_served(), 1u);
+  EXPECT_EQ(f.node->in_flight(), 0u);
+  EXPECT_EQ(f.node->in_flight_slots(), 1u);
 }
 
 TEST(WorkerNode, EvictionDuringColdBootIsSafe) {

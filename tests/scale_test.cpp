@@ -345,6 +345,36 @@ TEST(DispatchIndexAudit, RandomRoutingThroughReconfigurations) {
   EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
 }
 
+/// PROTEAN's least-loaded Dispatcher through its own reconfigurations, node
+/// crashes with reboots, ECC losses with repair reconfigurations, and
+/// autoscale drains. The audit after every event checks each tree leaf and
+/// inner winner and compares every shard's indexed least-loaded pick with
+/// the reference least_loaded_scan, in every build type.
+TEST(DispatchIndexAudit, LeastLoadedThroughReconfigurations) {
+  cluster::ClusterConfig config;
+  config.node_count = 6;
+  config.monitor_interval = 1.0;
+  config.max_reconfig_fraction = 0.5;
+  config.fault.enabled = true;
+  config.fault.crash_rate = 300.0;  // per node-hour
+  config.fault.ecc_rate = 300.0;
+  config.fault.reboot_delay = 4.0;
+  config.fault.ecc_repair_delay = 4.0;
+  config.autoscale.enabled = true;
+  config.autoscale.tick = 2.0;
+  config.autoscale.settle_ticks = 1;
+  AuditedDeployment d(sched::make_scheduler(sched::Scheme::kProtean), config,
+                      1500.0);
+  d.run_audited(40.0);
+  EXPECT_GT(d.audited_events, 1000u);
+  EXPECT_GT(d.cluster->total_reconfigurations(), 0);
+  const fault::FaultInjector& faults = *d.cluster->injector();
+  EXPECT_GT(faults.injected_crashes(), 0);
+  EXPECT_GT(faults.injected_ecc(), 0);
+  EXPECT_GT(d.controller->stats().releases, 0);
+  EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
+}
+
 /// Consolidating dispatch (INFless's own policy; Naive Slicing via the
 /// cluster default, so ECC faults have a multi-slice GPU to land on) under
 /// crashes with reboots, ECC losses with repair reconfigurations, the

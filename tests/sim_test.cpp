@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 namespace protean::sim {
@@ -198,6 +199,87 @@ TEST(Simulator, EventScheduledAtNowDuringBatchStillFiresInSeqOrder) {
   sim.run_to_completion();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+// ---- slot-slab handles ------------------------------------------------------
+//
+// Callbacks live in a slot slab whose slots are reused; a handle names its
+// event by (seq, slot), so one that outlived its event must never reach the
+// slot's next occupant.
+
+TEST(Simulator, StaleHandleCannotCancelEventReusingItsSlot) {
+  Simulator sim;
+  bool fired = false;
+  const EventHandle stale = sim.schedule_at(1.0, [] {});
+  ASSERT_TRUE(sim.cancel(stale));
+  // The freed slot is the only one, so the next event takes it over.
+  const EventHandle fresh = sim.schedule_at(2.0, [&] { fired = true; });
+  EXPECT_FALSE(sim.cancel(stale));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_to_completion();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(sim.cancel(fresh));
+}
+
+TEST(Simulator, CancellingAnExecutedEventAfterSlotReuseReturnsFalse) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle first;
+  first = sim.schedule_at(1.0, [&] {
+    ++fired;
+    EXPECT_FALSE(sim.cancel(first));  // already running: no longer pending
+  });
+  sim.run_until(1.0);
+  ASSERT_EQ(fired, 1);
+  sim.schedule_at(2.0, [&] { ++fired; });  // reuses the executed slot
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_to_completion();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, CancelReleasesCapturesImmediately) {
+  Simulator sim;
+  auto token = std::make_shared<int>(7);
+  const EventHandle handle = sim.schedule_at(5.0, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(sim.cancel(handle));
+  // The key is still in the heap as a tombstone, but the callback and its
+  // captures are gone.
+  EXPECT_EQ(sim.heap_size(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+  sim.run_to_completion();
+  EXPECT_EQ(sim.executed(), 0u);
+}
+
+TEST(Simulator, PendingAndHeapSizeKeepTheirMeaningUnderCancelChurn) {
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 10; ++i) {
+    handles.push_back(sim.schedule_at(static_cast<double>(i + 1), [] {}));
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 2) {
+    ASSERT_TRUE(sim.cancel(handles[i]));
+  }
+  // pending() counts live events; heap_size() also counts the tombstones,
+  // which stay until compaction (below its floor) or until they surface.
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_EQ(sim.heap_size(), 10u);
+  for (int i = 0; i < 5000; ++i) {
+    const EventHandle churn = sim.schedule_at(100.0, [] {});
+    EXPECT_EQ(sim.pending(), 6u);
+    ASSERT_TRUE(sim.cancel(churn));
+  }
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_GE(sim.heap_size(), sim.pending());
+  EXPECT_LE(sim.heap_size(), std::max<std::size_t>(64, 2 * sim.pending() + 1));
+  sim.run_until(4.0);  // runs the events at 2 and 4
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_to_completion();
+  EXPECT_EQ(sim.executed(), 5u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.heap_size(), 0u);
 }
 
 TEST(PeriodicTask, FiresAtFixedPeriod) {
