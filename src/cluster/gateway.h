@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +16,7 @@
 #include <utility>
 
 #include "cluster/config.h"
+#include "common/ring.h"
 #include "sim/simulator.h"
 #include "trace/driver.h"
 #include "workload/batch.h"
@@ -70,7 +70,7 @@ class Gateway : public trace::RequestSink {
     int count;
   };
   struct Accumulator {
-    std::deque<Grain> grains;
+    common::Ring<Grain> grains;
     int pending = 0;
   };
   using Key = std::pair<const workload::ModelProfile*, bool>;

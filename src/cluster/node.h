@@ -17,6 +17,7 @@
 
 #include "cluster/config.h"
 #include "cluster/scheduler.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "gpu/engine.h"
 #include "memcache/model_cache.h"
@@ -188,7 +189,9 @@ class WorkerNode {
   /// window since the last call: Σ(mem_i × solo_i) / window. Resets the
   /// window (one consumer: the reconfigurator's monitor tick).
   MemGb take_be_demand_estimate();
-  const std::deque<workload::Batch>& queue() const noexcept { return queue_; }
+  const common::Ring<workload::Batch>& queue() const noexcept {
+    return queue_;
+  }
 
   /// Attempts to start queued batches; invoked on enqueue, job completion,
   /// container boot, and reconfiguration completion.
@@ -319,7 +322,7 @@ class WorkerNode {
   int fleet_synced_failed_ = 0;
   std::function<void()> load_listener_;
 
-  std::deque<workload::Batch> queue_;
+  common::Ring<workload::Batch> queue_;
   /// Bumped on every queue_ mutation, and when restore() installs a GPU
   /// whose state_version() restarts; with that version it stamps the
   /// dispatch_estimate() memo.

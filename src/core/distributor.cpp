@@ -1,7 +1,6 @@
 #include "core/distributor.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "common/check.h"
@@ -126,7 +125,7 @@ gpu::Slice* JobDistributor::choose_best_effort_slice(
 }
 
 double JobDistributor::be_fbr_density(
-    const std::deque<workload::Batch>& queue) {
+    const common::Ring<workload::Batch>& queue) {
   double fbr = 0.0;
   MemGb mem = 0.0;
   for (const auto& b : queue) {

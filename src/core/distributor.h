@@ -6,10 +6,10 @@
 // not-fully-BE slice minimizing Eq. 2's slowdown factor η (Guideline 2).
 #pragma once
 
-#include <deque>
 #include <span>
 #include <vector>
 
+#include "common/ring.h"
 #include "gpu/engine.h"
 #include "workload/batch.h"
 
@@ -71,7 +71,7 @@ class JobDistributor {
 
   /// FBR per GB of the queued best-effort batches on a node, used to turn
   /// tag values into expected interference. Zero when nothing is queued.
-  static double be_fbr_density(const std::deque<workload::Batch>& queue);
+  static double be_fbr_density(const common::Ring<workload::Batch>& queue);
 };
 
 }  // namespace protean::core

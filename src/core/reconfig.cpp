@@ -10,11 +10,14 @@ namespace {
 using gpu::Geometry;
 using gpu::SliceProfile;
 
-MemGb set_memory(const std::vector<SliceProfile>& profiles) {
-  MemGb total = 0.0;
-  for (SliceProfile p : profiles) total += gpu::memory_gb(p);
-  return total;
-}
+/// One of Algorithm 2's small slice sets, and the geometry it yields with
+/// the 4g for strict requests appended (lines 22-23).
+struct SmallSliceSet {
+  MemGb memory;   ///< the set's total memory
+  MemGb largest;  ///< its largest slice's memory
+  bool has_2g;    ///< its deficiency is the BE model's 2g RDF (else 3g's)
+  const Geometry& with_4g;
+};
 }  // namespace
 
 Reconfigurator::Reconfigurator(const ReconfigConfig& config)
@@ -23,28 +26,25 @@ Reconfigurator::Reconfigurator(const ReconfigConfig& config)
   PROTEAN_CHECK_MSG(config_.t_low < config_.t_high, "thresholds inverted");
 }
 
-Geometry Reconfigurator::choose_geometry(MemGb pred_be_mem,
-                                         const QueueInfo& info,
-                                         const ReconfigConfig& config) {
+const Geometry& Reconfigurator::choose_geometry(
+    MemGb pred_be_mem, const QueueInfo& info, const ReconfigConfig& config) {
   // Algorithm 2 line 6: small slice sets considered in ascending memory.
-  static const std::vector<std::vector<SliceProfile>> kSmallSliceSets = {
-      {SliceProfile::k1g, SliceProfile::k2g},  // 15 GB
-      {SliceProfile::k3g},                     // 20 GB
+  static const SmallSliceSet kSmallSliceSets[] = {
+      {gpu::memory_gb(SliceProfile::k1g) + gpu::memory_gb(SliceProfile::k2g),
+       gpu::memory_gb(SliceProfile::k2g), true, Geometry::g4_2_1()},  // 15 GB
+      {gpu::memory_gb(SliceProfile::k3g), gpu::memory_gb(SliceProfile::k3g),
+       false, Geometry::g4_3()},  // 20 GB
   };
 
-  const std::vector<SliceProfile>* chosen = nullptr;
+  const SmallSliceSet* chosen = nullptr;
   double chosen_rdf = 1.0;
-  for (const auto& slice_set : kSmallSliceSets) {  // line 10
-    if (set_memory(slice_set) < pred_be_mem) continue;  // line 11 (c)
+  for (const SmallSliceSet& slice_set : kSmallSliceSets) {  // line 10
+    if (slice_set.memory < pred_be_mem) continue;  // line 11 (c)
     // One slice of the set must hold a single BE batch at all; a 14 GB
     // DPN 92 batch disqualifies (1g,2g) outright.
-    MemGb largest = 0.0;
-    for (SliceProfile p : slice_set) {
-      largest = std::max(largest, gpu::memory_gb(p));
-    }
-    if (largest + 1e-9 < info.be_batch_mem) continue;
+    if (slice_set.largest + 1e-9 < info.be_batch_mem) continue;
     chosen = &slice_set;
-    chosen_rdf = slice_set.size() > 1 ? info.be_rdf_2g : info.be_rdf_3g;
+    chosen_rdf = slice_set.has_2g ? info.be_rdf_2g : info.be_rdf_3g;
     break;
   }
   if (chosen == nullptr) {
@@ -56,16 +56,11 @@ Geometry Reconfigurator::choose_geometry(MemGb pred_be_mem,
   // on the small slices hold their memory RDF× longer (profiling input,
   // per the paper's threshold calculation).
   const double occupancy =
-      pred_be_mem * std::max(1.0, chosen_rdf) / set_memory(*chosen);
+      pred_be_mem * std::max(1.0, chosen_rdf) / chosen->memory;
   if (occupancy < config.t_low || occupancy > config.t_high) {  // line 19 (f)
     return Geometry::g4_3();
   }
-  // Lines 22–23: append the 4g for strict requests.
-  std::vector<SliceProfile> final_slices = *chosen;
-  final_slices.push_back(SliceProfile::k4g);
-  Geometry g(std::move(final_slices));
-  PROTEAN_CHECK_MSG(g.valid(), "chosen geometry invalid");
-  return g;
+  return chosen->with_4g;  // lines 22-23: the set plus the 4g
 }
 
 Reconfigurator::Decision Reconfigurator::evaluate(const QueueInfo& info,
@@ -75,8 +70,7 @@ Reconfigurator::Decision Reconfigurator::evaluate(const QueueInfo& info,
   const MemGb pred =
       config_.oracle ? info.be_mem_demand : ewma_.value();  // line 9 (b)
 
-  Decision decision;
-  decision.target = choose_geometry(pred, info, config_);
+  Decision decision{choose_geometry(pred, info, config_)};
 
   if (decision.target == current) {  // line 29-30
     wait_ctr_ = 0;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "common/types.h"
 #include "gpu/mig.h"
@@ -55,8 +54,8 @@ class Reconfigurator {
   explicit Reconfigurator(const ReconfigConfig& config = {});
 
   struct Decision {
-    gpu::Geometry target;
-    bool reconfigure = false;  ///< true when the wait limit has elapsed
+    const gpu::Geometry& target;  ///< a geometry built once; see below
+    bool reconfigure = false;     ///< true when the wait limit has elapsed
   };
 
   /// Runs Algorithm 2 for one monitor interval.
@@ -68,10 +67,12 @@ class Reconfigurator {
 
   /// The geometry Algorithm 2 would pick for a given predicted BE memory
   /// footprint and queue info (pure function; exposed for tests and the
-  /// Oracle sweep).
-  static gpu::Geometry choose_geometry(MemGb pred_be_mem,
-                                       const QueueInfo& info,
-                                       const ReconfigConfig& config);
+  /// Oracle sweep). The answer is Geometry::g4_3() or Geometry::g4_2_1()
+  /// (the 3g set plus the 4g is (4g,3g) itself), both built once, so an
+  /// evaluation allocates nothing.
+  static const gpu::Geometry& choose_geometry(MemGb pred_be_mem,
+                                              const QueueInfo& info,
+                                              const ReconfigConfig& config);
 
  private:
   ReconfigConfig config_;

@@ -151,15 +151,22 @@ const std::vector<Geometry>& Geometry::all_valid() {
   return geometries;
 }
 
-Geometry Geometry::full() { return Geometry{SliceProfile::k7g}; }
-Geometry Geometry::g4_3() {
-  return Geometry{SliceProfile::k4g, SliceProfile::k3g};
+const Geometry& Geometry::full() {
+  static const Geometry g{SliceProfile::k7g};
+  return g;
 }
-Geometry Geometry::g4_2_1() {
-  return Geometry{SliceProfile::k4g, SliceProfile::k2g, SliceProfile::k1g};
+const Geometry& Geometry::g4_3() {
+  static const Geometry g{SliceProfile::k4g, SliceProfile::k3g};
+  return g;
 }
-Geometry Geometry::g3_3() {
-  return Geometry{SliceProfile::k3g, SliceProfile::k3g};
+const Geometry& Geometry::g4_2_1() {
+  static const Geometry g{SliceProfile::k4g, SliceProfile::k2g,
+                          SliceProfile::k1g};
+  return g;
+}
+const Geometry& Geometry::g3_3() {
+  static const Geometry g{SliceProfile::k3g, SliceProfile::k3g};
+  return g;
 }
 
 }  // namespace protean::gpu

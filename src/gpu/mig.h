@@ -85,11 +85,11 @@ class Geometry {
   /// Oracle sweeps and property tests.
   static const std::vector<Geometry>& all_valid();
 
-  /// Named geometries used throughout the paper.
-  static Geometry full();            // (7g)
-  static Geometry g4_3();            // (4g,3g)
-  static Geometry g4_2_1();          // (4g,2g,1g)
-  static Geometry g3_3();            // (3g,3g)
+  /// Named geometries used throughout the paper, built once.
+  static const Geometry& full();    // (7g)
+  static const Geometry& g4_3();    // (4g,3g)
+  static const Geometry& g4_2_1();  // (4g,2g,1g)
+  static const Geometry& g3_3();    // (3g,3g)
 
  private:
   void canonicalize();

@@ -1,6 +1,10 @@
 #include "metrics/collector.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -45,6 +49,57 @@ std::uint64_t slo_good(double lat_first, double lat_last, int count,
 
 }  // namespace
 
+void BatchRecords::push_back(const BatchBreakdown& record) {
+  const std::size_t offset = size_ % kChunk;
+  if (offset == 0) chunks_.push_back(std::make_unique<Chunk>());
+  std::construct_at(&chunks_.back()->records[offset], record);
+  ++size_;
+}
+
+std::uint16_t Collector::intern_stream(const workload::ModelProfile* model,
+                                       double slo) {
+  const auto same = [model, slo](const Stream& s) {
+    return s.model == model &&
+           std::bit_cast<std::uint64_t>(s.slo) ==
+               std::bit_cast<std::uint64_t>(slo);
+  };
+  if (!streams_.empty() && same(streams_[last_stream_])) return last_stream_;
+  const std::size_t index = static_cast<std::size_t>(std::distance(
+      streams_.begin(), std::find_if(streams_.begin(), streams_.end(), same)));
+  if (index == streams_.size()) {
+    PROTEAN_CHECK_MSG(index <= std::numeric_limits<std::uint16_t>::max(),
+                      "more {model, slo} streams than a batch record can "
+                      "index");
+    streams_.push_back({model, slo});
+  }
+  last_stream_ = static_cast<std::uint16_t>(index);
+  return last_stream_;
+}
+
+void Collector::add_record(SimTime completed_at, double lat_first,
+                           double lat_last, const Breakdown& breakdown,
+                           int count, bool strict,
+                           const workload::ModelProfile* model, double slo) {
+  BatchBreakdown bb;
+  bb.completed_at = completed_at;
+  bb.worst_latency = lat_first;
+  bb.best_latency = lat_last;
+  bb.breakdown = breakdown;
+  bb.count = count;
+  bb.strict = strict;
+  bb.stream = intern_stream(model, slo);
+  batches_.push_back(bb);
+}
+
+std::vector<bool> Collector::streams_of(
+    const workload::ModelProfile* model) const {
+  std::vector<bool> out(streams_.size());
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    out[i] = model == nullptr || streams_[i].model == model;
+  }
+  return out;
+}
+
 void Collector::use_sketch_store(double alpha) {
   PROTEAN_CHECK_MSG(batches_.empty(),
                     "use_sketch_store must precede the first record()");
@@ -83,16 +138,8 @@ void Collector::record(const workload::Batch& batch) {
   if (d.has_negative_lane()) ++negative_component_clamps_;
   if (attr_batch_hook_) attr_batch_hook_(batch, d, lat_first, lat_last);
 
-  BatchBreakdown bb;
-  bb.completed_at = batch.completed_at;
-  bb.worst_latency = lat_first;
-  bb.best_latency = lat_last;
-  bb.breakdown = fold(d);
-  bb.slo = batch.slo;
-  bb.count = batch.count;
-  bb.strict = batch.strict;
-  bb.model = batch.model;
-  batches_.push_back(bb);
+  add_record(batch.completed_at, lat_first, lat_last, fold(d), batch.count,
+             batch.strict, batch.model, batch.slo);
 }
 
 void Collector::record_requests(bool strict, int count, double lat_first,
@@ -139,16 +186,8 @@ bool Collector::record_flow(const FlowRecord& flow) {
               flow.slo);
   }
 
-  BatchBreakdown bb;
-  bb.completed_at = flow.completed_at;
-  bb.worst_latency = lat_first;
-  bb.best_latency = lat_last;
-  bb.breakdown = fold(flow.chain);
-  bb.slo = flow.slo;
-  bb.count = flow.count;
-  bb.strict = flow.strict;
-  bb.model = flow.model;
-  batches_.push_back(bb);
+  add_record(flow.completed_at, lat_first, lat_last, fold(flow.chain),
+             flow.count, flow.strict, flow.model, flow.slo);
   return true;
 }
 
@@ -167,8 +206,9 @@ double Collector::slo_compliance_pct() const noexcept {
 
 LatencyRamps Collector::ramps(bool strict,
                               const workload::ModelProfile* model) const {
-  const auto in_scope = [strict, model](const BatchBreakdown& b) {
-    return b.strict == strict && (model == nullptr || b.model == model);
+  const std::vector<bool> of_model = streams_of(model);
+  const auto in_scope = [strict, &of_model](const BatchBreakdown& b) {
+    return b.strict == strict && of_model[b.stream];
   };
   LatencyRamps out;
   out.reserve(model != nullptr
@@ -224,8 +264,9 @@ LatencyRamps Collector::be_latencies() const {
 
 Breakdown Collector::tail_of(const workload::ModelProfile* model,
                              double p) const {
-  const auto in_scope = [model](const BatchBreakdown& b) {
-    return b.strict && (model == nullptr || b.model == model);
+  const std::vector<bool> of_model = streams_of(model);
+  const auto in_scope = [&of_model](const BatchBreakdown& b) {
+    return b.strict && of_model[b.stream];
   };
   std::vector<float> worst;
   for (const auto& b : batches_) {
@@ -250,9 +291,11 @@ double Collector::slo_compliance_pct_for(
     const workload::ModelProfile* model) const {
   std::uint64_t total = 0, compliant = 0;
   for (const auto& b : batches_) {
-    if (b.model != model || !b.strict) continue;
+    const Stream& stream = streams_[b.stream];
+    if (stream.model != model || !b.strict) continue;
     total += static_cast<std::uint64_t>(b.count);
-    compliant += slo_good(b.worst_latency, b.best_latency, b.count, b.slo);
+    compliant +=
+        slo_good(b.worst_latency, b.best_latency, b.count, stream.slo);
   }
   if (total == 0) return 100.0;
   return 100.0 * static_cast<double>(compliant) / static_cast<double>(total);

@@ -12,11 +12,15 @@
 // batch's worst latency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -63,16 +67,94 @@ struct Breakdown {
 Breakdown fold(const workload::Decomposition& d) noexcept;
 
 /// Per-batch latency attribution record. The breakdown's lanes sum to the
-/// latency of the batch's earliest (= worst-off) request.
+/// latency of the batch's earliest (= worst-off) request. The batch's model
+/// and SLO live in the collector's stream table; `stream` indexes it.
 struct BatchBreakdown {
   SimTime completed_at = 0.0;
   double worst_latency = 0.0;
   double best_latency = 0.0;  // latency of the batch's latest request
   Breakdown breakdown;
-  double slo = 0.0;           // relative deadline (strict only)
   int count = 0;
   bool strict = false;
-  const workload::ModelProfile* model = nullptr;
+  std::uint16_t stream = 0;  // index into the collector's {model, slo} table
+};
+static_assert(sizeof(BatchBreakdown) == 80,
+              "a batch record is 80 bytes; the largest runs keep ~1M of them");
+
+/// Append-only store of batch records in fixed chunks of kChunk records. A
+/// chunk is allocated once and never moved or copied, so growth has no
+/// transient second copy and a record's address is stable. Read-only to
+/// everyone but the collector.
+class BatchRecords {
+ public:
+  static constexpr std::size_t kChunk = 4096;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = BatchBreakdown;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const BatchBreakdown*;
+    using reference = const BatchBreakdown&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*records_)[index_]; }
+    pointer operator->() const { return &(*records_)[index_]; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++index_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const noexcept {
+      return index_ == o.index_;
+    }
+
+   private:
+    friend class BatchRecords;
+    const_iterator(const BatchRecords* records, std::size_t index)
+        : records_(records), index_(index) {}
+    const BatchRecords* records_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  BatchRecords() = default;
+  BatchRecords(BatchRecords&& other) noexcept
+      : chunks_(std::move(other.chunks_)),
+        size_(std::exchange(other.size_, 0)) {}
+  BatchRecords& operator=(BatchRecords&& other) noexcept {
+    chunks_ = std::move(other.chunks_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  const BatchBreakdown& operator[](std::size_t i) const {
+    return chunks_[i / kChunk]->records[i % kChunk];
+  }
+  const_iterator begin() const noexcept { return {this, 0}; }
+  const_iterator end() const noexcept { return {this, size_}; }
+
+ private:
+  friend class Collector;
+
+  /// Uninitialized storage: a record's pages are touched when it is
+  /// written, not when its chunk is allocated.
+  struct Chunk {
+    Chunk() {}
+    union {
+      BatchBreakdown records[kChunk];
+    };
+  };
+
+  void push_back(const BatchBreakdown& record);
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// Terminal record of one workflow flow (src/workflow): the per-request
@@ -279,9 +361,7 @@ class Collector {
   /// bars use p=99).
   Breakdown tail_breakdown(double p) const { return tail_of(nullptr, p); }
 
-  const std::vector<BatchBreakdown>& batch_records() const noexcept {
-    return batches_;
-  }
+  const BatchRecords& batch_records() const noexcept { return batches_; }
 
   // ---- per-model queries (multi-workload experiments, e.g. Fig. 2) -------
 
@@ -303,6 +383,19 @@ class Collector {
   /// latency ramp into the running sum (or sketch) and the SLO counters.
   void record_requests(bool strict, int count, double lat_first,
                        double lat_last, double slo);
+
+  /// The batch's {model, slo} stream, interned into streams_.
+  std::uint16_t intern_stream(const workload::ModelProfile* model,
+                              double slo);
+
+  /// One flag per stream: does it belong to `model` (every stream when
+  /// null)?
+  std::vector<bool> streams_of(const workload::ModelProfile* model) const;
+
+  /// Appends one record of a recorded batch or flow.
+  void add_record(SimTime completed_at, double lat_first, double lat_last,
+                  const Breakdown& breakdown, int count, bool strict,
+                  const workload::ModelProfile* model, double slo);
 
   /// The ramps of the strict (or BE) batch records of `model` (every model
   /// when null).
@@ -330,7 +423,15 @@ class Collector {
   BatchObserver observer_;
   AttrBatchHook attr_batch_hook_;
   AttrDropHook attr_drop_hook_;
-  std::vector<BatchBreakdown> batches_;
+  BatchRecords batches_;
+  /// The distinct {model, slo} pairs of the batch records; the SLO is
+  /// compared by bit pattern so a NaN interns once.
+  struct Stream {
+    const workload::ModelProfile* model = nullptr;
+    double slo = 0.0;
+  };
+  std::vector<Stream> streams_;
+  std::uint16_t last_stream_ = 0;  // the previous record's stream
   std::uint64_t strict_total_ = 0;
   std::uint64_t strict_compliant_ = 0;
   std::uint64_t be_total_ = 0;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -11,6 +12,20 @@
 
 namespace protean::telemetry {
 namespace {
+
+/// Writes `lines`, each followed by '\n', to `path`; false on any I/O
+/// error. Streams them through stdio's buffer instead of joining a body.
+bool write_lines(const std::string& path, std::span<const std::string> lines) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  bool ok = true;
+  for (const std::string& line : lines) {
+    ok = ok && std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
+         std::fputc('\n', f) != EOF;
+  }
+  ok = std::fclose(f) == 0 && ok;
+  return ok;
+}
 
 bool write_text_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -263,12 +278,7 @@ std::string TelemetryPipeline::render_exposition() const {
 bool TelemetryPipeline::write_files() const {
   PROTEAN_CHECK_MSG(finished_, "write_files() before finish()");
   if (!options_.enabled()) return true;  // file-less mode: nothing to write
-  std::string body;
-  for (const auto& line : lines_) {
-    body += line;
-    body += '\n';
-  }
-  return write_text_file(options_.path, body) &&
+  return write_lines(options_.path, lines_) &&
          write_text_file(options_.path + ".om", render_exposition());
 }
 

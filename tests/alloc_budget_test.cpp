@@ -4,10 +4,12 @@
 // placement run once per batch; none of them allocates once its buffers
 // have grown to the working set. This binary replaces the global operator
 // new with a counting one (hence a test executable of its own) and runs a
-// 64-node BERT PROTEAN cell past warm-up, then asserts fewer than one heap
-// allocation per completed batch over a steady-state window. What remains
-// is amortized: geometric growth of the collector's batch records and the
-// occasional reconfiguration.
+// 64-node BERT PROTEAN cell past warm-up, then asserts fewer than a quarter
+// of a heap allocation per completed batch over a steady-state window. The
+// node queues and gateway grains are rings that keep their capacity, and the
+// reconfigurator hands out prebuilt geometries. What remains is amortized:
+// reconfigurations (a new slice grows its job buffers from empty) and one
+// chunk of the collector's batch records per 4096 batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -47,7 +49,7 @@ std::uint64_t batches_served(cluster::Cluster& deployment) {
   return served;
 }
 
-TEST(AllocationBudget, SteadyStateBertCellStaysUnderOnePerBatch) {
+TEST(AllocationBudget, SteadyStateBertCellStaysUnderAQuarterPerBatch) {
   // llm-fleet's per-node load (12 rps of BERT, batch size 4) on 64 nodes.
   constexpr SimTime kWarm = 20.0;
   constexpr SimTime kEnd = 60.0;
@@ -90,7 +92,7 @@ TEST(AllocationBudget, SteadyStateBertCellStaysUnderOnePerBatch) {
   std::printf("%.3f allocations per batch (%llu over %llu)\n", per_batch,
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(batches));
-  EXPECT_LT(per_batch, 1.0) << allocs << " allocations over " << batches
+  EXPECT_LT(per_batch, 0.25) << allocs << " allocations over " << batches
                             << " completed batches";
 }
 

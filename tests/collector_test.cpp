@@ -476,5 +476,223 @@ TEST(Fig6Fold, MatchesClampedFormulasOnSimulatedBatches) {
   }
 }
 
+// ---- the chunked record store and its stream table --------------------------
+
+// Random batches on three {model, slo} streams, more than three chunks of
+// them: ResNet 50 strict at two SLOs and BERT best-effort, interleaved at
+// random so the stream table's last-hit check misses often.
+std::vector<workload::Batch> three_stream_batches(std::size_t n,
+                                                  std::uint64_t seed) {
+  const auto& catalog = workload::ModelCatalog::instance();
+  const workload::ModelProfile* resnet = &catalog.by_name("ResNet 50");
+  const workload::ModelProfile* bert = &catalog.by_name("BERT");
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> stream(0, 2);
+  std::uniform_int_distribution<int> size(1, 16);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<workload::Batch> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    workload::Batch b;
+    b.id = static_cast<BatchId>(i + 1);
+    switch (stream(rng)) {
+      case 0:
+        b.model = resnet;
+        b.strict = true;
+        b.slo = 0.6;
+        break;
+      case 1:
+        b.model = resnet;
+        b.strict = true;
+        b.slo = 0.9;
+        break;
+      default:
+        b.model = bert;
+        b.strict = false;
+        b.slo = kNeverTime;
+    }
+    b.count = size(rng);
+    b.first_arrival = 0.001 * static_cast<double>(i);
+    b.last_arrival = b.first_arrival + 0.05 * u(rng);
+    b.formed_at = b.last_arrival;
+    b.enqueued_at = b.formed_at;
+    b.solo_min = 0.05;
+    b.solo_on_slice = 0.05 + 0.1 * u(rng);
+    b.exec_time = b.solo_on_slice + 0.3 * u(rng);
+    b.exec_start = b.formed_at + 0.8 * u(rng);
+    b.completed_at = b.exec_start + b.exec_time;
+    out.push_back(b);
+  }
+  return out;
+}
+
+// One batch record as a plain struct that still carries its model and SLO.
+struct PlainRecord {
+  double worst = 0.0;
+  double best = 0.0;
+  int count = 0;
+  bool strict = false;
+  const workload::ModelProfile* model = nullptr;
+  double slo = 0.0;
+  Breakdown breakdown;
+};
+
+std::vector<PlainRecord> plain_records(
+    const std::vector<workload::Batch>& batches) {
+  std::vector<PlainRecord> out;
+  for (const auto& b : batches) {
+    out.push_back({b.completed_at - b.first_arrival,
+                   b.completed_at - b.last_arrival, b.count, b.strict,
+                   b.model, b.slo, fold(workload::decompose(b))});
+  }
+  return out;
+}
+
+bool in_model(const PlainRecord& r, const workload::ModelProfile* model) {
+  return model == nullptr || r.model == model;
+}
+
+// The tail breakdown over the strict records of `model` (every model when
+// null), from the plain vector.
+Breakdown plain_tail(const std::vector<PlainRecord>& records,
+                     const workload::ModelProfile* model, double p) {
+  std::vector<float> worst;
+  for (const auto& r : records) {
+    if (r.strict && in_model(r, model)) {
+      worst.push_back(static_cast<float>(r.worst));
+    }
+  }
+  if (worst.empty()) return {};
+  const double cutoff = percentile(std::move(worst), p);
+  Breakdown sum;
+  std::size_t n = 0;
+  for (const auto& r : records) {
+    if (r.strict && in_model(r, model) && r.worst >= cutoff - 1e-12) {
+      sum += r.breakdown;
+      ++n;
+    }
+  }
+  if (n == 0) return {};
+  return sum /= static_cast<double>(n);
+}
+
+void expect_same_breakdown(const Breakdown& a, const Breakdown& b) {
+  EXPECT_EQ(a.queue, b.queue);
+  EXPECT_EQ(a.cold, b.cold);
+  EXPECT_EQ(a.min_time, b.min_time);
+  EXPECT_EQ(a.deficiency, b.deficiency);
+  EXPECT_EQ(a.interference, b.interference);
+  EXPECT_EQ(a.swap, b.swap);
+}
+
+TEST(CollectorRecords, ChunkedStoreMatchesAPlainVectorAcrossStreams) {
+  const auto& catalog = workload::ModelCatalog::instance();
+  const workload::ModelProfile* resnet = &catalog.by_name("ResNet 50");
+  const workload::ModelProfile* bert = &catalog.by_name("BERT");
+  const auto batches =
+      three_stream_batches(3 * BatchRecords::kChunk + 1234, 31);
+  const Collector collector = filled(batches);
+  const std::vector<PlainRecord> records = plain_records(batches);
+  ASSERT_EQ(collector.batch_records().size(), records.size());
+
+  // The view: range-for and operator[] agree with the recording order.
+  std::size_t i = 0;
+  for (const BatchBreakdown& b : collector.batch_records()) {
+    ASSERT_LT(i, records.size());
+    EXPECT_EQ(&b, &collector.batch_records()[i]);
+    EXPECT_EQ(b.worst_latency, records[i].worst);
+    EXPECT_EQ(b.best_latency, records[i].best);
+    EXPECT_EQ(b.count, records[i].count);
+    EXPECT_EQ(b.strict, records[i].strict);
+    ++i;
+  }
+  EXPECT_EQ(i, records.size());
+
+  // Percentiles, per class, against the expanded float store.
+  Reference ref(batches);
+  std::vector<double> strict(std::size(kOraclePs)), be(std::size(kOraclePs));
+  collector.percentiles(true, kOraclePs, strict);
+  collector.percentiles(false, kOraclePs, be);
+  for (std::size_t k = 0; k < std::size(kOraclePs); ++k) {
+    EXPECT_EQ(strict[k], ref.strict.percentile(kOraclePs[k])) << kOraclePs[k];
+    EXPECT_EQ(be[k], ref.be.percentile(kOraclePs[k])) << kOraclePs[k];
+  }
+
+  for (const double p : {50.0, 90.0, 99.0}) {
+    expect_same_breakdown(collector.tail_breakdown(p),
+                          plain_tail(records, nullptr, p));
+    expect_same_breakdown(collector.tail_breakdown_for(resnet, p),
+                          plain_tail(records, resnet, p));
+    expect_same_breakdown(collector.tail_breakdown_for(bert, p), Breakdown{});
+  }
+
+  for (const auto* model : {resnet, bert}) {
+    for (const bool strict_class : {true, false}) {
+      const LatencyRamps ramps = collector.latencies_for(model, strict_class);
+      std::vector<LatencyRamp> want;
+      for (const auto& r : records) {
+        if (r.model == model && r.strict == strict_class) {
+          want.push_back({r.worst, r.best, r.count});
+        }
+      }
+      ASSERT_EQ(ramps.ramps().size(), want.size()) << model->name;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(ramps.ramps()[k].first, want[k].first);
+        EXPECT_EQ(ramps.ramps()[k].last, want[k].last);
+        EXPECT_EQ(ramps.ramps()[k].count, want[k].count);
+      }
+    }
+  }
+
+  // Per-model compliance reads each record's own SLO from the table: the
+  // two ResNet 50 streams count against 0.6 s and 0.9 s respectively.
+  std::uint64_t total = 0, good = 0;
+  for (const auto& r : records) {
+    if (r.model != resnet || !r.strict) continue;
+    for (int k = 0; k < r.count; ++k) {
+      ++total;
+      if (workload::meets_slo(
+              workload::request_latency(r.worst, r.best, k, r.count), r.slo)) {
+        ++good;
+      }
+    }
+  }
+  ASSERT_GT(good, 0u);
+  ASSERT_LT(good, total);
+  EXPECT_EQ(collector.slo_compliance_pct_for(resnet),
+            100.0 * static_cast<double>(good) / static_cast<double>(total));
+  EXPECT_EQ(collector.slo_compliance_pct_for(bert), 100.0);
+  EXPECT_EQ(collector.slo_compliance_pct_for(resnet),
+            collector.slo_compliance_pct());
+}
+
+TEST(CollectorRecords, RecordsStayInPlaceAsChunksAreAppended) {
+  const auto batches = three_stream_batches(2 * BatchRecords::kChunk + 7, 32);
+  Collector collector;
+  collector.record(batches[0]);
+  const BatchBreakdown* first = &collector.batch_records()[0];
+  const BatchBreakdown copy = *first;
+  for (std::size_t i = 1; i < batches.size(); ++i) collector.record(batches[i]);
+  ASSERT_EQ(collector.batch_records().size(), batches.size());
+  EXPECT_EQ(&collector.batch_records()[0], first);
+  EXPECT_EQ(first->worst_latency, copy.worst_latency);
+  EXPECT_EQ(first->completed_at, copy.completed_at);
+  EXPECT_EQ(first->stream, copy.stream);
+}
+
+TEST(CollectorRecords, NanSloInternsOnce) {
+  // A NaN SLO never equals itself, so a value comparison would intern a new
+  // stream per record and overflow the 16-bit index after 65536 records.
+  auto batches = three_stream_batches(70000, 33);
+  for (auto& b : batches) {
+    b.model = batches[0].model;
+    b.strict = true;
+    b.slo = std::nan("");
+  }
+  const Collector collector = filled(batches);
+  EXPECT_EQ(collector.batch_records().size(), batches.size());
+  EXPECT_EQ(collector.batch_records()[0].stream,
+            collector.batch_records()[69999].stream);
+}
+
 }  // namespace
 }  // namespace protean::metrics

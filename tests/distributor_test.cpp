@@ -221,7 +221,7 @@ TEST(ChooseBestEffort, SpillsToLargestWhenNothingElseCanEverFit) {
 }
 
 TEST(BeFbrDensity, AveragesOverQueuedBeBatches) {
-  std::deque<Batch> queue;
+  common::Ring<Batch> queue;
   queue.push_back(make_batch(model("MobileNet"), false));
   queue.push_back(make_batch(model("ResNet 50"), true));  // ignored
   const double density = JobDistributor::be_fbr_density(queue);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "sim/simulator.h"
 #include "telemetry/burnrate.h"
 #include "telemetry/registry.h"
+#include "tool_runner.h"
 
 namespace protean::telemetry {
 namespace {
@@ -267,13 +269,9 @@ TEST(TelemetryOptions, WithIndexInsertsBeforeExtension) {
 
 // ---- TelemetryPipeline --------------------------------------------------
 
-std::vector<std::string> run_pipeline_once(double violation_rate) {
-  sim::Simulator sim;
-  TelemetryOptions options;
-  options.path = "unused.jsonl";
-  options.interval = 5.0;
-  BurnRateConfig burn = test_burn_config();
-  TelemetryPipeline pipeline(sim, options, burn);
+// Feeds `pipeline` 60 s of requests and finishes it.
+void feed_and_finish(sim::Simulator& sim, TelemetryPipeline& pipeline,
+                     double violation_rate) {
   pipeline.registry().gauge("custom_gauge", [&sim] { return sim.now(); });
 
   // Deterministic request feed: 20 strict requests per second, a fixed
@@ -289,6 +287,15 @@ std::vector<std::string> run_pipeline_once(double violation_rate) {
   sim.run_until(60.0);
   feed.stop();
   pipeline.finish(sim.now());
+}
+
+std::vector<std::string> run_pipeline_once(double violation_rate) {
+  sim::Simulator sim;
+  TelemetryOptions options;
+  options.path = "unused.jsonl";
+  options.interval = 5.0;
+  TelemetryPipeline pipeline(sim, options, test_burn_config());
+  feed_and_finish(sim, pipeline, violation_rate);
   return pipeline.jsonl_lines();
 }
 
@@ -327,6 +334,41 @@ TEST(TelemetryPipeline, OverloadEmitsAlertEventCompliantDoesNot) {
   };
   EXPECT_GE(count_alerts(bad), 1u);
   EXPECT_EQ(count_alerts(good), 0u);
+}
+
+TEST(TelemetryPipeline, WriteFilesWritesTheJoinedLines) {
+  sim::Simulator sim;
+  TelemetryOptions options;
+  options.path = temp_path("write-files.jsonl");
+  options.interval = 5.0;
+  TelemetryPipeline pipeline(sim, options, test_burn_config());
+  feed_and_finish(sim, pipeline, 0.5);
+  ASSERT_TRUE(pipeline.write_files());
+  std::string joined;
+  for (const std::string& line : pipeline.jsonl_lines()) {
+    joined += line;
+    joined += '\n';
+  }
+  ASSERT_GT(pipeline.jsonl_lines().size(), 10u);
+  EXPECT_EQ(slurp(options.path), joined);
+  EXPECT_TRUE(slurp(options.path + ".om").ends_with("# EOF\n"));
+  std::remove(options.path.c_str());
+  std::remove((options.path + ".om").c_str());
+}
+
+TEST(TelemetryPipeline, WriteFilesFailsOnAnUnwritablePath) {
+  // The JSONL path names a directory, while its ".om" sibling is writable:
+  // the failure must come from the line-by-line write itself.
+  sim::Simulator sim;
+  TelemetryOptions options;
+  options.path = temp_path("unwritable.jsonl");
+  ASSERT_TRUE(std::filesystem::create_directory(options.path));
+  options.interval = 5.0;
+  TelemetryPipeline pipeline(sim, options, test_burn_config());
+  feed_and_finish(sim, pipeline, 0.0);
+  EXPECT_FALSE(pipeline.write_files());
+  std::filesystem::remove(options.path);
+  std::filesystem::remove(options.path + ".om");
 }
 
 TEST(TelemetryPipeline, RegisteredGaugeAppearsInEveryScrape) {
