@@ -251,21 +251,38 @@ MemGb WorkerNode::take_be_demand_estimate() {
   return estimate;
 }
 
+WorkerNode::ContainerPool& WorkerNode::pool_for(
+    const workload::ModelProfile& model) {
+  for (ContainerPool& pool : containers_) {
+    if (pool.model == &model) return pool;
+  }
+  ContainerPool& pool = containers_.emplace_back();
+  pool.model = &model;
+  return pool;
+}
+
+const WorkerNode::ContainerPool* WorkerNode::find_pool(
+    const workload::ModelProfile& model) const noexcept {
+  for (const ContainerPool& pool : containers_) {
+    if (pool.model == &model) return &pool;
+  }
+  return nullptr;
+}
+
 void WorkerNode::prewarm(const workload::ModelProfile& model, int count) {
-  auto& pool = containers_[&model];
-  pool.warm += count;
+  auto& pool = pool_for(model);
   for (int i = 0; i < count; ++i) pool.idle_since.push_back(sim_.now());
 }
 
 int WorkerNode::warm_count(const workload::ModelProfile& model) const {
-  const auto it = containers_.find(&model);
-  return it == containers_.end() ? 0 : it->second.warm;
+  const ContainerPool* pool = find_pool(model);
+  return pool == nullptr ? 0 : pool->warm();
 }
 
 int WorkerNode::boost_warm(const workload::ModelProfile& model, int target) {
   if (!up_) return 0;
-  auto& pool = containers_[&model];
-  const int have = pool.warm + pool.busy + pool.proactive_booting +
+  auto& pool = pool_for(model);
+  const int have = pool.warm() + pool.busy + pool.proactive_booting +
                    (pool.spare_booting ? 1 : 0);
   const int boots = target - have;
   if (boots <= 0) return 0;
@@ -275,9 +292,8 @@ int WorkerNode::boost_warm(const workload::ModelProfile& model, int target) {
   for (int i = 0; i < boots; ++i) {
     sim_.schedule_after(config_.cold_start, [this, &model, epoch] {
       if (epoch != epoch_ || !up_) return;
-      auto& p = containers_[&model];
+      auto& p = pool_for(model);
       if (p.proactive_booting > 0) --p.proactive_booting;
-      ++p.warm;
       p.idle_since.push_back(sim_.now());
       try_dispatch();
     });
@@ -287,15 +303,14 @@ int WorkerNode::boost_warm(const workload::ModelProfile& model, int target) {
 
 bool WorkerNode::container_available(
     const workload::ModelProfile& model) const {
-  const auto it = containers_.find(&model);
-  if (it == containers_.end()) return true;  // first use: cold start
-  const ContainerPool& pool = it->second;
-  if (pool.warm > 0) return true;
-  return pool.busy == 0 && !pool.spare_booting;
+  const ContainerPool* pool = find_pool(model);
+  if (pool == nullptr) return true;  // first use: cold start
+  if (pool->warm() > 0) return true;
+  return pool->busy == 0 && !pool->spare_booting;
 }
 
 void WorkerNode::maybe_boot_spare(const workload::ModelProfile& model) {
-  auto& pool = containers_[&model];
+  auto& pool = pool_for(model);
   if (pool.spare_booting) return;
   pool.spare_booting = true;
   ++cold_starts_;
@@ -309,9 +324,8 @@ void WorkerNode::maybe_boot_spare(const workload::ModelProfile& model) {
   const std::uint64_t epoch = epoch_;
   sim_.schedule_after(config_.cold_start, [this, &model, epoch] {
     if (epoch != epoch_ || !up_) return;
-    auto& p = containers_[&model];
+    auto& p = pool_for(model);
     p.spare_booting = false;
-    ++p.warm;
     p.idle_since.push_back(sim_.now());
     try_dispatch();
   });
@@ -378,10 +392,9 @@ void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
     tracer->async_end(obs::kSpans, "queue", batch.id,
                       static_cast<int>(id_) + 1, sim_.now());
   }
-  auto& pool = containers_[batch.model];
+  auto& pool = pool_for(*batch.model);
   bool container_cold = false;
-  if (pool.warm > 0) {
-    --pool.warm;
+  if (pool.warm() > 0) {
     pool.idle_since.pop_back();  // reuse the most recently idle container
   } else {
     PROTEAN_DCHECK(pool.busy == 0 && !pool.spare_booting);
@@ -497,8 +510,7 @@ void WorkerNode::begin_exec(workload::Batch batch, SliceId slice_id,
     // ModelCache::release tolerates a destroyed slice id (the pin vanished
     // with the slice's entries), so the ECC mid-boot case is a no-op here.
     if (cache_) cache_->release(slice_id, batch.model);
-    auto& pool = containers_[batch.model];
-    ++pool.warm;
+    auto& pool = pool_for(*batch.model);
     pool.idle_since.push_back(sim_.now());
     --pool.busy;
     --running_;
@@ -563,12 +575,9 @@ void WorkerNode::on_complete(workload::Batch batch,
   outstanding_work_ =
       std::max(0.0, outstanding_work_ - batch.model->solo_time_7g);
   notify_load();
-  auto& pool = containers_[batch.model];
+  auto& pool = pool_for(*batch.model);
   --pool.busy;
-  if (config_.keep_alive > 0.0) {
-    ++pool.warm;
-    pool.idle_since.push_back(sim_.now());
-  }
+  if (config_.keep_alive > 0.0) pool.idle_since.push_back(sim_.now());
   if (stage_complete_ && batch.flow != 0) {
     // Workflow stage batches take the per-stage path: the runtime accounts
     // components and expands successor stages; the flow's terminal record
@@ -586,14 +595,11 @@ void WorkerNode::handle_lost(workload::Batch batch) {
   outstanding_work_ =
       std::max(0.0, outstanding_work_ - batch.model->solo_time_7g);
   notify_load();
-  auto& pool = containers_[batch.model];
+  auto& pool = pool_for(*batch.model);
   if (pool.busy > 0) --pool.busy;
   // On a surviving node (ECC slice loss) the container itself is fine and
   // goes back to the warm pool; on a dead node it died with the VM.
-  if (up_ && config_.keep_alive > 0.0) {
-    ++pool.warm;
-    pool.idle_since.push_back(sim_.now());
-  }
+  if (up_ && config_.keep_alive > 0.0) pool.idle_since.push_back(sim_.now());
   ++lost_batches_;
   if (fleet_ != nullptr) ++fleet_->lost_batches;
   if (obs::Tracer* t = config_.tracer;
@@ -624,18 +630,17 @@ void WorkerNode::handle_lost(workload::Batch batch) {
 
 void WorkerNode::reap_containers() {
   const SimTime now = sim_.now();
-  for (auto& [model, pool] : containers_) {
+  for (ContainerPool& pool : containers_) {
     while (!pool.idle_since.empty() &&
            now - pool.idle_since.front() > config_.keep_alive) {
       pool.idle_since.pop_front();
-      --pool.warm;
     }
   }
 }
 
 int WorkerNode::warm_containers() const noexcept {
   int total = 0;
-  for (const auto& [model, pool] : containers_) total += pool.warm;
+  for (const ContainerPool& pool : containers_) total += pool.warm();
   return total;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -254,13 +253,26 @@ class WorkerNode {
   bool container_available(const workload::ModelProfile& model) const;
 
  private:
+  /// One model's containers on this node.
   struct ContainerPool {
-    int warm = 0;                    // idle warm containers
-    int busy = 0;                    // containers currently serving a batch
-    bool spare_booting = false;      // background scale-up in flight
-    int proactive_booting = 0;       // autoscaler warm-pool boots in flight
-    std::deque<SimTime> idle_since;  // one entry per warm container
+    const workload::ModelProfile* model = nullptr;
+    int busy = 0;                // containers currently serving a batch
+    int proactive_booting = 0;   // autoscaler warm-pool boots in flight
+    bool spare_booting = false;  // background scale-up in flight
+    /// When each idle warm container went idle, oldest first: dispatch
+    /// reuses the most recently idled (back), the reaper expires from the
+    /// front.
+    common::Ring<SimTime> idle_since;
+
+    int warm() const noexcept { return static_cast<int>(idle_since.size()); }
   };
+
+  /// The pool of `model`, created empty on first use. Creating a pool may
+  /// move the others, so no pool reference is held across this call.
+  ContainerPool& pool_for(const workload::ModelProfile& model);
+  /// The pool of `model`, or nullptr before its first use.
+  const ContainerPool* find_pool(
+      const workload::ModelProfile& model) const noexcept;
 
   /// Builds this node's GPU with the substrate-resolved sharing mode
   /// (src/softgpu may override the scheduler's native mode per node).
@@ -338,7 +350,9 @@ class WorkerNode {
   /// empties the table, since the GPU's reset drops the callbacks unrun.
   std::vector<workload::Batch> in_flight_;
   std::vector<std::uint32_t> in_flight_free_;
-  std::map<const workload::ModelProfile*, ContainerPool> containers_;
+  /// One pool per model seen since the VM came up, in first-use order; a
+  /// node serves a handful of models, so lookups scan.
+  std::vector<ContainerPool> containers_;
   /// Batches whose container is still booting; evictions redistribute them
   /// instead of losing them with the VM.
   std::map<std::uint64_t, workload::Batch> booting_;

@@ -7,6 +7,9 @@
 // allocates nothing more. It also supports insertion and erasure in the
 // middle (strict batches jump queued BE work; dispatch takes any placeable
 // batch), shifting the elements on the shorter side as std::deque does.
+// A default-constructed or moved-from Ring owns no array, so building and
+// moving one allocates nothing (the per-model container pools in
+// cluster/node.h live in a std::vector and move when it grows).
 //
 // Ring holds plain values: a vacated slot keeps its stale bytes until it is
 // reused. The slot array grows with realloc, which moves a large block by
@@ -21,6 +24,7 @@
 #include <iterator>
 #include <new>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -79,6 +83,12 @@ class Ring {
   Ring() = default;
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
+  /// Takes the slot array; the source is left empty, with no array.
+  Ring(Ring&& other) noexcept
+      : slots_(std::exchange(other.slots_, nullptr)),
+        capacity_(std::exchange(other.capacity_, 0)),
+        head_(std::exchange(other.head_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
   ~Ring() { std::free(slots_); }
 
   std::size_t size() const noexcept { return size_; }
@@ -104,6 +114,11 @@ class Ring {
   void pop_front() {
     PROTEAN_DCHECK(size_ > 0);
     head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+  }
+
+  void pop_back() {
+    PROTEAN_DCHECK(size_ > 0);
     --size_;
   }
 

@@ -1,7 +1,6 @@
 #include "workflow/spec.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "gpu/mig.h"
@@ -111,13 +110,11 @@ void WorkflowSpec::finalize() {
 
   // Forward DP for the critical path, both unweighted (solo seconds → SLO
   // base) and RDF-weighted at the reference 3g slice (budget shares).
-  const double rdf_cf = gpu::compute_fraction(gpu::SliceProfile::k3g);
   std::vector<Duration> solo_cp(n, 0.0);
   std::vector<double> weight(n, 0.0), weighted_cp(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const workload::ModelProfile& model = *stages_[i].model;
-    weight[i] = model.solo_time_7g *
-                std::pow(1.0 / rdf_cf, model.deficiency_alpha);
+    weight[i] = model.solo_time_on(gpu::SliceProfile::k3g);
     Duration solo_in = 0.0;
     double weighted_in = 0.0;
     for (const Edge& edge : stages_[i].inputs) {

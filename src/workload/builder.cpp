@@ -120,6 +120,7 @@ ModelProfile ModelBuilder::build() const {
   if (profile.deficiency_alpha < 0.0 || profile.deficiency_alpha > 1.0) {
     reject("deficiency_alpha", "must be in [0, 1]");
   }
+  profile.tabulate_rdf();
   return profile;
 }
 

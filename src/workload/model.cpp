@@ -26,13 +26,12 @@ const char* to_string(Domain d) noexcept {
   return "?";
 }
 
-double ModelProfile::rdf(gpu::SliceProfile slice) const noexcept {
-  const double cf = gpu::compute_fraction(slice);
-  return std::pow(1.0 / cf, deficiency_alpha);
-}
-
-Duration ModelProfile::solo_time_on(gpu::SliceProfile slice) const noexcept {
-  return solo_time_7g * rdf(slice);
+void ModelProfile::tabulate_rdf() noexcept {
+  for (gpu::SliceProfile slice : gpu::kAllProfiles) {
+    const double cf = gpu::compute_fraction(slice);
+    rdf_[static_cast<std::size_t>(slice)] =
+        std::pow(1.0 / cf, deficiency_alpha);
+  }
 }
 
 double ModelProfile::sm_share_on(gpu::SliceProfile slice) const noexcept {
@@ -59,6 +58,7 @@ ModelProfile make(std::string name, Domain domain, InterferenceClass iclass,
   m.fbr = fbr;
   m.sm_req = sm_req;
   m.deficiency_alpha = alpha;
+  m.tabulate_rdf();
   return m;
 }
 

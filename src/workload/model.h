@@ -10,8 +10,13 @@
 //
 // deficiency_alpha is calibrated to the paper's reported anchors (e.g.
 // ALBERT slows 2.15× on a 3g slice; ShuffleNet V2 suffers <2% deficiency).
+// The paper profiles the RDFs offline, so each profile carries them as a
+// five-entry table, filled once when the profile is finished (the catalog
+// and ModelBuilder::build both call tabulate_rdf).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,11 +68,20 @@ struct ModelProfile {
   /// Resource-deficiency sensitivity exponent (see file comment).
   double deficiency_alpha = 0.0;
 
-  /// Resource Deficiency Factor on a slice: Solo_slice / Solo_7g (>= 1).
-  double rdf(gpu::SliceProfile slice) const noexcept;
+  /// Resource Deficiency Factor on a slice: Solo_slice / Solo_7g (>= 1),
+  /// read from the table tabulate_rdf() filled.
+  double rdf(gpu::SliceProfile slice) const noexcept {
+    return rdf_[static_cast<std::size_t>(slice)];
+  }
 
   /// Solo batch latency on the given slice: solo_time_7g × RDF.
-  Duration solo_time_on(gpu::SliceProfile slice) const noexcept;
+  Duration solo_time_on(gpu::SliceProfile slice) const noexcept {
+    return solo_time_7g * rdf(slice);
+  }
+
+  /// Fills the RDF table from deficiency_alpha, one entry per slice
+  /// profile. Call it again after changing deficiency_alpha.
+  void tabulate_rdf() noexcept;
 
   /// Fraction of the slice's SMs one batch kernel occupies under MPS:
   /// min(sm_req / compute_fraction, 1).
@@ -81,6 +95,11 @@ struct ModelProfile {
   Duration slo_deadline(double multiplier = 3.0) const noexcept {
     return multiplier * solo_time_7g;
   }
+
+ private:
+  /// RDF per gpu::SliceProfile; all 1 for the default alpha of 0.
+  std::array<double, gpu::kAllProfiles.size()> rdf_ = {1.0, 1.0, 1.0, 1.0,
+                                                       1.0};
 };
 
 /// The 22-model catalog. Immutable singleton.

@@ -3,8 +3,27 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 namespace protean::workload {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every RDF entry and per-slice solo time is the Eq. 2 expression at
+/// `alpha`, bit for bit.
+void expect_rdf_table(const ModelProfile& m, double alpha) {
+  EXPECT_EQ(bits(m.deficiency_alpha), bits(alpha));
+  for (gpu::SliceProfile p : gpu::kAllProfiles) {
+    const double rdf = std::pow(1.0 / gpu::compute_fraction(p), alpha);
+    EXPECT_EQ(bits(m.rdf(p)), bits(rdf)) << gpu::short_name(p);
+    EXPECT_EQ(bits(m.solo_time_on(p)), bits(m.solo_time_7g * rdf))
+        << gpu::short_name(p);
+  }
+}
 
 ModelBuilder minimal() {
   return std::move(ModelBuilder("custom-model")
@@ -67,6 +86,66 @@ TEST(ModelBuilder, BuiltProfileWorksWithSliceMath) {
   EXPECT_TRUE(m.fits(gpu::SliceProfile::k1g));
   EXPECT_NEAR(m.slo_deadline(), 0.3, 1e-12);
 }
+
+TEST(ModelBuilder, ExplicitAlphaFillsTheRdfTable) {
+  // An LI-class FBR would default to 0.15; the explicit value wins.
+  const auto m = ModelBuilder("a")
+                     .solo_latency_ms(70)
+                     .memory_gb(3)
+                     .fbr(0.3)
+                     .deficiency_alpha(0.9)
+                     .build();
+  expect_rdf_table(m, 0.9);
+  EXPECT_GT(m.rdf(gpu::SliceProfile::k1g), 5.0);
+}
+
+TEST(ModelBuilder, ExplicitClassPicksItsDefaultAlpha) {
+  const auto m = ModelBuilder("c")
+                     .solo_latency_ms(70)
+                     .memory_gb(3)
+                     .fbr(0.3)
+                     .interference_class(InterferenceClass::kVHI)
+                     .build();
+  expect_rdf_table(m, 0.60);
+}
+
+TEST(ModelBuilder, TabulateRdfFollowsAChangedAlpha) {
+  ModelProfile m = minimal().build();
+  m.deficiency_alpha = 0.5;
+  m.tabulate_rdf();
+  expect_rdf_table(m, 0.5);
+  m.deficiency_alpha = 0.0;
+  m.tabulate_rdf();
+  for (gpu::SliceProfile p : gpu::kAllProfiles) {
+    EXPECT_EQ(m.rdf(p), 1.0) << gpu::short_name(p);
+  }
+}
+
+struct ClassDefault {
+  double fbr;
+  InterferenceClass iclass;
+  double alpha;
+};
+
+class ModelBuilderClassDefault
+    : public ::testing::TestWithParam<ClassDefault> {};
+
+TEST_P(ModelBuilderClassDefault, DefaultAlphaFillsTheRdfTable) {
+  const ClassDefault& want = GetParam();
+  const auto m =
+      ModelBuilder("d").solo_latency_ms(90).memory_gb(4).fbr(want.fbr).build();
+  EXPECT_EQ(m.iclass, want.iclass);
+  expect_rdf_table(m, want.alpha);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Classes, ModelBuilderClassDefault,
+    ::testing::Values(ClassDefault{0.3, InterferenceClass::kLI, 0.15},
+                      ClassDefault{0.8, InterferenceClass::kHI, 0.40},
+                      ClassDefault{1.2, InterferenceClass::kVHI, 0.60}),
+    [](const ::testing::TestParamInfo<ClassDefault>& param) {
+      return std::string(to_string(param.param.iclass));
+    });
 
 TEST(ModelBuilder, RejectsMissingFields) {
   EXPECT_THROW(ModelBuilder("x").memory_gb(2).fbr(0.5).build(),

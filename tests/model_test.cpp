@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 namespace protean::workload {
 namespace {
 
@@ -182,6 +186,22 @@ TEST_P(EveryModelTest, VhiIffLanguageOrGenerative) {
   const ModelProfile& m = GetParam();
   const bool is_llm = m.domain != Domain::kVision;
   EXPECT_EQ(m.iclass == InterferenceClass::kVHI, is_llm) << m.name;
+}
+
+// The table holds exactly the Eq. 2 expression it replaced, so every
+// report that reads an RDF or a per-slice solo time is unchanged.
+TEST_P(EveryModelTest, RdfTableIsThePowExpressionBitForBit) {
+  const ModelProfile& m = GetParam();
+  for (gpu::SliceProfile p : gpu::kAllProfiles) {
+    const double rdf =
+        std::pow(1.0 / gpu::compute_fraction(p), m.deficiency_alpha);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.rdf(p)),
+              std::bit_cast<std::uint64_t>(rdf))
+        << gpu::short_name(p);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.solo_time_on(p)),
+              std::bit_cast<std::uint64_t>(m.solo_time_7g * rdf))
+        << gpu::short_name(p);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -119,6 +119,121 @@ TEST(WorkerNode, ReaperTerminatesIdleContainers) {
   EXPECT_EQ(f.node->warm_containers(), 0);
 }
 
+// ---- container pools: one per model, LIFO reuse, oldest-first expiry ----
+
+const ModelProfile& model_named(const char* name) {
+  return ModelCatalog::instance().by_name(name);
+}
+
+TEST(ContainerPool, WarmReuseTakesTheMostRecentlyIdledContainer) {
+  Fixture f;
+  f.config.keep_alive = 100.0;
+  f.node->prewarm(resnet(), 1);  // idle since t=0
+  f.sim.run_until(50.0);
+  f.node->prewarm(resnet(), 1);  // idle since t=50
+  f.node->enqueue(make_batch(resnet(), true, f.sim.now()));
+  f.sim.run_until(60.0);
+  ASSERT_EQ(f.node->batches_served(), 1u);
+  EXPECT_EQ(f.node->cold_starts(), 0u);
+  // The batch took the t=50 container and returned it near t=50.2, so the
+  // t=0 one is still the oldest and expires on the first reap past t=100
+  // (reaps run every 30 s); reusing the oldest instead would leave two.
+  f.sim.run_until(125.0);
+  EXPECT_EQ(f.node->warm_count(resnet()), 1);
+  f.sim.run_until(200.0);
+  EXPECT_EQ(f.node->warm_count(resnet()), 0);
+}
+
+TEST(ContainerPool, ReaperExpiresTheOldestContainersFirst) {
+  Fixture f;
+  f.config.keep_alive = 100.0;
+  const ModelProfile& a = mobilenet();
+  const ModelProfile& b = resnet();
+  const ModelProfile& c = model_named("GoogleNet");
+  f.node->prewarm(a, 2);
+  f.node->prewarm(c, 1);
+  f.sim.run_until(50.0);
+  f.node->prewarm(a, 1);
+  f.node->prewarm(b, 2);
+  EXPECT_EQ(f.node->warm_containers(), 6);
+  f.sim.run_until(125.0);  // reaped at t=120: everything idle since t=0
+  EXPECT_EQ(f.node->warm_count(a), 1);
+  EXPECT_EQ(f.node->warm_count(b), 2);
+  EXPECT_EQ(f.node->warm_count(c), 0);
+  EXPECT_EQ(f.node->warm_containers(), 3);
+  f.sim.run_until(200.0);  // reaped at t=180: the t=50 ones too
+  EXPECT_EQ(f.node->warm_containers(), 0);
+}
+
+TEST(ContainerPool, EvictClearsEveryPool) {
+  Fixture f(/*cold_start=*/1.0);
+  const ModelProfile* models[] = {&resnet(), &mobilenet(),
+                                  &model_named("GoogleNet")};
+  for (const ModelProfile* m : models) f.node->prewarm(*m, 2);
+  EXPECT_EQ(f.node->warm_containers(), 6);
+  f.node->evict();
+  EXPECT_EQ(f.node->warm_containers(), 0);
+  for (const ModelProfile* m : models) {
+    EXPECT_EQ(f.node->warm_count(*m), 0) << m->name;
+    EXPECT_TRUE(f.node->container_available(*m)) << m->name;
+  }
+  f.node->restore();
+  EXPECT_EQ(f.node->warm_containers(), 0);
+  // The replacement VM starts cold: the first batch boots a container.
+  f.node->enqueue(make_batch(mobilenet(), true, f.sim.now()));
+  f.sim.run_until(f.sim.now() + 30.0);
+  EXPECT_EQ(f.node->batches_served(), 1u);
+  EXPECT_EQ(f.node->cold_starts(), 1u);
+}
+
+TEST(ContainerPool, WarmCountAndBoostWarmAcrossModels) {
+  Fixture f(/*cold_start=*/2.0);
+  const ModelProfile& a = resnet();
+  const ModelProfile& b = mobilenet();
+  const ModelProfile& c = model_named("GoogleNet");
+  const ModelProfile& d = model_named("ResNet 18");
+  f.node->prewarm(a, 1);
+  f.node->prewarm(b, 2);
+  f.node->prewarm(c, 3);
+  EXPECT_EQ(f.node->warm_count(a), 1);
+  EXPECT_EQ(f.node->warm_count(b), 2);
+  EXPECT_EQ(f.node->warm_count(c), 3);
+  EXPECT_EQ(f.node->warm_count(d), 0);  // never seen: no pool
+  EXPECT_EQ(f.node->warm_containers(), 6);
+
+  EXPECT_EQ(f.node->boost_warm(a, 4), 3);
+  EXPECT_EQ(f.node->boost_warm(b, 2), 0);  // already at the target
+  EXPECT_EQ(f.node->boost_warm(d, 2), 2);  // a fourth pool
+  EXPECT_EQ(f.node->boost_warm(a, 4), 0);  // booting ones count
+  EXPECT_EQ(f.node->proactive_boots(), 5u);
+  EXPECT_EQ(f.node->cold_starts(), 0u);
+  EXPECT_EQ(f.node->warm_count(a), 1);  // still booting
+  f.sim.run_until(3.0);
+  EXPECT_EQ(f.node->warm_count(a), 4);
+  EXPECT_EQ(f.node->warm_count(b), 2);
+  EXPECT_EQ(f.node->warm_count(c), 3);
+  EXPECT_EQ(f.node->warm_count(d), 2);
+  EXPECT_EQ(f.node->warm_containers(), 11);
+}
+
+TEST(ContainerPool, BoostWarmCountsBusyContainersAndSkipsADownNode) {
+  Fixture f(/*cold_start=*/2.0);
+  f.node->prewarm(resnet(), 1);
+  f.node->prewarm(mobilenet(), 1);
+  f.node->enqueue(make_batch(resnet(), true, 0.0));
+  ASSERT_EQ(f.node->running(), 1u);
+  EXPECT_EQ(f.node->warm_count(resnet()), 0);
+  // One busy container already counts toward the target of two.
+  EXPECT_EQ(f.node->boost_warm(resnet(), 2), 1);
+  EXPECT_EQ(f.node->boost_warm(mobilenet(), 3), 2);
+  f.sim.run_until(30.0);
+  EXPECT_EQ(f.node->warm_count(resnet()), 2);
+  EXPECT_EQ(f.node->warm_count(mobilenet()), 3);
+  f.node->evict();
+  EXPECT_EQ(f.node->boost_warm(resnet(), 2), 0);
+  EXPECT_EQ(f.node->proactive_boots(), 3u);
+}
+
 TEST(WorkerNode, BeMemQueuedSumsBestEffortOnly) {
   Fixture f;
   // No containers and a full slice would be needed to keep them queued;

@@ -1,6 +1,6 @@
-// Tests for common::Ring: a random operation sequence against std::deque,
-// and the capacity contract (grows by doubling, never shrinks, and a FIFO
-// that cycles at a bounded depth stops growing).
+// Tests for common::Ring: random operation sequences against std::deque,
+// moves, and the capacity contract (grows by doubling, never shrinks, and
+// a FIFO that cycles at a bounded depth stops growing).
 #include "common/ring.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <deque>
 #include <iterator>
 #include <random>
+#include <utility>
 
 namespace protean::common {
 namespace {
@@ -63,6 +64,51 @@ TEST(Ring, MatchesDequeUnderRandomOperations) {
   }
   expect_same(ring, ref);
   EXPECT_EQ(capacity & (capacity - 1), 0u) << "capacity is a power of two";
+}
+
+TEST(Ring, BothEndsMatchDequeUnderRandomOperations) {
+  // The container pools' use: push at the back, reuse from the back
+  // (LIFO), expire from the front.
+  std::mt19937_64 rng(11);
+  Ring<Item> ring;
+  std::deque<Item> ref;
+  for (int step = 0; step < 20000; ++step) {
+    const int op = static_cast<int>(rng() % 10);
+    if (op < 5) {
+      ring.push_back({step, 0.25 * step});
+      ref.push_back({step, 0.25 * step});
+    } else if (op < 8 && !ref.empty()) {
+      EXPECT_EQ(ring[ring.size() - 1], ref.back());
+      ring.pop_back();
+      ref.pop_back();
+    } else if (!ref.empty()) {
+      EXPECT_EQ(ring.front(), ref.front());
+      ring.pop_front();
+      ref.pop_front();
+    }
+    if (step % 101 == 0) expect_same(ring, ref);
+  }
+  expect_same(ring, ref);
+}
+
+TEST(Ring, MovingTakesTheArrayAndLeavesTheSourceEmpty) {
+  Ring<Item> empty;
+  EXPECT_EQ(empty.capacity(), 0u);  // nothing allocated until a push
+  Ring<Item> a;
+  for (int i = 0; i < 12; ++i) a.push_back({i, 0.0});
+  a.pop_front();
+  const Item* first = &a.front();
+  Ring<Item> b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.capacity(), 0u);
+  ASSERT_EQ(b.size(), 11u);
+  EXPECT_EQ(&b.front(), first);  // the same slots, not a copy
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b[i].key, static_cast<int>(i) + 1);
+  }
+  a.push_back({99, 0.0});  // a moved-from ring is reusable
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.front().key, 99);
 }
 
 TEST(Ring, StrictFirstInsertKeepsFifoAmongEqualKeys) {
