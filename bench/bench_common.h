@@ -4,36 +4,57 @@
 // time vs hours in the paper) so the full suite finishes in seconds.
 // Override with PROTEAN_BENCH_HORIZON=<seconds> for longer runs and
 // PROTEAN_BENCH_JOBS=<threads> to change sweep parallelism (results are
-// identical for any job count).
+// identical for any job count). A malformed value is an error (exit 2).
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 
 #include "common/strfmt.h"
 #include "harness/experiment.h"
+#include "harness/flagspec.h"
+#include "harness/paper_rows.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
 
 namespace protean::bench {
 
-inline Duration bench_horizon() {
-  if (const char* env = std::getenv("PROTEAN_BENCH_HORIZON")) {
-    const double h = std::atof(env);
-    if (h > 0.0) return h;
-  }
-  return 60.0;
+/// Exits 2 with a message naming `var` when its value is malformed: a bench
+/// must not silently run a different grid than the one asked for.
+[[noreturn]] inline void bad_env(const char* var, const char* value,
+                                 const char* want) {
+  std::fprintf(stderr, "error: %s='%s': want %s\n", var, value, want);
+  std::exit(2);
 }
 
-/// Worker threads for sweep-based benches: PROTEAN_BENCH_JOBS, else one per
-/// core (capped — bench grids are small).
+/// PROTEAN_BENCH_HORIZON (a finite number of seconds > 0), else 60 s.
+inline Duration bench_horizon() {
+  const char* env = std::getenv("PROTEAN_BENCH_HORIZON");
+  if (env == nullptr) return harness::kPaperHorizon;
+  const auto horizon = harness::parse_spec_number(env);
+  if (!horizon || *horizon <= 0.0) {
+    bad_env("PROTEAN_BENCH_HORIZON", env, "a finite number of seconds > 0");
+  }
+  return *horizon;
+}
+
+/// Worker threads for sweep-based benches: PROTEAN_BENCH_JOBS (1..1024, as
+/// protean_sim --jobs), else one per core (capped — bench grids are small).
 inline int bench_jobs() {
   if (const char* env = std::getenv("PROTEAN_BENCH_JOBS")) {
-    const int jobs = std::atoi(env);
-    if (jobs > 0) return jobs;
+    const char* end = env + std::strlen(env);
+    int jobs = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, jobs);
+    if (ec != std::errc() || ptr != end || jobs < 1 || jobs > 1024) {
+      bad_env("PROTEAN_BENCH_JOBS", env, "an integer in 1..1024");
+    }
+    return jobs;
   }
   const unsigned cores = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(cores, 1u, 8u));
@@ -42,16 +63,6 @@ inline int bench_jobs() {
 /// Primary-experiment config at the bench horizon.
 inline harness::ExperimentConfig bench_config(const std::string& model) {
   return harness::primary_config(model, bench_horizon());
-}
-
-/// Runs one config across the paper's four primary schemes on the bench
-/// worker pool; reports come back in paper_schemes() order.
-inline std::vector<harness::Report> run_paper_schemes(
-    harness::ExperimentConfig config) {
-  harness::SweepConfig sweep;
-  sweep.base = std::move(config);
-  sweep.schemes = sched::paper_schemes();
-  return harness::SweepRunner(bench_jobs()).run_grid(sweep);
 }
 
 inline std::string pct(double value) { return strfmt("%.2f%%", value); }

@@ -112,7 +112,8 @@ int main() {
       "\nLatencyGreedy holds up on this steady trace, but it ignores\n"
       "strict/BE isolation (Guideline 1) and never reconfigures: BE work\n"
       "lands next to strict work whenever a slice looks fast, and a BE\n"
-      "model switch to a 14 GB footprint (see bench_fig7) leaves it stuck\n"
-      "on (3g,3g). Try it against bench_fig7's schedule or the VHI models.\n");
+      "model switch to a 14 GB footprint (see bench_paper fig7) leaves it\n"
+      "stuck on (3g,3g). Try it against bench_paper fig7's schedule or the\n"
+      "VHI models.\n");
   return 0;
 }

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
+#include "harness/paper_rows.h"
+
 namespace protean::harness {
 namespace {
 
@@ -111,6 +116,26 @@ TEST(Harness, SpotMarketCostsFlowIntoReport) {
   auto r = run_experiment(config);
   // All-spot fleet: ~30% of the on-demand reference (Table 3 savings).
   EXPECT_NEAR(r.cost_usd / r.cost_on_demand_ref_usd, 0.30, 0.01);
+}
+
+TEST(Harness, PaperCellsAreUniqueAndLookedUpByLabel) {
+  // paper_cell finds a cell by (row id, label), so both must be unique.
+  std::set<std::string> ids;
+  for (const auto& row : paper_rows(kPaperHorizon)) {
+    EXPECT_TRUE(ids.insert(row.id).second) << row.id;
+    std::set<std::string> labels;
+    for (const auto& cell : row.cells) {
+      EXPECT_TRUE(labels.insert(cell.label).second)
+          << row.id << ": " << cell.label;
+      EXPECT_FALSE(cell.schemes.empty()) << row.id << ": " << cell.label;
+      EXPECT_EQ(cell.config.trace.horizon, kPaperHorizon);
+    }
+  }
+  const auto tight = paper_cell("fig15", "VGG 19 2x", 45.0).config;
+  EXPECT_EQ(tight.cluster.slo_multiplier, 2.0);
+  EXPECT_EQ(tight.trace.horizon, 45.0);
+  EXPECT_THROW(paper_cell("fig4", "ResNet 50"), std::invalid_argument);
+  EXPECT_THROW(paper_cell("fig5", "GPT-2"), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,32 +1,49 @@
 // End-to-end regression locks for the paper's headline claims.
 //
-// These tests run the same experiments the benches print and assert the
-// *orderings and regimes* EXPERIMENTS.md documents, so calibration drift
-// that silently breaks a reproduced result fails CI instead.
+// Each claim takes its config from the paper row and cell that bench_paper
+// prints (harness/paper_rows.h) and asserts the *orderings and regimes*
+// EXPERIMENTS.md documents, so calibration drift that silently breaks a
+// reproduced result fails CI instead.
 #include <gtest/gtest.h>
 
-#include "harness/experiment.h"
+#include <algorithm>
+
+#include "harness/paper_rows.h"
 
 namespace protean::harness {
 namespace {
 
-ExperimentConfig quick(const char* model, Duration horizon = 45.0) {
-  auto config = primary_config(model, horizon);
-  config.warmup = 15.0;
-  return config;
+// The claims replay each figure's cell at a shorter horizon than the one
+// bench_paper prints at (kPaperHorizon), so the suite stays fast. This is
+// the only way a claim's config departs from its row.
+constexpr Duration kClaimHorizon = 45.0;
+constexpr Duration kClaimWarmup = 15.0;
+
+/// The cell `label` of paper row `id`, at the claims' horizon.
+PaperCell quick(const char* id, const char* label) {
+  auto cell = paper_cell(id, label, kClaimHorizon);
+  cell.config.warmup = kClaimWarmup;
+  return cell;
 }
 
-Report run(ExperimentConfig config, sched::Scheme scheme) {
-  config.scheme = scheme;
-  return run_experiment(config);
+/// One run the cell's figure prints.
+Report run(const PaperCell& cell, sched::Scheme scheme) {
+  EXPECT_NE(std::find(cell.schemes.begin(), cell.schemes.end(), scheme),
+            cell.schemes.end())
+      << cell.label << " does not print " << sched::scheme_name(scheme);
+  return run_experiment(ExperimentConfig(cell.config).with_scheme(scheme));
+}
+
+/// Every run the cell's figure prints, in its scheme order.
+std::vector<Report> run_all(const PaperCell& cell) {
+  return run_schemes(cell.config, cell.schemes);
 }
 
 TEST(PaperClaims, ProteanDominatesVisionSloCompliance) {
   // Fig. 5: PROTEAN >= 96% on every vision model class representative and
   // strictly above every baseline.
   for (const char* model : {"ResNet 50", "ShuffleNet V2"}) {
-    const auto config = quick(model);
-    const auto reports = run_schemes(config, sched::paper_schemes());
+    const auto reports = run_all(quick("fig5", model));
     const auto& protean = reports.back();
     EXPECT_GT(protean.slo_compliance_pct, 96.0) << model;
     for (std::size_t i = 0; i + 1 < reports.size(); ++i) {
@@ -39,9 +56,9 @@ TEST(PaperClaims, ProteanDominatesVisionSloCompliance) {
 
 TEST(PaperClaims, InflessCollapsesOnHeavyLlms) {
   // Fig. 12: consolidation + VHI bandwidth pressure destroys INFless.
-  const auto config = quick("ALBERT");
-  const auto infless = run(config, sched::Scheme::kInflessLlama);
-  const auto protean = run(config, sched::Scheme::kProtean);
+  const auto cell = quick("fig12", "ALBERT");
+  const auto infless = run(cell, sched::Scheme::kInflessLlama);
+  const auto protean = run(cell, sched::Scheme::kProtean);
   EXPECT_LT(infless.slo_compliance_pct, 10.0);
   EXPECT_GT(protean.slo_compliance_pct, 80.0);
   // The paper's "up to ~93% more" gap.
@@ -49,9 +66,7 @@ TEST(PaperClaims, InflessCollapsesOnHeavyLlms) {
 }
 
 TEST(PaperClaims, Table4AllStrictOrdering) {
-  auto config = quick("ResNet 50");
-  config.strict_fraction = 1.0;
-  const auto reports = run_schemes(config, sched::paper_schemes());
+  const auto reports = run_all(quick("table4", "ResNet 50"));
   const auto& molecule = reports[0];
   const auto& naive = reports[1];
   const auto& infless = reports[2];
@@ -63,10 +78,9 @@ TEST(PaperClaims, Table4AllStrictOrdering) {
 }
 
 TEST(PaperClaims, ProteanTailLatencyFarBelowBaselines) {
-  // "Tail latency up to 82% less": PROTEAN's P99 is a small fraction of
-  // the worst baseline's.
-  const auto config = quick("SENet 18");
-  const auto reports = run_schemes(config, sched::paper_schemes());
+  // "Tail latency up to 82% less" (Fig. 8): PROTEAN's P99 is a small
+  // fraction of the worst baseline's.
+  const auto reports = run_all(quick("fig8", "SENet 18"));
   double worst = 0.0;
   for (std::size_t i = 0; i + 1 < reports.size(); ++i) {
     worst = std::max(worst, reports[i].strict_p99_ms);
@@ -76,26 +90,17 @@ TEST(PaperClaims, ProteanTailLatencyFarBelowBaselines) {
 
 TEST(PaperClaims, HybridSpotSavesUpTo70Percent) {
   // Fig. 9 / Table 3: at high availability the hybrid fleet is all-spot.
-  auto config = quick("ResNet 50");
-  config.scheme = sched::Scheme::kProtean;
-  config.cluster.market.policy = spot::ProcurementPolicy::kHybrid;
-  config.cluster.market.p_rev = 0.0;
-  const auto report = run_experiment(config);
+  const auto report =
+      run(quick("fig9", "hybrid P_rev=0"), sched::Scheme::kProtean);
   EXPECT_NEAR(report.cost_usd / report.cost_on_demand_ref_usd, 0.30, 0.01);
   EXPECT_GT(report.slo_compliance_pct, 96.0);
 }
 
 TEST(PaperClaims, SpotOnlyCollapsesAtLowAvailability) {
-  auto config = quick("ResNet 50");
-  config.cluster.market.p_rev = 0.708;
-  config.cluster.market.revocation_check_interval = 15.0;
-  config.cluster.market.eviction_notice = 8.0;
-  config.cluster.market.vm_boot_time = 6.0;
-
-  config.cluster.market.policy = spot::ProcurementPolicy::kSpotOnly;
-  const auto spot_only = run(config, sched::Scheme::kProtean);
-  config.cluster.market.policy = spot::ProcurementPolicy::kHybrid;
-  const auto hybrid = run(config, sched::Scheme::kProtean);
+  const auto spot_only =
+      run(quick("fig9", "spot-only P_rev=0.708"), sched::Scheme::kProtean);
+  const auto hybrid =
+      run(quick("fig9", "hybrid P_rev=0.708"), sched::Scheme::kProtean);
 
   // Paper Fig. 9b: spot-only 0.68% vs PROTEAN hybrid 99.35%.
   EXPECT_LT(spot_only.slo_compliance_pct, 40.0);
@@ -105,32 +110,30 @@ TEST(PaperClaims, SpotOnlyCollapsesAtLowAvailability) {
 
 TEST(PaperClaims, OracleGapIsSmall) {
   // Fig. 17: Oracle ahead by <= ~1 point of compliance.
-  const auto config = quick("VGG 19");
-  const auto protean = run(config, sched::Scheme::kProtean);
-  const auto oracle = run(config, sched::Scheme::kOracle);
+  const auto cell = quick("fig17", "VGG 19");
+  const auto protean = run(cell, sched::Scheme::kProtean);
+  const auto oracle = run(cell, sched::Scheme::kOracle);
   EXPECT_LT(oracle.slo_compliance_pct - protean.slo_compliance_pct, 2.0);
   EXPECT_GT(protean.slo_compliance_pct, 96.0);
 }
 
 TEST(PaperClaims, TightSloHurtsBaselinesMoreThanProtean) {
   // Fig. 15: at 2x targets baselines lose double digits, PROTEAN ~5.
-  auto config = quick("ResNet 50");
-  const auto loose_p = run(config, sched::Scheme::kProtean);
-  const auto loose_m = run(config, sched::Scheme::kMoleculeBeta);
-  config.cluster.slo_multiplier = 2.0;
-  const auto tight_p = run(config, sched::Scheme::kProtean);
-  const auto tight_m = run(config, sched::Scheme::kMoleculeBeta);
+  const auto loose = quick("fig15", "ResNet 50 3x");
+  const auto tight = quick("fig15", "ResNet 50 2x");
+  const auto loose_p = run(loose, sched::Scheme::kProtean);
+  const auto loose_m = run(loose, sched::Scheme::kMoleculeBeta);
+  const auto tight_p = run(tight, sched::Scheme::kProtean);
+  const auto tight_m = run(tight, sched::Scheme::kMoleculeBeta);
   EXPECT_LT(loose_p.slo_compliance_pct - tight_p.slo_compliance_pct, 6.0);
   EXPECT_GT(loose_m.slo_compliance_pct - tight_m.slo_compliance_pct, 10.0);
 }
 
 TEST(PaperClaims, TwitterSurgesHurtConsolidators) {
   // Fig. 11: PROTEAN ~99.9% under the erratic trace.
-  auto config = quick("MobileNet");
-  config.trace.kind = trace::TraceKind::kTwitter;
-  config.trace.scale_to_peak = true;
-  const auto protean = run(config, sched::Scheme::kProtean);
-  const auto infless = run(config, sched::Scheme::kInflessLlama);
+  const auto cell = quick("fig11", "MobileNet");
+  const auto protean = run(cell, sched::Scheme::kProtean);
+  const auto infless = run(cell, sched::Scheme::kInflessLlama);
   EXPECT_GT(protean.slo_compliance_pct, 98.0);
   EXPECT_LT(infless.slo_compliance_pct, 70.0);
 }
@@ -139,34 +142,29 @@ TEST(PaperClaims, BeTailStaysBoundedInPrimaryRuns) {
   // Section 6.1.4: BE P99 stays within the user-facing window even though
   // PROTEAN deprioritizes BE work. (Paper: < 200 ms on hardware; our
   // simulator-scale bound is ~3x the strict SLO.)
-  const auto config = quick("ResNet 50");
-  const auto report = run(config, sched::Scheme::kProtean);
+  const auto report = run(quick("fig6", "ResNet 50"), sched::Scheme::kProtean);
   EXPECT_LT(report.be_p99_ms, report.slo_ms);
 }
 
 TEST(PaperClaims, DelayedTerminationPreventsColdStartStorms) {
   // Section 4.2: keep-alive cuts cold starts by ~98% vs immediate
   // scale-down (which collapses outright at this rate).
-  auto config = quick("ResNet 50");
-  config.scheme = sched::Scheme::kProtean;
-  const auto keep = run_experiment(config);
-  config.cluster.keep_alive = 0.0;
-  const auto immediate = run_experiment(config);
+  const auto keep = run(quick("ablation", "600 s"), sched::Scheme::kProtean);
+  const auto immediate =
+      run(quick("ablation", "immediate"), sched::Scheme::kProtean);
   EXPECT_LT(keep.cold_starts + 1,
             (immediate.cold_starts + 1) / 10);
   EXPECT_GT(keep.slo_compliance_pct, immediate.slo_compliance_pct);
 }
 
-// Figs. 6 and 10 run at the benches' default horizon (bench_config: 60 s,
-// default warmup), where EXPERIMENTS.md records them.
-ExperimentConfig bench_like(const char* model) {
-  return primary_config(model, 60.0);
-}
+// Figs. 6 and 10 are locked at paper_cell's default horizon, the one
+// bench_paper prints them at and EXPERIMENTS.md records them at.
 
 TEST(PaperClaims, InflessVgg19TailIsInterferenceDominated) {
   // Fig. 6: INFless's consolidation puts MPS interference at the top of
   // the heavy-interference model's P99 bar (paper: 75% of VGG 19's tail).
-  const auto r = run(bench_like("VGG 19"), sched::Scheme::kInflessLlama);
+  const auto r =
+      run(paper_cell("fig6", "VGG 19"), sched::Scheme::kInflessLlama);
   const metrics::Breakdown& b = r.tail_breakdown;
   for (const double other :
        {b.queue, b.cold, b.min_time, b.deficiency, b.swap}) {
@@ -178,9 +176,9 @@ TEST(PaperClaims, InflessVgg19TailIsInterferenceDominated) {
 TEST(PaperClaims, ProteanBeatsInflessOnSloGoodThroughput) {
   // Fig. 10a: raw strict throughput ties (every stable scheme completes the
   // offered load); the SLO-good part separates PROTEAN from INFless.
-  const auto config = bench_like("DenseNet 121");
-  const auto protean = run(config, sched::Scheme::kProtean);
-  const auto infless = run(config, sched::Scheme::kInflessLlama);
+  const auto cell = paper_cell("fig10", "DenseNet 121");
+  const auto protean = run(cell, sched::Scheme::kProtean);
+  const auto infless = run(cell, sched::Scheme::kInflessLlama);
   EXPECT_GT(protean.goodput_strict, infless.goodput_strict);
 }
 
