@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cluster/cluster.h"
-#include "common/log.h"
 #include "telemetry/pipeline.h"
 #include "workload/model.h"
 
@@ -212,14 +211,7 @@ void AutoscaleController::on_scrape(SimTime now, double window_attainment_pct,
   const std::uint32_t desired =
       std::clamp(decision.target_nodes, min_nodes_, max_nodes_);
   const std::uint32_t target = gate_.apply(signals.committed_nodes, desired);
-  if (target != signals.committed_nodes) {
-    LOG_DEBUG << "autoscale t=" << now << " " << policy_->name()
-              << ": fleet " << signals.committed_nodes << " -> " << target
-              << " (attain " << signals.window_attainment_pct << "%, util "
-              << signals.window_util_pct << "%, fast burn "
-              << signals.fast_burn << ")";
-    scale_to(target);
-  }
+  if (target != signals.committed_nodes) scale_to(target);
   apply_vertical(decision.vertical);
   apply_warm(decision.warm_per_node);
   if (decision.prefetch_strict) apply_prefetch();

@@ -74,8 +74,6 @@ class HysteresisGate {
     return committed;
   }
 
-  int down_streak() const noexcept { return down_streak_; }
-
  private:
   int settle_ticks_;
   int up_;

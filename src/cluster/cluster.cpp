@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "obs/trace.h"
 #include "telemetry/registry.h"
 
@@ -662,7 +661,7 @@ void Cluster::maybe_arm_hedge(workload::Batch& batch) {
 }
 
 void Cluster::on_lost_batch(workload::Batch&& batch) {
-  collector_.record_lost_work(batch.strict, batch.count);
+  collector_.record_lost_work(batch.count);
   if (collector_.seen(batch.id)) return;  // a twin already settled this id
   if (batch.attempts >= config_.fault.retry.max_retries) {
     if (workflow_ && batch.flow != 0) {
@@ -778,8 +777,6 @@ std::size_t Cluster::fault_domain_size() const { return nodes_.size(); }
 bool Cluster::inject_crash(NodeId id) {
   WorkerNode& node = *nodes_.at(id);
   if (!node.up()) return false;  // already down: the fault misses
-  LOG_DEBUG << "node " << id << " crashed; reboot in "
-            << config_.fault.reboot_delay << " s";
   for (workload::Batch& b : node.evict()) dispatch(std::move(b));
   const NodeId n = id;
   sim_.schedule_after(config_.fault.reboot_delay, [this, n] {

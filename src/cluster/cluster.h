@@ -64,10 +64,6 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   std::uint64_t gateway_requests_seen() const noexcept;
   /// Seals every partial batch on every gateway (end-of-experiment drain).
   void flush_gateways();
-  /// Outstanding work summed over a shard's accepting nodes (the p2c key).
-  double shard_load(std::size_t shard) const {
-    return shards_.at(shard).load_sum;
-  }
   /// Max shard load over mean shard load (1 when idle or single-shard) —
   /// the autoscaler's per-shard imbalance signal.
   double shard_load_skew() const;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "obs/trace.h"
 #include "softgpu/substrate.h"
 #include "telemetry/registry.h"
@@ -672,8 +671,6 @@ bool WorkerNode::inject_ecc(double selector) {
       static_cast<std::size_t>(selector * static_cast<double>(live.size())));
   const SliceId victim = live[pick]->id();
   if (!gpu_->fail_slice(victim)) return false;
-  LOG_DEBUG << "node " << id_ << " ECC failure on slice " << victim
-            << ", geometry now " << gpu_->geometry().to_string();
   ecc_degraded_ = true;
   maybe_sync_cache();
   schedule_ecc_heal(config_.fault.ecc_repair_delay);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.h"
 
 namespace protean::core {
 
@@ -118,11 +117,7 @@ void ProteanScheduler::on_monitor(cluster::WorkerNode& node,
   // exists to bound simultaneous MIG downtime).
   const bool soft = node.gpu().mode() == gpu::SharingMode::kSoftSlice;
   if (!soft && (reconfig_budget <= 0 || node.gpu().reconfiguring())) return;
-  if (node.begin_reconfigure(decision.target)) {
-    if (!soft) --reconfig_budget;
-    LOG_DEBUG << "node " << node.id() << " reconfiguring to "
-              << decision.target.to_string();
-  }
+  if (node.begin_reconfigure(decision.target) && !soft) --reconfig_budget;
 }
 
 const Reconfigurator* ProteanScheduler::reconfigurator(NodeId node) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace protean::fault {
 
@@ -24,11 +23,13 @@ Duration retry_backoff(int attempt, const RetryConfig& config) noexcept {
 
 namespace {
 
+// A finite number spanning all of `s`, the rule harness::parse_spec_number
+// applies to every other spec number.
 std::optional<double> parse_double(const std::string& s) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(s, &pos);
-    if (pos != s.size()) return std::nullopt;
+    if (pos != s.size() || !std::isfinite(v)) return std::nullopt;
     return v;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -40,12 +41,6 @@ std::optional<FaultKind> parse_kind(const std::string& name) {
   if (name == "kill") return FaultKind::kSpotKill;
   if (name == "ecc") return FaultKind::kEcc;
   return std::nullopt;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
 }
 
 }  // namespace
@@ -91,61 +86,6 @@ bool apply_fault_knob(FaultConfig& config, const std::string& key,
     return false;
   }
   return true;
-}
-
-std::optional<FaultConfig> parse_fault_spec(const std::string& spec,
-                                            FaultConfig base) {
-  if (spec.empty()) return std::nullopt;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    start = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (token.empty()) return std::nullopt;
-
-    if (token.find('@') != std::string::npos) {
-      const auto scripted = parse_scripted_fault(token);
-      if (!scripted) return std::nullopt;
-      base.script.push_back(*scripted);
-      continue;
-    }
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = token.substr(0, eq);
-    const auto value = parse_double(token.substr(eq + 1));
-    if (!value) return std::nullopt;
-    if (!apply_fault_knob(base, key, *value)) return std::nullopt;
-  }
-  base.enabled = true;
-  return base;
-}
-
-std::string to_spec(const FaultConfig& config) {
-  const FaultConfig defaults;
-  std::string out;
-  auto append = [&out](const std::string& token) {
-    if (!out.empty()) out += ',';
-    out += token;
-  };
-  for (const ScriptedFault& f : config.script) {
-    append(std::string(to_string(f.kind)) + "@" + fmt(f.at) + ":n" +
-           fmt(static_cast<double>(f.node)));
-  }
-  if (config.crash_rate > 0.0) append("crash-rate=" + fmt(config.crash_rate));
-  if (config.kill_rate > 0.0) append("kill-rate=" + fmt(config.kill_rate));
-  if (config.ecc_rate > 0.0) append("ecc-rate=" + fmt(config.ecc_rate));
-  if (config.reconfig_fail_prob > 0.0) {
-    append("reconfig-fail=" + fmt(config.reconfig_fail_prob));
-  }
-  if (config.reboot_delay != defaults.reboot_delay) {
-    append("reboot=" + fmt(config.reboot_delay));
-  }
-  if (config.ecc_repair_delay != defaults.ecc_repair_delay) {
-    append("ecc-repair=" + fmt(config.ecc_repair_delay));
-  }
-  return out;
 }
 
 }  // namespace protean::fault

@@ -95,22 +95,9 @@ struct FaultConfig {
   std::uint64_t seed = 0xFA017;
 };
 
-/// Parses a `--faults` spec: a comma-separated list of scripted events and
-/// rates, e.g. "crash@40:n2,kill-rate=60,ecc-rate=15,reconfig-fail=0.2".
-///
-///   crash@T:nID | kill@T:nID | ecc@T:nID   scripted event at time T
-///   crash-rate=R | kill-rate=R | ecc-rate=R  hazard, events per node-hour
-///   reconfig-fail=P                         per-attempt timeout probability
-///   reboot=D | ecc-repair=D                 recovery delays, seconds
-///
-/// Returns `base` with the parsed fields applied and `enabled` set, or
-/// nullopt on a malformed spec. An empty spec is malformed.
-std::optional<FaultConfig> parse_fault_spec(const std::string& spec,
-                                            FaultConfig base = {});
-
 /// Leaf parser for one scripted token, `KIND@T:nID` (a `--faults` list
-/// element). Exposed so flag front-ends (harness::FlagSpec) can compose
-/// the grammar without re-implementing it.
+/// element; the CLI composes the list grammar with harness::FlagSpec).
+/// T is a finite time >= 0 in seconds.
 std::optional<ScriptedFault> parse_scripted_fault(const std::string& token);
 
 /// Applies one `key=value` rate/recovery knob from the `--faults` grammar
@@ -118,9 +105,5 @@ std::optional<ScriptedFault> parse_scripted_fault(const std::string& token);
 /// Returns false if the key is unknown or the value is out of range.
 bool apply_fault_knob(FaultConfig& config, const std::string& key,
                       double value);
-
-/// Canonical spec string; parse_fault_spec(to_spec(c)) reproduces the plan
-/// fields of `c` (retry/hedge knobs have their own flags).
-std::string to_spec(const FaultConfig& config);
 
 }  // namespace protean::fault

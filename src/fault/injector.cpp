@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
 
 namespace protean::fault {
 
@@ -28,8 +27,6 @@ void FaultInjector::start() {
   for (std::size_t i = 0; i < config_.script.size(); ++i) {
     const ScriptedFault& f = config_.script[i];
     if (f.node >= domain) {
-      LOG_DEBUG << "fault script entry skipped: node " << f.node
-                << " outside fleet of " << domain;
       continue;
     }
     const Duration delay = std::max(0.0, f.at - sim_.now());

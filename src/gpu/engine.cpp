@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "common/log.h"
 #include "obs/trace.h"
 
 namespace protean::gpu {
@@ -514,8 +513,6 @@ bool Gpu::request_reconfigure(const Geometry& target,
     if (on_done) on_done();
     return true;
   }
-  LOG_DEBUG << "GPU " << id_ << " reconfigure " << geometry_.to_string()
-            << " -> " << target.to_string();
   target_geometry_ = target;
   reconfig_done_ = std::move(on_done);
   set_state(State::kDraining);
@@ -577,8 +574,6 @@ bool Gpu::soft_reconfigure(const Geometry& target,
     if (on_done) on_done();
     return true;
   }
-  LOG_DEBUG << "GPU " << id_ << " soft repartition " << geometry_.to_string()
-            << " -> " << target.to_string();
   // Supersede the current slices in place — no drain, no downtime. Idle
   // slices retire immediately; busy ones keep running (and contending, via
   // soft_resettle's whole-GPU coordination) until their jobs drain. Boot

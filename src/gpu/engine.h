@@ -233,8 +233,6 @@ class Slice {
   /// Busy seconds lost to weight swapping: ∫ busy × (1 − 1/factor) dt.
   double swap_stall_seconds() const noexcept;
 
-  /// Software-slicing knobs (defaults outside kSoftSlice).
-  const SoftParams& soft_params() const noexcept { return soft_; }
   /// Sibling-slice contention pressure leaking into this slice
   /// (kSoftSlice only; maintained by the owning Gpu).
   double external_pressure() const noexcept { return external_pressure_; }

@@ -61,10 +61,10 @@ struct ExperimentConfig {
   /// SLO burn-rate alerting knobs (only read when telemetry is enabled).
   telemetry::BurnRateConfig burn;
 
-  /// Back the Collector's latency store with quantile sketches instead of
-  /// per-request float vectors (metrics/sketch.h): percentiles gain an
-  /// `sketch_alpha` relative-error bound, memory stops growing
-  /// O(requests). Independent of `telemetry`.
+  /// Compute percentiles and means from quantile sketches instead of the
+  /// exact per-batch latency ramps (metrics/sketch.h): percentiles gain an
+  /// `sketch_alpha` relative-error bound. The batch records are kept either
+  /// way, so this saves no memory. Independent of `telemetry`.
   bool sketch_collector = false;
   double sketch_alpha = 0.01;
 
@@ -78,10 +78,6 @@ struct ExperimentConfig {
   //                  .with_seed(7);
   ExperimentConfig& with_scheme(sched::Scheme s) {
     scheme = s;
-    return *this;
-  }
-  ExperimentConfig& with_strict_model(std::string name) {
-    strict_model = std::move(name);
     return *this;
   }
   ExperimentConfig& with_strict_fraction(double fraction) {
@@ -102,10 +98,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& with_trace_kind(trace::TraceKind kind) {
     trace.kind = kind;
-    return *this;
-  }
-  ExperimentConfig& with_horizon(Duration horizon) {
-    trace.horizon = horizon;
     return *this;
   }
   ExperimentConfig& with_nodes(std::uint32_t count) {
@@ -140,14 +132,6 @@ struct ExperimentConfig {
     cluster.memcache = mc;
     return *this;
   }
-  ExperimentConfig& with_gpu_memory(MemGb gb) {
-    cluster.gpu_memory_gb = gb;
-    return *this;
-  }
-  ExperimentConfig& with_mem_timeline(bool keep = true) {
-    keep_mem_timeline = keep;
-    return *this;
-  }
   ExperimentConfig& with_cache_access_log(bool keep = true) {
     keep_cache_access_log = keep;
     return *this;
@@ -156,20 +140,12 @@ struct ExperimentConfig {
     cluster.fault = fc;
     return *this;
   }
-  ExperimentConfig& with_autoscale(const autoscale::AutoscaleConfig& ac) {
-    cluster.autoscale = ac;
-    return *this;
-  }
   ExperimentConfig& with_substrate(const softgpu::SoftGpuConfig& sg) {
     cluster.softgpu = sg;
     return *this;
   }
   ExperimentConfig& with_workflow(const workflow::WorkflowConfig& wf) {
     cluster.workflow = wf;
-    return *this;
-  }
-  ExperimentConfig& with_attr(const attr::AttrConfig& ac) {
-    cluster.attr = ac;
     return *this;
   }
   ExperimentConfig& with_seed(std::uint64_t s) {
@@ -182,10 +158,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& with_telemetry(telemetry::TelemetryOptions options) {
     telemetry = std::move(options);
-    return *this;
-  }
-  ExperimentConfig& with_burn(const telemetry::BurnRateConfig& config) {
-    burn = config;
     return *this;
   }
   ExperimentConfig& with_sketch_collector(double alpha = 0.01) {

@@ -59,7 +59,8 @@ CliParseResult parse_cli(const std::vector<std::string>& args);
 
 /// Maps a user-facing scheme alias ("protean", "infless", "molecule",
 /// "naive", "gpulet", "oracle", "mig-only", "mps-mig", "smart",
-/// "protean-static", "protean-no-reorder", "protean-no-eta") to a Scheme.
+/// "protean-static", "protean-no-reorder", "protean-no-eta",
+/// "protean-soft", "protean-pipe") to a Scheme.
 std::optional<sched::Scheme> scheme_from_alias(const std::string& alias);
 
 /// The usage text printed by --help.

@@ -185,7 +185,6 @@ class Collector {
   /// from every statistic (cold-start warmup transient; the paper reports
   /// steady-state behaviour).
   void set_measure_from(SimTime t) noexcept { measure_from_ = t; }
-  SimTime measure_from() const noexcept { return measure_from_; }
 
   /// Batch completion observer: invoked once per recorded batch with
   /// (completion time, strict?, worst latency, best latency, request
@@ -297,9 +296,8 @@ class Collector {
 
   /// Requests whose in-flight execution was aborted by a fault. Lost work is
   /// not the same as dropped: the batch may still be retried and served.
-  void record_lost_work(bool strict, int count) {
+  void record_lost_work(int count) {
     lost_requests_ += static_cast<std::uint64_t>(count);
-    if (strict) lost_strict_requests_ += static_cast<std::uint64_t>(count);
   }
   void record_retry() { ++retries_; }
   void record_hedge() { ++hedges_; }
@@ -314,9 +312,6 @@ class Collector {
   std::uint64_t cache_misses() const noexcept { return cache_misses_; }
   std::uint64_t cache_evictions() const noexcept { return cache_evictions_; }
   std::uint64_t lost_requests() const noexcept { return lost_requests_; }
-  std::uint64_t lost_strict_requests() const noexcept {
-    return lost_strict_requests_;
-  }
   std::uint64_t retries() const noexcept { return retries_; }
   std::uint64_t hedges() const noexcept { return hedges_; }
   std::uint64_t duplicate_hedges() const noexcept { return duplicate_hedges_; }
@@ -441,7 +436,6 @@ class Collector {
   std::uint64_t cache_misses_ = 0;
   std::uint64_t cache_evictions_ = 0;
   std::uint64_t lost_requests_ = 0;
-  std::uint64_t lost_strict_requests_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t hedges_ = 0;
   std::uint64_t duplicate_hedges_ = 0;

@@ -56,23 +56,6 @@ void QuantileSketch::add(double value) {
   ++*last_count_;
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  PROTEAN_CHECK_MSG(alpha_ == other.alpha_,
-                    "cannot merge sketches with different alpha");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  zero_count_ += other.zero_count_;
-  for (const auto& [key, n] : other.buckets_) buckets_[key] += n;
-}
-
 double QuantileSketch::quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -9,8 +9,8 @@
 // number of observations. Sub-`kMinValue` observations (including zero)
 // land in a dedicated zero bucket and are reported as 0.
 //
-// The sketch is deterministic: buckets live in an ordered map, merges and
-// queries iterate in key order, and no randomness is consumed. It backs
+// The sketch is deterministic: buckets live in an ordered map, queries
+// iterate in key order, and no randomness is consumed. It backs
 // the opt-in sketch latency store of metrics::Collector and the rolling
 // per-window quantiles of src/telemetry.
 #pragma once
@@ -32,9 +32,6 @@ class QuantileSketch {
 
   /// Records one observation (negative values are clamped to 0).
   void add(double value);
-
-  /// Merges another sketch into this one. Both must share `alpha`.
-  void merge(const QuantileSketch& other);
 
   std::uint64_t count() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }

@@ -145,9 +145,4 @@ std::vector<Scheme> paper_schemes() {
           Scheme::kProtean};
 }
 
-std::vector<Scheme> motivation_schemes() {
-  return {Scheme::kMoleculeBeta, Scheme::kInflessLlama, Scheme::kMigOnly,
-          Scheme::kMpsMig, Scheme::kSmartMpsMig};
-}
-
 }  // namespace protean::sched

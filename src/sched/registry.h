@@ -50,7 +50,4 @@ const std::vector<Scheme>& all_schemes();
 /// The four schemes of the paper's primary evaluation (Figs. 5–15 order).
 std::vector<Scheme> paper_schemes();
 
-/// The five schemes of the Section 2.2 motivation experiment (Fig. 2).
-std::vector<Scheme> motivation_schemes();
-
 }  // namespace protean::sched

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/log.h"
 
 namespace protean::spot {
 
@@ -20,20 +19,6 @@ const char* to_string(ProcurementPolicy policy) noexcept {
   return "?";
 }
 
-std::optional<VmTier> parse_vm_tier(const std::string& name) {
-  if (name == "on-demand") return VmTier::kOnDemand;
-  if (name == "spot") return VmTier::kSpot;
-  return std::nullopt;
-}
-
-std::optional<ProcurementPolicy> parse_procurement_policy(
-    const std::string& name) {
-  if (name == "on-demand-only") return ProcurementPolicy::kOnDemandOnly;
-  if (name == "spot-only") return ProcurementPolicy::kSpotOnly;
-  if (name == "hybrid") return ProcurementPolicy::kHybrid;
-  return std::nullopt;
-}
-
 const std::vector<ProviderPricing>& pricing_table() {
   static const std::vector<ProviderPricing> table = {
       {"AWS", 32.7726, 9.8318},
@@ -42,9 +27,6 @@ const std::vector<ProviderPricing>& pricing_table() {
   };
   return table;
 }
-
-double default_on_demand_hourly() noexcept { return 32.7726; }
-double default_spot_hourly() noexcept { return 9.8318; }
 
 Market::Market(sim::Simulator& simulator, const MarketConfig& config,
                std::uint32_t node_count, NodeLifecycleListener& listener)
@@ -117,7 +99,6 @@ void Market::start() {
               settle_cost(node);
               st.tier = VmTier::kSpot;
               st.vm_since = sim_.now();
-              ++spot_acquisitions_;
             }
           }
         });
@@ -138,11 +119,6 @@ void Market::bring_up(NodeId node, VmTier tier) {
   st.acquiring = false;
   st.tier = tier;
   st.vm_since = sim_.now();
-  if (tier == VmTier::kSpot) {
-    ++spot_acquisitions_;
-  } else {
-    ++od_acquisitions_;
-  }
   listener_.on_node_restored(node, tier);
 }
 
@@ -174,7 +150,6 @@ void Market::revocation_check() {
     }
     st.draining = true;
     const SimTime eviction_at = sim_.now() + config_.eviction_notice;
-    LOG_DEBUG << "node " << node << " eviction notice, dies at " << eviction_at;
     listener_.on_eviction_notice(node, eviction_at);
     // Immediately start procuring a replacement (Section 4.5): the boot
     // time is shorter than the notice, so a hybrid fleet loses no capacity.
@@ -222,7 +197,6 @@ bool Market::release(NodeId node) {
   if (!running_) return false;
   NodeState& st = nodes_.at(node);
   if (!st.up) return false;
-  LOG_DEBUG << "node " << node << " released back to the provider";
   settle_cost(node);
   st.up = false;
   st.draining = false;
@@ -235,7 +209,6 @@ bool Market::force_kill(NodeId node) {
   if (!running_) return false;
   NodeState& st = nodes_.at(node);
   if (!st.up || st.tier != VmTier::kSpot) return false;
-  LOG_DEBUG << "node " << node << " spot VM killed without notice";
   settle_cost(node);
   st.up = false;
   st.draining = false;
@@ -273,14 +246,6 @@ bool Market::node_draining(NodeId node) const {
 
 bool Market::node_acquiring(NodeId node) const {
   return nodes_.at(node).acquiring;
-}
-
-std::uint32_t Market::pending_acquisitions() const {
-  std::uint32_t count = 0;
-  for (const auto& st : nodes_) {
-    if (st.acquiring && !st.up) ++count;
-  }
-  return count;
 }
 
 VmTier Market::node_tier(NodeId node) const { return nodes_.at(node).tier; }

@@ -19,8 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,11 +38,6 @@ enum class ProcurementPolicy : std::uint8_t {
 const char* to_string(VmTier tier) noexcept;
 const char* to_string(ProcurementPolicy policy) noexcept;
 
-/// Inverses of to_string; std::nullopt for unrecognised names.
-std::optional<VmTier> parse_vm_tier(const std::string& name);
-std::optional<ProcurementPolicy> parse_procurement_policy(
-    const std::string& name);
-
 /// One row of Table 3: hourly prices for an 8×A100 instance.
 struct ProviderPricing {
   const char* provider;
@@ -57,10 +50,6 @@ struct ProviderPricing {
 
 /// The paper's Table 3 (averaged US-east/west prices at time of writing).
 const std::vector<ProviderPricing>& pricing_table();
-
-/// Average AWS prices used for the cost projection (Section 5).
-double default_on_demand_hourly() noexcept;
-double default_spot_hourly() noexcept;
 
 /// Cluster-side listener for VM lifecycle events.
 class NodeLifecycleListener {
@@ -125,7 +114,6 @@ class Market {
   bool node_acquiring(NodeId node) const;
   VmTier node_tier(NodeId node) const;
   std::uint32_t nodes_up() const;
-  std::uint32_t pending_acquisitions() const;
 
   // ---- elastic fleet (the autoscaler's horizontal actions) ----------------
   /// Requests a VM for a parked slot. The node comes up after the normal
@@ -147,8 +135,6 @@ class Market {
   double on_demand_reference_cost() const;
 
   int evictions() const noexcept { return evictions_; }
-  int spot_acquisitions() const noexcept { return spot_acquisitions_; }
-  int on_demand_acquisitions() const noexcept { return od_acquisitions_; }
 
   /// Abrupt spot kill (fault injection): the VM dies *now*, with no
   /// eviction notice. Only spot-tier VMs can be killed this way; a
@@ -186,8 +172,6 @@ class Market {
   SimTime started_at_ = 0.0;
   bool running_ = false;
   int evictions_ = 0;
-  int spot_acquisitions_ = 0;
-  int od_acquisitions_ = 0;
   int releases_ = 0;
 };
 

@@ -53,15 +53,9 @@ BurnRateMonitor::BurnRateMonitor(const BurnRateConfig& config, Duration tick)
   slow_.init(ticks_for(config.slow_window));
 }
 
-void BurnRateMonitor::observe(SimTime when, bool violated) {
-  (void)when;  // observations always land in the currently open tick
-  ++pending_total_;
-  pending_violations_ += violated ? 1 : 0;
-}
-
 void BurnRateMonitor::observe_many(SimTime when, std::uint64_t violations,
                                    std::uint64_t total) {
-  (void)when;
+  (void)when;  // observations always land in the currently open tick
   pending_total_ += total;
   pending_violations_ += violations;
 }

@@ -13,7 +13,7 @@
 // window drops below `clear_threshold` (hysteresis; the slow window is
 // deliberately ignored on clear so recovery is visible quickly).
 //
-// Observations arrive per strict request via observe(); window state
+// Observations arrive per strict batch via observe_many(); window state
 // advances on evaluate(now), called by the pipeline at each scrape.
 // Everything is integer counting over ring buffers — deterministic, no
 // RNG, no floating-point accumulation drift across runs.
@@ -48,12 +48,9 @@ class BurnRateMonitor {
   /// windows are rounded up to whole ticks.
   BurnRateMonitor(const BurnRateConfig& config, Duration tick);
 
-  /// Feeds one strict-request outcome. Times must be non-decreasing
-  /// between evaluate() calls (sim order guarantees this).
-  void observe(SimTime when, bool violated);
-
-  /// Bulk form: `violations` of `total` strict requests violated. Same
-  /// semantics as `total` observe() calls at `when`.
+  /// Feeds `total` strict-request outcomes at `when`, `violations` of
+  /// them violated. Times must be non-decreasing between evaluate() calls
+  /// (sim order guarantees this).
   void observe_many(SimTime when, std::uint64_t violations,
                     std::uint64_t total);
 

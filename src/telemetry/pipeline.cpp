@@ -134,18 +134,6 @@ void TelemetryPipeline::observe_batch(SimTime when, bool strict,
   monitor_.observe_many(when, /*violations=*/total - ok, total);
 }
 
-void TelemetryPipeline::observe_request(SimTime when, bool strict,
-                                        double latency_s, bool compliant) {
-  if (strict) {
-    strict_latency_->observe(latency_s);
-    ++window_strict_total_;
-    if (compliant) ++window_strict_ok_;
-    monitor_.observe(when, /*violated=*/!compliant);
-  } else {
-    be_latency_->observe(latency_s);
-  }
-}
-
 void TelemetryPipeline::scrape(SimTime now) {
   const bool edge = monitor_.evaluate(now);
   if (registry_.plan_version() != plan_version_) {

@@ -93,11 +93,6 @@ class TelemetryPipeline {
   void observe_batch(SimTime when, bool strict, double lat_first,
                      double lat_last, int count, double slo);
 
-  /// Single-request convenience (tests, custom feeds): the latency
-  /// summaries, attainment window, and burn monitor see one observation.
-  void observe_request(SimTime when, bool strict, double latency_s,
-                       bool compliant);
-
   /// Observer invoked at the end of every periodic scrape — after the
   /// burn-rate monitor refresh, before the attainment window resets —
   /// with (scrape time, window attainment %, window strict count). The

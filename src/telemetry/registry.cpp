@@ -36,11 +36,6 @@ void MetricsRegistry::gauge(const std::string& name, GaugeFn fn) {
   plan_dirty_ = true;
 }
 
-void MetricsRegistry::remove_gauge(const std::string& name) {
-  gauges_.erase(name);
-  plan_dirty_ = true;
-}
-
 Summary* MetricsRegistry::summary(const std::string& name, double alpha,
                                   std::vector<double> quantiles) {
   check_fresh(name);
@@ -145,17 +140,6 @@ void MetricsRegistry::scrape_values(std::vector<double>* out) {
     out->push_back(value);
   }
   for (auto& [name, entry] : summaries_) entry.summary->reset_window();
-}
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::scrape() {
-  std::vector<double> values;
-  scrape_values(&values);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out.emplace_back(names_[i], values[i]);
-  }
-  return out;
 }
 
 std::map<std::string, std::string> MetricsRegistry::type_map() const {

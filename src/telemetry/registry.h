@@ -80,37 +80,26 @@ class MetricsRegistry {
   /// Registers a sampled gauge. The callback runs at every scrape.
   void gauge(const std::string& name, GaugeFn fn);
 
-  /// Removes a gauge (e.g. when its producer is torn down mid-run).
-  /// Missing names are ignored.
-  void remove_gauge(const std::string& name);
-
   /// Registers a rolling-window quantile summary with the given
   /// relative-error bound and quantiles to expose (e.g. {0.5, 0.95, 0.99}).
   Summary* summary(const std::string& name, double alpha,
                    std::vector<double> quantiles);
 
-  /// One scraped sample: flat (name, value) pairs in name order. Summary
-  /// instruments expand to quantile-labelled entries (a `quantile` label
-  /// merged into any existing label block) plus `_count`/`_sum` samples
-  /// (suffix applied to the base name, labels preserved); empty summary
-  /// windows emit quantiles of 0.
-  std::vector<std::pair<std::string, double>> scrape();
-
   /// Bumped whenever the instrument set changes. Consumers key caches of
   /// name-derived artifacts (pre-escaped JSON keys, ...) on it.
   std::uint64_t plan_version();
 
-  /// Sample names in scrape order — stable between registration changes.
+  /// Sample names in scrape order (name order), stable between
+  /// registration changes. Summary instruments expand to quantile-labelled
+  /// entries (a `quantile` label merged into any existing label block) plus
+  /// `_count`/`_sum` samples (suffix applied to the base name, labels
+  /// preserved).
   const std::vector<std::string>& sample_names();
 
   /// Allocation-free scrape: overwrites `out` with the values aligned
-  /// with sample_names(). Resets summary windows exactly like scrape().
+  /// with sample_names(), then resets every summary window. An empty
+  /// summary window yields quantiles of 0.
   void scrape_values(std::vector<double>* out);
-
-  /// Instrument counts, for tests.
-  std::size_t counter_count() const noexcept { return counters_.size(); }
-  std::size_t gauge_count() const noexcept { return gauges_.size(); }
-  std::size_t summary_count() const noexcept { return summaries_.size(); }
 
   /// Base metric name -> OpenMetrics type string ("counter", "gauge",
   /// "summary") over every registered instrument. Used by the exposition

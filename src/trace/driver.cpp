@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/log.h"
 
 namespace protean::trace {
 
@@ -71,7 +70,6 @@ void WorkloadDriver::maybe_rotate_be_model() {
     if (next == be_index_) next = (next + 1) % be_pool_.size();
     be_index_ = next;
     next_rotation_ = sim_.now() + config_.be_rotation_period;
-    LOG_DEBUG << "BE model rotated to " << be_pool_[be_index_]->name;
   }
 }
 

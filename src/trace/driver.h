@@ -55,7 +55,6 @@ class WorkloadDriver {
   /// Starts injecting arrivals; runs until the trace horizon.
   void start();
 
-  const RateTrace& rate_trace() const noexcept { return trace_; }
   const workload::ModelProfile& current_be_model() const;
   /// Every model BE requests may target during the run.
   std::vector<const workload::ModelProfile*> be_models() const;

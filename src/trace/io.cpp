@@ -131,19 +131,6 @@ std::vector<double> load_rate_csv(const std::string& path) {
   return parse_rate_csv(in);
 }
 
-void save_rate_csv(std::ostream& out, const std::vector<double>& rates) {
-  out << "second,rps\n";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    out << i << ',' << rates[i] << '\n';
-  }
-}
-
-void save_rate_csv(const std::string& path, const std::vector<double>& rates) {
-  std::ofstream out(path);
-  if (!out) throw std::invalid_argument("cannot open for write: " + path);
-  save_rate_csv(out, rates);
-}
-
 TableTrace::TableTrace(std::vector<double> rates)
     : TableTrace(std::move(rates), Config{}) {}
 

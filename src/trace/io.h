@@ -1,6 +1,6 @@
 // Rate-trace file I/O.
 //
-// A rate trace can be exported to / replayed from a two-column CSV
+// A rate trace can be replayed from a two-column CSV
 // ("second,rps", header optional), so real production traces (Wikipedia
 // pageview dumps, Twitter firehose aggregations) can be fed to the
 // simulator once aggregated to per-second request counts.
@@ -29,10 +29,6 @@ std::vector<double> parse_rate_csv(std::istream& in);
 
 /// Reads a rate table from a CSV file. Throws on I/O or parse errors.
 std::vector<double> load_rate_csv(const std::string& path);
-
-/// Writes a rate table as "second,rps" CSV.
-void save_rate_csv(std::ostream& out, const std::vector<double>& rates);
-void save_rate_csv(const std::string& path, const std::vector<double>& rates);
 
 /// A RateTrace backed by an explicit per-second table (e.g. loaded from
 /// CSV), optionally rescaled to a target mean or peak.

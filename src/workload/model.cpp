@@ -132,15 +132,6 @@ std::vector<const ModelProfile*> ModelCatalog::by_domain(Domain domain) const {
   return out;
 }
 
-std::vector<const ModelProfile*> ModelCatalog::by_class(
-    InterferenceClass iclass) const {
-  std::vector<const ModelProfile*> out;
-  for (const auto& m : models_) {
-    if (m.iclass == iclass) out.push_back(&m);
-  }
-  return out;
-}
-
 std::vector<const ModelProfile*> ModelCatalog::opposite_class_pool(
     const ModelProfile& strict_model) const {
   // BE requests rotate through vision models of the opposite interference

@@ -11,8 +11,8 @@
 // deficiency_alpha is calibrated to the paper's reported anchors (e.g.
 // ALBERT slows 2.15× on a 3g slice; ShuffleNet V2 suffers <2% deficiency).
 // The paper profiles the RDFs offline, so each profile carries them as a
-// five-entry table, filled once when the profile is finished (the catalog
-// and ModelBuilder::build both call tabulate_rdf).
+// five-entry table, filled once when the catalog builds the profile (see
+// tabulate_rdf).
 #pragma once
 
 #include <array>
@@ -52,11 +52,6 @@ struct ModelProfile {
   /// of mem_gb that survives between batches when weights stay cached on
   /// the device; the remainder is per-batch activation memory.
   MemGb weight_gb = 0.0;
-
-  /// Activation part of the *full-batch* footprint: mem_gb − weight_gb.
-  MemGb activation_gb() const noexcept {
-    return mem_gb > weight_gb ? mem_gb - weight_gb : 0.0;
-  }
 
   /// Fractional Bandwidth Requirement of one batch job (Eq. 1's bw×sm).
   double fbr = 0.0;
@@ -112,7 +107,6 @@ class ModelCatalog {
   const std::vector<ModelProfile>& all() const noexcept { return models_; }
 
   std::vector<const ModelProfile*> by_domain(Domain domain) const;
-  std::vector<const ModelProfile*> by_class(InterferenceClass iclass) const;
   /// Vision models of the opposite interference class (used when rotating
   /// the BE model against a fixed strict model, Section 5).
   std::vector<const ModelProfile*> opposite_class_pool(

@@ -10,6 +10,7 @@
 
 #include "cluster/cluster.h"
 #include "fault/injector.h"
+#include "harness/options.h"
 #include "metrics/collector.h"
 #include "sched/registry.h"
 #include "trace/driver.h"
@@ -40,10 +41,18 @@ TEST(RetryBackoff, CapsAtMaxBackoff) {
   EXPECT_DOUBLE_EQ(retry_backoff(100, rc), 5.0);
 }
 
-// ---- spec parsing ----------------------------------------------------------
+// ---- spec parsing (through the CLI's --faults parser) ----------------------
+
+std::optional<FaultConfig> parse_faults(const std::string& spec,
+                                        std::string* error = nullptr) {
+  auto result = harness::parse_cli({"--faults", spec});
+  if (error != nullptr) *error = result.error;
+  if (!result.options) return std::nullopt;
+  return result.options->config.cluster.fault;
+}
 
 TEST(FaultSpec, ParsesScriptedAndRates) {
-  const auto parsed = parse_fault_spec(
+  const auto parsed = parse_faults(
       "crash@40:n2,kill@10:n0,ecc-rate=15,reconfig-fail=0.2,reboot=30");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->enabled);
@@ -57,45 +66,101 @@ TEST(FaultSpec, ParsesScriptedAndRates) {
   EXPECT_DOUBLE_EQ(parsed->reboot_delay, 30.0);
 }
 
-TEST(FaultSpec, RoundTripsThroughToSpec) {
-  FaultConfig config;
-  config.enabled = true;
-  config.script = {{FaultKind::kEcc, 12.5, 1}, {FaultKind::kCrash, 40.0, 0}};
-  config.crash_rate = 30.0;
-  config.kill_rate = 60.0;
-  config.ecc_rate = 15.0;
-  config.reconfig_fail_prob = 0.1;
-  config.reboot_delay = 45.0;
-  config.ecc_repair_delay = 90.0;
-  const auto parsed = parse_fault_spec(to_spec(config));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->script, config.script);
-  EXPECT_DOUBLE_EQ(parsed->crash_rate, config.crash_rate);
-  EXPECT_DOUBLE_EQ(parsed->kill_rate, config.kill_rate);
-  EXPECT_DOUBLE_EQ(parsed->ecc_rate, config.ecc_rate);
-  EXPECT_DOUBLE_EQ(parsed->reconfig_fail_prob, config.reconfig_fail_prob);
-  EXPECT_DOUBLE_EQ(parsed->reboot_delay, config.reboot_delay);
-  EXPECT_DOUBLE_EQ(parsed->ecc_repair_delay, config.ecc_repair_delay);
-}
-
 TEST(FaultSpec, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "crash@x:n1", "crash@10", "crash@10:n", "crash@10:2", "flood@1:n0",
         "crash-rate=-3", "reconfig-fail=1.5", "reboot=0", "reboot=-1",
         "bogus-key=1", "crash@10:n1,,kill-rate=5"}) {
-    EXPECT_FALSE(parse_fault_spec(bad).has_value()) << "spec: " << bad;
+    EXPECT_FALSE(parse_faults(bad).has_value()) << "spec: " << bad;
+  }
+  // A scripted time must be finite, like every other spec number.
+  for (const char* bad : {"crash@nan:n1", "crash@inf:n1"}) {
+    std::string error;
+    EXPECT_FALSE(parse_faults(bad, &error).has_value()) << "spec: " << bad;
+    EXPECT_NE(error.find("bad token"), std::string::npos) << error;
   }
 }
 
 TEST(FaultSpec, AppliesOnTopOfBase) {
-  FaultConfig base;
-  base.retry.max_retries = 7;
-  const auto parsed = parse_fault_spec("crash-rate=12", base);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->enabled);
-  EXPECT_DOUBLE_EQ(parsed->crash_rate, 12.0);
-  EXPECT_EQ(parsed->retry.max_retries, 7);  // base fields survive
+  const auto parsed = harness::parse_cli(
+      {"--fault-retries", "7", "--faults", "crash-rate=12"});
+  ASSERT_TRUE(parsed.options.has_value()) << parsed.error;
+  const FaultConfig& fault = parsed.options->config.cluster.fault;
+  EXPECT_TRUE(fault.enabled);
+  EXPECT_DOUBLE_EQ(fault.crash_rate, 12.0);
+  EXPECT_EQ(fault.retry.max_retries, 7);  // the earlier flag survives
 }
+
+// Every scripted kind parses under the name `to_string` prints for it.
+class ScriptedKind : public ::testing::TestWithParam<FaultKind> {};
+
+TEST_P(ScriptedKind, ParsesUnderItsPrintedName) {
+  const FaultKind kind = GetParam();
+  const std::string token = std::string(to_string(kind)) + "@12.5:n3";
+  const auto parsed = parse_faults(token);
+  ASSERT_TRUE(parsed.has_value()) << token;
+  ASSERT_EQ(parsed->script.size(), 1u);
+  EXPECT_EQ(parsed->script[0], (ScriptedFault{kind, 12.5, 3}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultSpec, ScriptedKind,
+    ::testing::Values(FaultKind::kCrash, FaultKind::kSpotKill,
+                      FaultKind::kEcc),
+    [](const ::testing::TestParamInfo<FaultKind>& param) {
+      return std::string(to_string(param.param));
+    });
+
+// One row per KEY=VALUE knob of the --faults grammar.
+struct KnobCase {
+  const char* key;
+  double FaultConfig::*field;
+  double value;              // accepted, and not the default
+  const char* out_of_range;  // the nearest rejected spelling
+};
+
+constexpr KnobCase kKnobs[] = {
+    {"crash-rate", &FaultConfig::crash_rate, 12.0, "-1"},
+    {"kill-rate", &FaultConfig::kill_rate, 40.0, "-1"},
+    {"ecc-rate", &FaultConfig::ecc_rate, 15.0, "-1"},
+    {"reconfig-fail", &FaultConfig::reconfig_fail_prob, 0.25, "1.01"},
+    {"reboot", &FaultConfig::reboot_delay, 45.0, "0"},
+    {"ecc-repair", &FaultConfig::ecc_repair_delay, 90.0, "0"},
+};
+
+class FaultKnob : public ::testing::TestWithParam<KnobCase> {};
+
+TEST_P(FaultKnob, SetsOnlyItsOwnFieldAndRejectsOutOfRange) {
+  const KnobCase& knob = GetParam();
+  const std::string spec =
+      std::string(knob.key) + "=" + std::to_string(knob.value);
+  const auto parsed = parse_faults(spec);
+  ASSERT_TRUE(parsed.has_value()) << spec;
+  const FaultConfig defaults;
+  for (const KnobCase& other : kKnobs) {
+    const double want =
+        other.field == knob.field ? knob.value : defaults.*other.field;
+    EXPECT_DOUBLE_EQ((*parsed).*other.field, want) << other.key;
+  }
+  EXPECT_TRUE(parsed->script.empty());
+
+  std::string error;
+  const std::string bad = std::string(knob.key) + "=" + knob.out_of_range;
+  EXPECT_FALSE(parse_faults(bad, &error).has_value()) << bad;
+  EXPECT_NE(error.find("bad value for '" + std::string(knob.key) + "'"),
+            std::string::npos)
+      << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultSpec, FaultKnob, ::testing::ValuesIn(kKnobs),
+    [](const ::testing::TestParamInfo<KnobCase>& param) {
+      std::string name = param.param.key;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // ---- collector de-duplication ---------------------------------------------
 
@@ -200,7 +265,7 @@ cluster::ClusterConfig faulty_cluster(const std::string& spec,
                                       std::uint32_t nodes = 2) {
   cluster::ClusterConfig config;
   config.node_count = nodes;
-  auto parsed = parse_fault_spec(spec, config.fault);
+  const auto parsed = parse_faults(spec);
   EXPECT_TRUE(parsed.has_value()) << "spec: " << spec;
   if (parsed) config.fault = *parsed;
   return config;

@@ -205,22 +205,6 @@ TEST(Market, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(a.second, b.second);
 }
 
-TEST(Market, TierAndPolicyNamesRoundTrip) {
-  for (VmTier tier : {VmTier::kOnDemand, VmTier::kSpot}) {
-    EXPECT_EQ(parse_vm_tier(to_string(tier)), tier) << to_string(tier);
-  }
-  for (ProcurementPolicy policy :
-       {ProcurementPolicy::kOnDemandOnly, ProcurementPolicy::kSpotOnly,
-        ProcurementPolicy::kHybrid}) {
-    EXPECT_EQ(parse_procurement_policy(to_string(policy)), policy)
-        << to_string(policy);
-  }
-  EXPECT_EQ(parse_vm_tier("preemptible"), std::nullopt);
-  EXPECT_EQ(parse_vm_tier(""), std::nullopt);
-  EXPECT_EQ(parse_procurement_policy("spot"), std::nullopt);
-  EXPECT_EQ(parse_procurement_policy(""), std::nullopt);
-}
-
 TEST(Market, SpotOnlyWaitAndRetryIsDeterministic) {
   // kSpotOnly under a tight market parks nodes and retries acquisition on a
   // timer; the whole event sequence must replay exactly for a fixed seed.

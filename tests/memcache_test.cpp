@@ -8,19 +8,23 @@
 #include <memory>
 
 #include "sim/simulator.h"
-#include "workload/builder.h"
+#include "workload/model.h"
 
 namespace protean::memcache {
 namespace {
 
 workload::ModelProfile make_model(const char* name, MemGb weight) {
-  return workload::ModelBuilder(name)
-      .batch_size(8)
-      .solo_latency_ms(50)
-      .memory_gb(weight + 1.0)
-      .weight_gb(weight)
-      .fbr(0.3)
-      .build();
+  workload::ModelProfile model;
+  model.name = name;
+  model.batch_size = 8;
+  model.solo_time_7g = 0.05;
+  model.mem_gb = weight + 1.0;
+  model.weight_gb = weight;
+  model.fbr = 0.3;
+  model.sm_req = 0.55;
+  model.deficiency_alpha = 0.15;
+  model.tabulate_rdf();
+  return model;
 }
 
 gpu::JobSpec job(JobId id, Duration solo, MemGb mem) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -93,6 +94,33 @@ TEST(Calibration, GptFbrsHighestInCatalog) {
   }
 }
 
+TEST(Calibration, VisionClassesSeparateOnFbrAlphaAndSmReq) {
+  // Every HI vision model is more bandwidth bound, slows more on a smaller
+  // slice and asks for more SMs than any LI vision model.
+  double li_fbr = 0.0, li_alpha = 0.0, li_sm = 0.0;
+  double hi_fbr = 1e9, hi_alpha = 1e9, hi_sm = 1e9;
+  int li = 0, hi = 0;
+  for (const auto* m : catalog().by_domain(Domain::kVision)) {
+    if (m->iclass == InterferenceClass::kLI) {
+      ++li;
+      li_fbr = std::max(li_fbr, m->fbr);
+      li_alpha = std::max(li_alpha, m->deficiency_alpha);
+      li_sm = std::max(li_sm, m->sm_req);
+    } else {
+      ++hi;
+      EXPECT_EQ(m->iclass, InterferenceClass::kHI) << m->name;
+      hi_fbr = std::min(hi_fbr, m->fbr);
+      hi_alpha = std::min(hi_alpha, m->deficiency_alpha);
+      hi_sm = std::min(hi_sm, m->sm_req);
+    }
+  }
+  EXPECT_EQ(li, 8);
+  EXPECT_EQ(hi, 4);
+  EXPECT_LT(li_fbr, hi_fbr);
+  EXPECT_LT(li_alpha, hi_alpha);
+  EXPECT_LT(li_sm, hi_sm);
+}
+
 TEST(Model, RdfIsOneOnFullGpuAndMonotone) {
   for (const auto& m : catalog().all()) {
     EXPECT_DOUBLE_EQ(m.rdf(gpu::SliceProfile::k7g), 1.0) << m.name;
@@ -131,6 +159,23 @@ TEST(Model, SloDeadlineUsesMultiplier) {
   const auto& m = catalog().by_name("ResNet 50");
   EXPECT_NEAR(m.slo_deadline(), 3.0 * m.solo_time_7g, 1e-12);
   EXPECT_NEAR(m.slo_deadline(2.0), 2.0 * m.solo_time_7g, 1e-12);
+}
+
+TEST(Model, TabulateRdfFollowsAChangedAlpha) {
+  ModelProfile m = catalog().by_name("ResNet 50");
+  m.deficiency_alpha = 0.5;
+  m.tabulate_rdf();
+  for (gpu::SliceProfile p : gpu::kAllProfiles) {
+    const double rdf = std::pow(1.0 / gpu::compute_fraction(p), 0.5);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.rdf(p)),
+              std::bit_cast<std::uint64_t>(rdf))
+        << gpu::short_name(p);
+  }
+  m.deficiency_alpha = 0.0;
+  m.tabulate_rdf();
+  for (gpu::SliceProfile p : gpu::kAllProfiles) {
+    EXPECT_EQ(m.rdf(p), 1.0) << gpu::short_name(p);
+  }
 }
 
 TEST(Catalog, OppositeClassPoolForHiIsVisionLi) {

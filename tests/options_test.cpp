@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <functional>
 #include <string>
 #include <utility>
@@ -163,6 +164,49 @@ TEST(Cli, SpotPolicyAndPrev) {
   EXPECT_EQ(opts.config.cluster.market.policy,
             spot::ProcurementPolicy::kHybrid);
   EXPECT_DOUBLE_EQ(opts.config.cluster.market.p_rev, 0.354);
+}
+
+struct SpotCase {
+  const char* name;
+  spot::ProcurementPolicy policy;
+};
+
+class SpotFlag : public ::testing::TestWithParam<SpotCase> {};
+
+TEST_P(SpotFlag, PicksItsPolicyInAnyCase) {
+  const SpotCase& c = GetParam();
+  EXPECT_EQ(must_parse({"--spot", c.name}).config.cluster.market.policy,
+            c.policy);
+  std::string upper = c.name;
+  for (char& ch : upper) {
+    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  EXPECT_EQ(must_parse({"--spot", upper}).config.cluster.market.policy,
+            c.policy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cli, SpotFlag,
+    ::testing::Values(
+        SpotCase{"on-demand", spot::ProcurementPolicy::kOnDemandOnly},
+        SpotCase{"spot-only", spot::ProcurementPolicy::kSpotOnly},
+        SpotCase{"hybrid", spot::ProcurementPolicy::kHybrid}),
+    [](const ::testing::TestParamInfo<SpotCase>& param) {
+      std::string name = param.param.name;
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
+TEST(Cli, SpotRejectsPolicyNamesItDoesNotList) {
+  for (const char* bad : {"on-demand-only", "spot", "ondemand", ""}) {
+    EXPECT_NE(must_fail({"--spot", bad}).find("unknown spot policy"),
+              std::string::npos)
+        << "--spot '" << bad << "'";
+  }
+  EXPECT_NE(must_fail({"--spot"}).find("--spot needs a value"),
+            std::string::npos);
 }
 
 TEST(Cli, ClusterKnobsApply) {

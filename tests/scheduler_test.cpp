@@ -52,10 +52,9 @@ TEST(Registry, EverySchemeConstructsWithMatchingName) {
   }
 }
 
-TEST(Registry, PaperAndMotivationSchemeLists) {
+TEST(Registry, PaperSchemeList) {
   EXPECT_EQ(paper_schemes().size(), 4u);
   EXPECT_EQ(paper_schemes().back(), Scheme::kProtean);
-  EXPECT_EQ(motivation_schemes().size(), 5u);
 }
 
 TEST(MoleculeBeta, TimeSharesTheWholeGpu) {

@@ -106,32 +106,6 @@ TEST(QuantileSketch, EmptySketchReadsAsZero) {
   EXPECT_DOUBLE_EQ(sketch.min(), 0.0);
 }
 
-TEST(QuantileSketch, MergeMatchesConcatenatedStream) {
-  QuantileSketch a(0.02);
-  QuantileSketch b(0.02);
-  QuantileSketch both(0.02);
-  Prng prng(7);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = 0.001 + prng.uniform01();
-    (i % 2 == 0 ? a : b).add(v);
-    both.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_DOUBLE_EQ(a.sum(), both.sum());
-  EXPECT_DOUBLE_EQ(a.min(), both.min());
-  EXPECT_DOUBLE_EQ(a.max(), both.max());
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.quantile(q), both.quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(QuantileSketch, MergeRejectsAlphaMismatch) {
-  QuantileSketch a(0.01);
-  QuantileSketch b(0.02);
-  EXPECT_THROW(a.merge(b), std::logic_error);
-}
-
 TEST(QuantileSketch, InsertionOrderDoesNotMatter) {
   QuantileSketch forward(0.01);
   QuantileSketch backward(0.01);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -22,12 +23,25 @@ namespace {
 
 // ---- MetricsRegistry ----------------------------------------------------
 
+// One scrape through the pipeline's own path: (name, value) pairs in
+// sample_names() order.
+std::vector<std::pair<std::string, double>> scrape(MetricsRegistry& registry) {
+  std::vector<double> values;
+  registry.scrape_values(&values);
+  const std::vector<std::string>& names = registry.sample_names();
+  std::vector<std::pair<std::string, double>> samples;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    samples.emplace_back(names[i], values[i]);
+  }
+  return samples;
+}
+
 TEST(MetricsRegistry, CountersAccumulate) {
   MetricsRegistry registry;
   Counter* c = registry.counter("requests_total");
   c->inc();
   c->inc(4);
-  const auto samples = registry.scrape();
+  const auto samples = scrape(registry);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].first, "requests_total");
   EXPECT_DOUBLE_EQ(samples[0].second, 5.0);
@@ -37,9 +51,9 @@ TEST(MetricsRegistry, GaugesSampleOnScrape) {
   MetricsRegistry registry;
   double depth = 3.0;
   registry.gauge("queue_depth", [&depth] { return depth; });
-  EXPECT_DOUBLE_EQ(registry.scrape()[0].second, 3.0);
+  EXPECT_DOUBLE_EQ(scrape(registry)[0].second, 3.0);
   depth = 7.0;
-  EXPECT_DOUBLE_EQ(registry.scrape()[0].second, 7.0);
+  EXPECT_DOUBLE_EQ(scrape(registry)[0].second, 7.0);
 }
 
 TEST(MetricsRegistry, ScrapeIsSortedByName) {
@@ -47,7 +61,7 @@ TEST(MetricsRegistry, ScrapeIsSortedByName) {
   registry.gauge("zebra", [] { return 1.0; });
   registry.counter("alpha");
   registry.gauge("mid", [] { return 2.0; });
-  const auto samples = registry.scrape();
+  const auto samples = scrape(registry);
   std::vector<std::string> names;
   names.reserve(samples.size());
   for (const auto& [name, value] : samples) names.push_back(name);
@@ -60,7 +74,7 @@ TEST(MetricsRegistry, SummaryExpandsToQuantilesCountAndSum) {
   s->observe(1.0);
   s->observe(2.0);
   s->observe(3.0);
-  const auto samples = registry.scrape();
+  const auto samples = scrape(registry);
   std::vector<std::string> names;
   for (const auto& [name, value] : samples) names.push_back(name);
   // Lexicographic order: '_' sorts before '{'.
@@ -73,7 +87,7 @@ TEST(MetricsRegistry, SummaryExpandsToQuantilesCountAndSum) {
 TEST(MetricsRegistry, SummaryQuantileLabelMergesIntoExistingBlock) {
   MetricsRegistry registry;
   registry.summary("lat{class=\"strict\"}", 0.01, {0.5});
-  const auto samples = registry.scrape();
+  const auto samples = scrape(registry);
   ASSERT_EQ(samples.size(), 3u);
   // _count/_sum keep the original labels, suffix on the base name.
   EXPECT_EQ(samples[0].first, "lat_count{class=\"strict\"}");
@@ -86,11 +100,11 @@ TEST(MetricsRegistry, SummaryWindowResetsAfterScrape) {
   Summary* s = registry.summary("lat", 0.01, {0.5});
   s->observe(10.0);
   // Sorted: lat_count, lat_sum, lat{quantile="0.5"}.
-  auto samples = registry.scrape();
+  auto samples = scrape(registry);
   EXPECT_DOUBLE_EQ(samples[0].second, 1.0);  // _count is cumulative
   EXPECT_GT(samples[2].second, 0.0);
   // New window: quantile drops to 0, cumulative count stays.
-  samples = registry.scrape();
+  samples = scrape(registry);
   EXPECT_DOUBLE_EQ(samples[0].second, 1.0);
   EXPECT_DOUBLE_EQ(samples[2].second, 0.0);
 }
@@ -101,15 +115,6 @@ TEST(MetricsRegistry, DuplicateNamesAreRejected) {
   EXPECT_THROW(registry.counter("x"), std::logic_error);
   EXPECT_THROW(registry.gauge("x", [] { return 0.0; }), std::logic_error);
   EXPECT_THROW(registry.summary("x", 0.01, {0.5}), std::logic_error);
-}
-
-TEST(MetricsRegistry, RemoveGaugeDropsItFromScrapes) {
-  MetricsRegistry registry;
-  registry.gauge("g", [] { return 1.0; });
-  EXPECT_EQ(registry.scrape().size(), 1u);
-  registry.remove_gauge("g");
-  registry.remove_gauge("missing");  // ignored
-  EXPECT_TRUE(registry.scrape().empty());
 }
 
 TEST(MetricsRegistry, BaseNameStripsLabelBlock) {
@@ -143,9 +148,7 @@ BurnRateConfig test_burn_config() {
 TEST(BurnRateMonitor, CompliantStreamNeverFires) {
   BurnRateMonitor monitor(test_burn_config(), /*tick=*/10.0);
   for (int tick = 1; tick <= 30; ++tick) {
-    for (int i = 0; i < 50; ++i) {
-      monitor.observe(tick * 10.0 - 5.0, /*violated=*/false);
-    }
+    monitor.observe_many(tick * 10.0 - 5.0, /*violations=*/0, 50);
     EXPECT_FALSE(monitor.evaluate(tick * 10.0));
   }
   EXPECT_FALSE(monitor.firing());
@@ -157,14 +160,14 @@ TEST(BurnRateMonitor, CompliantStreamNeverFires) {
 TEST(BurnRateMonitor, SustainedViolationsFireOnce) {
   BurnRateMonitor monitor(test_burn_config(), /*tick=*/10.0);
   // 100% violations: burn = 1.0 / 0.01 = 100 >> fire threshold.
-  for (int i = 0; i < 100; ++i) monitor.observe(5.0, true);
+  monitor.observe_many(5.0, 100, 100);
   EXPECT_TRUE(monitor.evaluate(10.0));  // FIRING edge
   EXPECT_TRUE(monitor.firing());
   EXPECT_EQ(monitor.alerts_fired(), 1u);
   EXPECT_DOUBLE_EQ(monitor.first_alert_at(), 10.0);
   EXPECT_NEAR(monitor.fast_burn(), 100.0, 1e-9);
   // Still violating: no new edge, alert stays up.
-  for (int i = 0; i < 100; ++i) monitor.observe(15.0, true);
+  monitor.observe_many(15.0, 100, 100);
   EXPECT_FALSE(monitor.evaluate(20.0));
   EXPECT_EQ(monitor.alerts_fired(), 1u);
   EXPECT_DOUBLE_EQ(monitor.alert_active_seconds(20.0), 10.0);
@@ -172,7 +175,7 @@ TEST(BurnRateMonitor, SustainedViolationsFireOnce) {
 
 TEST(BurnRateMonitor, ClearsWithHysteresisOnceFastWindowRecovers) {
   BurnRateMonitor monitor(test_burn_config(), /*tick=*/10.0);
-  for (int i = 0; i < 100; ++i) monitor.observe(5.0, true);
+  monitor.observe_many(5.0, 100, 100);
   ASSERT_TRUE(monitor.evaluate(10.0));
   // Healthy traffic from now on. The violations age out of the 60 s fast
   // window after 6 ticks; the clear edge appears then, even though the
@@ -180,9 +183,7 @@ TEST(BurnRateMonitor, ClearsWithHysteresisOnceFastWindowRecovers) {
   bool cleared = false;
   SimTime cleared_at = 0.0;
   for (int tick = 2; tick <= 12; ++tick) {
-    for (int i = 0; i < 200; ++i) {
-      monitor.observe(tick * 10.0 - 5.0, false);
-    }
+    monitor.observe_many(tick * 10.0 - 5.0, 0, 200);
     if (monitor.evaluate(tick * 10.0)) {
       cleared = true;
       cleared_at = tick * 10.0;
@@ -203,12 +204,10 @@ TEST(BurnRateMonitor, BlipDoesNotFireWhenSlowWindowIsHealthy) {
   BurnRateMonitor monitor(test_burn_config(), /*tick=*/10.0);
   int tick = 1;
   for (; tick <= 60; ++tick) {
-    for (int i = 0; i < 100; ++i) {
-      monitor.observe(tick * 10.0 - 5.0, false);
-    }
+    monitor.observe_many(tick * 10.0 - 5.0, 0, 100);
     ASSERT_FALSE(monitor.evaluate(tick * 10.0));
   }
-  for (int i = 0; i < 100; ++i) monitor.observe(tick * 10.0 - 5.0, true);
+  monitor.observe_many(tick * 10.0 - 5.0, 100, 100);
   EXPECT_FALSE(monitor.evaluate(tick * 10.0));
   EXPECT_GE(monitor.fast_burn(), 10.0);  // fast window alone would fire
   EXPECT_LT(monitor.slow_burn(), 10.0);
@@ -280,8 +279,9 @@ void feed_and_finish(sim::Simulator& sim, TelemetryPipeline& pipeline,
   sim::PeriodicTask feed(sim, 0.05, [&] {
     const bool violated =
         (emitted % 100) < static_cast<int>(violation_rate * 100.0);
-    pipeline.observe_request(sim.now(), /*strict=*/true,
-                             /*latency_s=*/violated ? 2.0 : 0.1, !violated);
+    const double latency = violated ? 2.0 : 0.1;
+    pipeline.observe_batch(sim.now(), /*strict=*/true, latency, latency,
+                           /*count=*/1, /*slo=*/1.0);
     ++emitted;
   });
   sim.run_until(60.0);

@@ -129,6 +129,15 @@ TEST_F(ToolsAttr, NumericArgumentsRejectTrailingGarbage) {
   EXPECT_EQ(run_tool(stats + " --top-causes 5x"), 2);
   EXPECT_EQ(run_tool(stats + " --top-causes 0"), 2);
   EXPECT_EQ(run_tool(stats + " --top-causes 5"), 0);
+  const std::string diff = std::string(METRICS_DIFF_BIN) + " " +
+                           jsonl_path() + " " + jsonl_path();
+  EXPECT_EQ(run_tool(diff + " --show 1e30"), 2);
+  EXPECT_EQ(run_tool(diff + " --show nan"), 2);
+  EXPECT_EQ(run_tool(diff + " --show 2.5"), 2);
+  EXPECT_EQ(run_tool(diff + " --top-causes 5x"), 2);
+  EXPECT_EQ(run_tool(diff + " --abs-tol nan"), 2);
+  EXPECT_EQ(run_tool(diff + " --rel-tol inf"), 2);
+  EXPECT_EQ(run_tool(diff + " --show 2 --top-causes 5"), 0);
 }
 
 // Damaged artifacts make every reader exit 1 with a message on stderr; a

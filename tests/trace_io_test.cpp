@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "tool_runner.h"
+
 namespace protean::trace {
 namespace {
 
@@ -135,19 +137,11 @@ TEST(RateCsv, OneByteMutationsParseOrThrow) {
   EXPECT_GT(parsed, 0u);  // the loop exercised the accepting path too
 }
 
-TEST(RateCsv, RoundTripsThroughSave) {
-  const std::vector<double> rates = {10.5, 20.0, 15.25};
-  std::ostringstream out;
-  save_rate_csv(out, rates);
-  std::istringstream in(out.str());
-  EXPECT_EQ(parse_rate_csv(in), rates);
-}
-
 TEST(RateCsv, FileRoundTrip) {
-  const std::string path = "/tmp/protean_rate_io_test.csv";
-  const std::vector<double> rates = {1.0, 2.0, 3.0};
-  save_rate_csv(path, rates);
-  EXPECT_EQ(load_rate_csv(path), rates);
+  const std::string path = temp_path("rate_io_test.csv");
+  spit(path, "second,rps\n0,1\n1,2.5\n2,3\n");
+  EXPECT_EQ(load_rate_csv(path), (std::vector<double>{1.0, 2.5, 3.0}));
+  std::remove(path.c_str());
   EXPECT_THROW(load_rate_csv("/no/such/dir/x.csv"), std::invalid_argument);
 }
 

@@ -11,9 +11,11 @@
 // Exit 0 when every sample is within tolerance, 1 on any drift or
 // structural mismatch (missing metric, extra scrape), 2 on usage errors.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -193,8 +195,21 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       char* end = nullptr;
       const double v = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0') return std::nullopt;
+      if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+        return std::nullopt;
+      }
       return v;
+    };
+    // A count must be a whole integer: "2.5", "1e30" and "nan" are usage
+    // errors, not a truncated or out-of-range cast.
+    const auto next_count = [&]() -> std::optional<std::size_t> {
+      if (i + 1 >= argc) return std::nullopt;
+      const char* v = argv[++i];
+      const char* end = v + std::strlen(v);
+      std::size_t n = 0;
+      const auto [ptr, ec] = std::from_chars(v, end, n);
+      if (ec != std::errc{} || ptr != end) return std::nullopt;
+      return n;
     };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
@@ -208,13 +223,13 @@ int main(int argc, char** argv) {
       if (!v || *v < 0.0) { usage(stderr); return 2; }
       tol.rel = *v;
     } else if (arg == "--show") {
-      const auto v = next_value();
-      if (!v || *v < 0.0) { usage(stderr); return 2; }
-      show = static_cast<std::size_t>(*v);
+      const auto n = next_count();
+      if (!n) { usage(stderr); return 2; }
+      show = *n;
     } else if (arg == "--top-causes") {
-      const auto v = next_value();
-      if (!v || *v < 1.0) { usage(stderr); return 2; }
-      causes_n = static_cast<std::size_t>(*v);
+      const auto n = next_count();
+      if (!n || *n == 0) { usage(stderr); return 2; }
+      causes_n = *n;
     } else if (arg.rfind("--", 0) == 0) {
       usage(stderr);
       return 2;
