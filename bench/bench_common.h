@@ -8,14 +8,13 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/parse.h"
 #include "common/strfmt.h"
 #include "harness/experiment.h"
 #include "harness/flagspec.h"
@@ -33,13 +32,18 @@ namespace protean::bench {
   std::exit(2);
 }
 
-/// PROTEAN_BENCH_HORIZON (a finite number of seconds > 0), else 60 s.
+/// PROTEAN_BENCH_HORIZON, else 60 s. It must exceed the cells' warmup:
+/// at or below it the measurement window is empty and every cell would
+/// print a vacuous 100%.
 inline Duration bench_horizon() {
   const char* env = std::getenv("PROTEAN_BENCH_HORIZON");
   if (env == nullptr) return harness::kPaperHorizon;
+  const Duration warmup = harness::ExperimentConfig{}.warmup;
   const auto horizon = harness::parse_spec_number(env);
-  if (!horizon || *horizon <= 0.0) {
-    bad_env("PROTEAN_BENCH_HORIZON", env, "a finite number of seconds > 0");
+  if (!horizon || *horizon <= warmup) {
+    bad_env("PROTEAN_BENCH_HORIZON", env,
+            strfmt("a finite number of seconds > %g (the warmup)", warmup)
+                .c_str());
   }
   return *horizon;
 }
@@ -48,13 +52,11 @@ inline Duration bench_horizon() {
 /// protean_sim --jobs), else one per core (capped — bench grids are small).
 inline int bench_jobs() {
   if (const char* env = std::getenv("PROTEAN_BENCH_JOBS")) {
-    const char* end = env + std::strlen(env);
-    int jobs = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, jobs);
-    if (ec != std::errc() || ptr != end || jobs < 1 || jobs > 1024) {
+    const auto jobs = parse_count(env);
+    if (!jobs || *jobs < 1 || *jobs > 1024) {
       bad_env("PROTEAN_BENCH_JOBS", env, "an integer in 1..1024");
     }
-    return jobs;
+    return static_cast<int>(*jobs);
   }
   const unsigned cores = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(cores, 1u, 8u));

@@ -22,8 +22,7 @@ int main() {
   std::printf(
       "Extension: dynamic spot pricing (synthetic trace, mean $%.2f/h,\n"
       "peak $%.2f/h vs on-demand $%.2f/h)\n\n",
-      trace->mean_price(), trace->peak_price(),
-      price_config.on_demand_hourly);
+      trace->mean_price(), trace->peak_price(), spot::kOnDemandHourly);
 
   std::printf("Bid -> revocation exposure (the paper's P_rev tiers):\n\n");
   harness::Table bids({"Target P_rev", "Required bid ($/h)",

@@ -52,22 +52,14 @@ struct AutoscaleConfig {
   /// Utilization the horizontal loop steers toward (percent of the active
   /// fleet busy). Classic HPA-style proportional sizing.
   double target_util_pct = 60.0;
-  /// Scale-down is only considered while the scrape window's strict SLO
-  /// attainment stays at or above this (percent).
-  double down_attainment_pct = 99.5;
-  /// Reactive policy: scale up when window attainment falls below this.
-  double up_attainment_pct = 97.0;
 
-  /// Predictive policy: forecast smoothing and headroom.
-  double ewma_alpha = 0.3;        ///< level smoothing factor
-  Duration season_period = 60.0;  ///< diurnal period of the seasonal term
-  double headroom = 1.15;         ///< provision for forecast × headroom
+  /// Predictive policy: provision for forecast × headroom.
+  double headroom = 1.15;
 
-  /// Vertical actions (MIG geometry promote/demote); at most
-  /// `max_reconfigs_per_tick` nodes change geometry per tick, inside the
-  /// cluster's global max_reconfig_fraction budget.
+  /// Vertical actions (MIG geometry promote/demote); at most one node
+  /// changes geometry per tick, inside the cluster's global
+  /// max_reconfig_fraction budget.
   bool vertical = true;
-  int max_reconfigs_per_tick = 1;
 
   /// Predictive warm-pool floor for the strict model, containers per node.
   int warm_target = 4;

@@ -4,9 +4,15 @@
 
 #include "cluster/cluster.h"
 #include "telemetry/pipeline.h"
+#include "trace/trace.h"
 #include "workload/model.h"
 
 namespace protean::autoscale {
+
+/// The rate forecaster's level smoothing factor; its seasonal term spans
+/// one compressed "day" of the trace.
+constexpr double kEwmaAlpha = 0.3;
+constexpr Duration kSeasonPeriod = trace::kDiurnalPeriod;
 
 AutoscaleController::AutoscaleController(
     sim::Simulator& simulator, cluster::Cluster& cluster,
@@ -18,7 +24,7 @@ AutoscaleController::AutoscaleController(
       config_(config),
       strict_model_(strict_model),
       policy_(make_policy(config.policy)),
-      forecaster_(config.ewma_alpha, config.season_period, config.tick),
+      forecaster_(kEwmaAlpha, kSeasonPeriod, config.tick),
       gate_(config.settle_ticks, config.max_step_up, config.max_step_down),
       min_nodes_(config.resolve_min(cluster.config().node_count)),
       max_nodes_(std::min<std::uint32_t>(
@@ -149,7 +155,7 @@ void AutoscaleController::scale_to(std::uint32_t target) {
 
 void AutoscaleController::apply_vertical(VerticalStance stance) {
   if (!config_.vertical || stance == VerticalStance::kHold) return;
-  int budget = std::max(1, config_.max_reconfigs_per_tick);
+  int budget = 1;  // MIG nodes that may start a geometry change this tick
   for (NodeId id = 0; id < cluster_.node_count() && budget > 0; ++id) {
     if (decommissioning_.count(id) != 0) continue;
     cluster::WorkerNode& node = cluster_.node(id);

@@ -3,9 +3,9 @@
 //
 // The level tracks the smoothed arrival rate; the season is a ring of
 // per-phase multipliers (rate / level) over one diurnal period, so a
-// compressed "day" (trace::TraceConfig::diurnal_period) teaches the
-// forecaster where the peaks and troughs sit after a single cycle. The
-// forecast for the *next* tick is level × season[next phase].
+// compressed "day" (trace::kDiurnalPeriod) teaches the forecaster where the
+// peaks and troughs sit after a single cycle. The forecast for the *next*
+// tick is level × season[next phase].
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,12 @@ namespace protean::autoscale {
 
 namespace {
 
+/// Scale-down is only considered while the scrape window's strict SLO
+/// attainment stays at or above this (percent).
+constexpr double kDownAttainmentPct = 99.5;
+/// Reactive policy: scale up when window attainment falls below this.
+constexpr double kUpAttainmentPct = 97.0;
+
 std::string lower(std::string_view text) {
   std::string out(text);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
@@ -39,10 +45,10 @@ class ReactivePolicy final : public Policy {
     // pressure and never shrink into it. Inert when shards == 1 (skew is
     // pinned to 1.0), so unsharded decisions are unchanged.
     const bool hot_shard = s.shards > 1 && s.hot_shard_skew > 1.5;
-    const bool hurting = s.window_attainment_pct < c.up_attainment_pct ||
+    const bool hurting = s.window_attainment_pct < kUpAttainmentPct ||
                          s.backlog > 0 || hot_shard;
     const bool healthy =
-        s.window_attainment_pct >= c.down_attainment_pct && !hot_shard;
+        s.window_attainment_pct >= kDownAttainmentPct && !hot_shard;
     if (hurting) {
       d.target_nodes = clamp_fleet(
           static_cast<double>(s.committed_nodes) + c.max_step_up, s);
@@ -108,7 +114,7 @@ class PredictivePolicy final : public Policy {
           clamp_fleet(committed + static_cast<double>(c.max_step_up), s));
       d.vertical = VerticalStance::kPromote;
     } else if (s.fast_burn > 1.0 ||
-               s.window_attainment_pct < c.down_attainment_pct ||
+               s.window_attainment_pct < kDownAttainmentPct ||
                s.backlog > 0) {
       d.target_nodes = std::max(d.target_nodes, s.committed_nodes);
       if (s.backlog > 0) {

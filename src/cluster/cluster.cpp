@@ -15,6 +15,12 @@ namespace protean::cluster {
 
 namespace {
 
+/// kConsolidate packs a node while its estimated contention pressure stays
+/// below this bound. INFless's latency model is interference-naive
+/// (additive, no thrash), so it believes packing up to roughly the SLO
+/// multiplier is safe — the over-consolidation the paper criticizes.
+constexpr double kConsolidatePressureLimit = 2.85;
+
 /// Splits each arrival burst across the shard gateways: count / K to every
 /// shard, with the remainder rotated round-robin so no shard systematically
 /// sees more traffic. Shards whose share is zero are skipped entirely (the
@@ -115,9 +121,8 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
   }
   if (shard_count > 1) fanout_ = std::make_unique<ShardFanout>(gateways_);
   market_ = std::make_unique<spot::Market>(sim_, config_.market, slots, *this);
-  dispatch_policy_ = scheduler_.dispatch_policy().value_or(config_.dispatch);
-  dispatch_rng_ = Rng(config_.dispatch_seed).fork(0xd15);
-  shard_rng_ = Rng(config_.dispatch_seed).fork(0x51a2d);
+  dispatch_policy_ =
+      scheduler_.dispatch_policy().value_or(DispatchPolicy::kRandom);
   if (config_.fault.enabled) {
     for (auto& node : nodes_) {
       node->set_lost_batch_handler(
@@ -536,7 +541,7 @@ WorkerNode* Cluster::pick_in_shard(const workload::Batch& batch,
       if (!shard.ready.test(id - shard.lo)) continue;
       WorkerNode* node = nodes_[id].get();
       const WorkerNode::DispatchEstimate& est = node->dispatch_estimate();
-      if (est.pressure + demand > config_.consolidate_pressure_limit) continue;
+      if (est.pressure + demand > kConsolidatePressureLimit) continue;
       if (est.free_memory < batch.model->mem_gb) continue;
       if (best == nullptr || est.pressure > best_pressure) {
         best = node;

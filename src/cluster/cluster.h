@@ -265,8 +265,11 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   /// Strict batches that armed a hedge timer (the hedge budget's base).
   std::uint64_t hedge_candidates_ = 0;
   DispatchPolicy dispatch_policy_ = DispatchPolicy::kRandom;
-  Rng dispatch_rng_{0x5eed};
-  Rng shard_rng_{0x5eed};  // p2c draws; untouched at shards == 1
+  /// Seed of the dispatcher's random routing.
+  static constexpr std::uint64_t kDispatchSeed = 0x5eed;
+  Rng dispatch_rng_ = Rng(kDispatchSeed).fork(0xd15);
+  /// p2c draws; untouched at shards == 1.
+  Rng shard_rng_ = Rng(kDispatchSeed).fork(0x51a2d);
   SimTime started_at_ = 0.0;
 
   mutable std::uint64_t util_cache_event_ = ~0ull;

@@ -37,10 +37,6 @@ struct ClusterConfig {
   /// Worker nodes, each hosting one A100-class GPU (paper: 8 workers).
   std::uint32_t node_count = 8;
 
-  DispatchPolicy dispatch = DispatchPolicy::kRandom;
-  /// Seed for the dispatcher's random routing.
-  std::uint64_t dispatch_seed = 0x5eed;
-
   /// Control-plane shards (docs/scale.md). With K > 1 the cluster runs K
   /// gateways, each batching its share of the arrival stream with its own
   /// scheduler instance over a contiguous node range, and a
@@ -48,21 +44,9 @@ struct ClusterConfig {
   /// is byte-identical to the single-gateway control plane.
   std::uint32_t shards = 1;
 
-  /// kConsolidate packs a node while its estimated contention pressure
-  /// stays below this bound. INFless's latency model is interference-naive
-  /// (additive, no thrash), so it believes packing up to roughly the SLO
-  /// multiplier is safe — the over-consolidation the paper criticizes.
-  double consolidate_pressure_limit = 2.85;
-
-  /// The gateway holds a partial batch until a fraction of the model's SLO
-  /// budget has elapsed (SLO-aware batching), clamped to
-  /// [batch_timeout_floor, batch_timeout]:
-  ///   timeout(m) = clamp(f × slo_multiplier × solo_7g(m), floor, cap)
-  Duration batch_timeout = 0.300;        ///< cap
-  Duration batch_timeout_floor = 0.050;  ///< floor
-  double batch_wait_slo_fraction = 0.45;
-  /// Gateway flush-check cadence.
-  Duration batch_flush_check = 0.005;
+  /// Cap on the gateway's SLO-aware partial-batch hold time
+  /// (Gateway::timeout_for).
+  Duration batch_timeout = 0.300;
 
   /// Container boot + model load latency paid on a cold start.
   Duration cold_start = 5.0;

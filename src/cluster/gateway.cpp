@@ -28,7 +28,7 @@ Gateway::Gateway(sim::Simulator& simulator, const ClusterConfig& config,
     t->process_name(kGatewayPid, "gateway");
   }
   flush_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.batch_flush_check, [this] { flush_check(); });
+      sim_, kFlushCheck, [this] { flush_check(); });
 }
 
 Gateway::~Gateway() = default;
@@ -101,10 +101,9 @@ void Gateway::seal(const Key& key, Accumulator& acc, int size) {
 
 Duration Gateway::timeout_for(const workload::ModelProfile& model,
                               const ClusterConfig& config) {
-  const Duration budget_based = config.batch_wait_slo_fraction *
-                                config.slo_multiplier * model.solo_time_7g;
-  return std::clamp(budget_based, config.batch_timeout_floor,
-                    config.batch_timeout);
+  const Duration budget_based =
+      kWaitSloFraction * config.slo_multiplier * model.solo_time_7g;
+  return std::clamp(budget_based, kTimeoutFloor, config.batch_timeout);
 }
 
 void Gateway::flush_check() {

@@ -42,7 +42,14 @@ class Gateway : public trace::RequestSink {
   /// Seals every partial batch immediately (end-of-experiment drain).
   void flush_all();
 
-  /// SLO-aware hold time for a partial batch of `model` (see ClusterConfig).
+  /// SLO-aware batching: a partial batch is held until a fraction of the
+  /// model's SLO budget has elapsed, clamped to [floor, batch_timeout]:
+  ///   timeout(m) = clamp(f × slo_multiplier × solo_7g(m), floor, cap)
+  static constexpr double kWaitSloFraction = 0.45;
+  static constexpr Duration kTimeoutFloor = 0.050;
+  /// Cadence of the partial-batch timeout check.
+  static constexpr Duration kFlushCheck = 0.005;
+
   static Duration timeout_for(const workload::ModelProfile& model,
                               const ClusterConfig& config);
 

@@ -346,8 +346,7 @@ void WorkerNode::install_reconfig_fault_hook() {
     return;
   }
   gpu_->set_reconfig_fault(
-      [this] { return fault_rng_.bernoulli(config_.fault.reconfig_fail_prob); },
-      config_.fault.reconfig_fail_multiplier);
+      [this] { return fault_rng_.bernoulli(config_.fault.reconfig_fail_prob); });
 }
 
 void WorkerNode::try_dispatch() {
@@ -413,7 +412,7 @@ void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
     // resident (cached) model skips the weight-load part even when the
     // container itself must boot, and a warm container still pays the
     // weight load when its model's weights were evicted.
-    const double load_frac = config_.memcache.weight_load_fraction;
+    constexpr double load_frac = memcache::kWeightLoadFraction;
     const bool weights_hit = cache_->acquire(*slice, batch.model);
     if (container_cold) cold += config_.cold_start * (1.0 - load_frac);
     if (!weights_hit) {

@@ -55,7 +55,6 @@ class WorkerNode {
   NodeId id() const noexcept { return id_; }
   gpu::Gpu& gpu() noexcept { return *gpu_; }
   const gpu::Gpu& gpu() const noexcept { return *gpu_; }
-  const ClusterConfig& config() const noexcept { return config_; }
   /// The scheduler placing work on this node (its shard's scheduler when
   /// the control plane is sharded).
   Scheduler& scheduler() noexcept { return scheduler_; }

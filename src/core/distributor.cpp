@@ -51,7 +51,7 @@ void JobDistributor::compute_tags_into(const std::vector<gpu::Slice*>& slices,
 gpu::Slice* JobDistributor::choose_strict_slice(
     const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
     double be_fbr_density, const memcache::ModelCache* cache,
-    double affinity_weight, double* eta_out) {
+    double* eta_out) {
   gpu::Slice* best = nullptr;
   double best_eta = std::numeric_limits<double>::infinity();
   // Two passes: slices not fully claimed by BE work first (Algorithm 1's
@@ -75,9 +75,8 @@ gpu::Slice* JobDistributor::choose_strict_slice(
                           slice.sm_share_sum(), tagged_fbr);
       // Cache affinity: a slice already holding the weights avoids the
       // weight-load cold start, worth a discounted effective slowdown.
-      if (cache != nullptr && affinity_weight > 0.0 &&
-          cache->resident(slice.id(), batch.model)) {
-        eta /= 1.0 + affinity_weight;
+      if (cache != nullptr && cache->resident(slice.id(), batch.model)) {
+        eta /= 1.0 + memcache::kAffinityWeight;
       }
       if (eta < best_eta) {
         best_eta = eta;
@@ -94,8 +93,7 @@ gpu::Slice* JobDistributor::choose_strict_slice(
 
 gpu::Slice* JobDistributor::choose_best_effort_slice(
     const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
-    bool protect_largest, const memcache::ModelCache* cache,
-    double affinity_weight) {
+    bool protect_largest, const memcache::ModelCache* cache) {
   // First Fit over ascending sizes: the smallest slice that can take the
   // batch right now. While strict work is present the largest slice is
   // reserved for it: BE spills onto it only when no smaller slice could
@@ -105,9 +103,8 @@ gpu::Slice* JobDistributor::choose_best_effort_slice(
   const gpu::Slice* largest = tagged.back().slice;
   // Cache affinity: prefer a slice already holding the weights (same First
   // Fit rules), falling back to the plain scan when none qualifies.
-  const bool use_affinity = cache != nullptr && affinity_weight > 0.0;
   for (const bool affinity_pass : {true, false}) {
-    if (affinity_pass && !use_affinity) continue;
+    if (affinity_pass && cache == nullptr) continue;
     bool fits_smaller = false;
     for (const TaggedSlice& ts : tagged) {
       gpu::Slice& slice = *ts.slice;

@@ -45,29 +45,28 @@ class JobDistributor {
   /// choose_strict_slice ⑦: among slices with tag_value < 1 that can admit
   /// the batch, pick the one with the least η. The tag contributes expected
   /// BE interference proportional to the tagged memory (`be_fbr_density` =
-  /// FBR per GB of queued BE work). When a model cache is supplied with a
-  /// positive `affinity_weight`, slices holding the batch's weights get
-  /// their η discounted by 1/(1 + affinity_weight) — the cache-affinity
-  /// term. Returns nullptr if nothing admits. When `eta_out` is non-null it
-  /// receives the winning slice's η (untouched when nothing admits) — the
-  /// score reported in scheduler-decision trace records.
+  /// FBR per GB of queued BE work). When a model cache is supplied, slices
+  /// holding the batch's weights get their η discounted by
+  /// 1/(1 + memcache::kAffinityWeight) — the cache-affinity term. Returns
+  /// nullptr if nothing admits. When `eta_out` is non-null it receives the
+  /// winning slice's η (untouched when nothing admits) — the score reported
+  /// in scheduler-decision trace records.
   static gpu::Slice* choose_strict_slice(
       const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
       double be_fbr_density, const memcache::ModelCache* cache = nullptr,
-      double affinity_weight = 0.0, double* eta_out = nullptr);
+      double* eta_out = nullptr);
 
   /// choose_best_effort_slice ⑧: First-Fit bin packing over slices in
   /// ascending size order. When `protect_largest` is set (strict work is
   /// present), the largest slice only takes BE batches that no smaller
   /// slice could ever host. Returns nullptr if nothing admits (the batch
   /// waits). With no strict demand, BE work may use the whole GPU. With a
-  /// model cache and positive `affinity_weight`, a first pass prefers
-  /// slices where the batch's weights are already resident.
+  /// model cache, a first pass prefers slices where the batch's weights are
+  /// already resident.
   static gpu::Slice* choose_best_effort_slice(
       const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
       bool protect_largest = true,
-      const memcache::ModelCache* cache = nullptr,
-      double affinity_weight = 0.0);
+      const memcache::ModelCache* cache = nullptr);
 
   /// FBR per GB of the queued best-effort batches on a node, used to turn
   /// tag values into expected interference. Zero when nothing is queued.

@@ -53,8 +53,7 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
     const double density = JobDistributor::be_fbr_density(node.queue());
     double eta = 0.0;
     gpu::Slice* chosen = JobDistributor::choose_strict_slice(
-        batch, tagged, density, node.cache(),
-        node.config().memcache.affinity_weight, &eta);
+        batch, tagged, density, node.cache(), &eta);
     cluster::trace_placement(node, batch, scheme, tagged.size(), chosen, eta);
     return chosen;
   }
@@ -70,8 +69,7 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
     strict_present = batch.enqueued_at - node.last_strict_seen() < 3.0;
   }
   gpu::Slice* chosen = JobDistributor::choose_best_effort_slice(
-      batch, tagged, strict_present, node.cache(),
-      node.config().memcache.affinity_weight);
+      batch, tagged, strict_present, node.cache());
   cluster::trace_placement(node, batch, scheme, tagged.size(), chosen, 0.0);
   return chosen;
 }

@@ -21,9 +21,6 @@ namespace protean::core {
 
 struct ProteanOptions {
   ReconfigConfig reconfig;
-  /// Initial geometry for every GPU. Defaults to Algorithm 2's decision for
-  /// zero best-effort demand, (4g,3g); Fig. 7's demo starts at (4g,2g,1g).
-  gpu::Geometry initial_geometry = gpu::Geometry::g4_3();
   /// Request reordering (Section 4.1); ablation knob.
   bool reorder = true;
   /// Eq. 2-driven strict placement (Guideline 2); ablation knob — off
@@ -55,8 +52,10 @@ class ProteanScheduler : public cluster::Scheduler {
     return options_.softmig ? gpu::SharingMode::kSoftSlice
                             : gpu::SharingMode::kMps;
   }
+  /// Every GPU starts at Algorithm 2's decision for zero best-effort
+  /// demand, (4g,3g).
   gpu::Geometry initial_geometry() const override {
-    return options_.initial_geometry;
+    return gpu::Geometry::g4_3();
   }
   bool reorder_strict_first() const override { return options_.reorder; }
   std::optional<cluster::DispatchPolicy> dispatch_policy() const override {
@@ -71,7 +70,6 @@ class ProteanScheduler : public cluster::Scheduler {
                     cluster::WorkerNode& node) override;
   void on_monitor(cluster::WorkerNode& node, int& reconfig_budget) override;
 
-  const ProteanOptions& options() const noexcept { return options_; }
   /// Reconfigurator state for a node (tests / introspection).
   const Reconfigurator* reconfigurator(NodeId node) const;
 

@@ -78,10 +78,10 @@ struct FaultConfig {
   double ecc_rate = 0.0;
 
   /// Probability that a drained MIG reconfiguration times out: the GPU pays
-  /// `reconfig_fail_multiplier` × the normal downtime and comes back in its
-  /// *old* geometry (the reconfigurator naturally retries on a later tick).
+  /// gpu::Gpu::kReconfigFailMultiplier × the normal downtime and comes back
+  /// in its *old* geometry (the reconfigurator naturally retries on a later
+  /// tick).
   double reconfig_fail_prob = 0.0;
-  double reconfig_fail_multiplier = 2.0;
 
   /// A crashed node reboots (same VM lease) after this delay.
   Duration reboot_delay = 60.0;

@@ -533,7 +533,7 @@ void Gpu::maybe_finish_drain() {
   down_since_ = sim_.now();
   const bool fault = reconfig_should_fail_ && reconfig_should_fail_();
   const Duration downtime =
-      fault ? reconfigure_time_ * reconfig_fail_multiplier_ : reconfigure_time_;
+      fault ? reconfigure_time_ * kReconfigFailMultiplier : reconfigure_time_;
   reconfig_event_ = sim_.schedule_after(downtime, [this, fault, downtime] {
     reconfig_event_ = sim::EventHandle();
     completed_downtime_ += downtime;

@@ -415,14 +415,16 @@ class Gpu {
   /// geometry is not representable; callers escalate instead).
   bool fail_slice(SliceId id);
 
+  /// Downtime multiplier of a reconfiguration attempt that times out.
+  static constexpr double kReconfigFailMultiplier = 2.0;
+
   /// Installs the reconfiguration-failure hook: `should_fail` is evaluated
   /// once per drained reconfiguration attempt; on failure the GPU pays
-  /// `timeout_multiplier` × the normal downtime and comes back in its *old*
-  /// geometry without bumping reconfigurations(). Null disables (default).
-  void set_reconfig_fault(std::function<bool()> should_fail,
-                          double timeout_multiplier) {
+  /// kReconfigFailMultiplier × the normal downtime and comes back in its
+  /// *old* geometry without bumping reconfigurations(). Null (the default)
+  /// disables it.
+  void set_reconfig_fault(std::function<bool()> should_fail) {
     reconfig_should_fail_ = std::move(should_fail);
-    reconfig_fail_multiplier_ = timeout_multiplier;
   }
 
   /// Reconfiguration attempts that timed out (see set_reconfig_fault).
@@ -519,7 +521,6 @@ class Gpu {
   std::function<void()> on_capacity_;
   int reconfig_count_ = 0;
   std::function<bool()> reconfig_should_fail_;
-  double reconfig_fail_multiplier_ = 2.0;
   int failed_reconfig_count_ = 0;
   int topology_version_ = 0;
 

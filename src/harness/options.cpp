@@ -6,6 +6,8 @@
 
 #include "attr/config.h"
 #include "autoscale/policy.h"
+#include "common/parse.h"
+#include "common/strfmt.h"
 #include "fault/config.h"
 #include "harness/flagspec.h"
 #include "memcache/config.h"
@@ -26,21 +28,6 @@ std::string lower(std::string s) {
     return static_cast<char>(std::tolower(c));
   });
   return s;
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  // stoull would accept "-1" and wrap it to 2^64 - 1.
-  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s.front()))) {
-    return std::nullopt;
-  }
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
 }
 
 // The spec-valued flags below all sit on harness::FlagSpec, which owns the
@@ -302,7 +289,7 @@ Workload:
   --rps N               target mean rps (peak for twitter; default 5000,
                         128 for language models)
   --horizon S           trace length in seconds (default 120)
-  --warmup S            measurement warmup (default 20)
+  --warmup S            measurement warmup, below the horizon (default 20)
 
 Cluster:
   --scheme NAME         protean | oracle | infless | molecule | naive |
@@ -559,12 +546,12 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.strict_fraction = *f;
     } else if (arg == "--nodes") {
       const auto value = next();
-      const auto n = value ? parse_u64(*value) : std::nullopt;
+      const auto n = value ? parse_count(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--nodes needs 1..1024");
       opts.config.cluster.node_count = static_cast<std::uint32_t>(*n);
     } else if (arg == "--shards") {
       const auto value = next();
-      const auto n = value ? parse_u64(*value) : std::nullopt;
+      const auto n = value ? parse_count(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--shards needs 1..1024");
       opts.config.cluster.shards = static_cast<std::uint32_t>(*n);
     } else if (arg == "--slo-mult") {
@@ -605,7 +592,7 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.cluster.fault = *fc;
     } else if (arg == "--fault-retries") {
       const auto value = next();
-      const auto n = value ? parse_u64(*value) : std::nullopt;
+      const auto n = value ? parse_count(*value) : std::nullopt;
       if (!n || *n > 100) return fail("--fault-retries needs 0..100");
       opts.config.cluster.fault.retry.max_retries = static_cast<int>(*n);
       fault_retries_given = true;
@@ -614,17 +601,17 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       hedge_given = true;
     } else if (arg == "--seed") {
       const auto value = next();
-      const auto seed = value ? parse_u64(*value) : std::nullopt;
+      const auto seed = value ? parse_count(*value) : std::nullopt;
       if (!seed) return fail("--seed needs an unsigned integer");
       opts.config.seed = *seed;
     } else if (arg == "--seeds") {
       const auto value = next();
-      const auto n = value ? parse_u64(*value) : std::nullopt;
+      const auto n = value ? parse_count(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 10000) return fail("--seeds needs 1..10000");
       opts.seeds = static_cast<std::uint32_t>(*n);
     } else if (arg == "--jobs") {
       const auto value = next();
-      const auto n = value ? parse_u64(*value) : std::nullopt;
+      const auto n = value ? parse_count(*value) : std::nullopt;
       if (!n || *n == 0 || *n > 1024) return fail("--jobs needs 1..1024");
       opts.jobs = static_cast<int>(*n);
     } else if (arg == "--gpu-mem") {
@@ -738,6 +725,18 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       return fail(e.what());
     }
     if (!rps_given) opts.config.trace.target_rps = 0.0;  // keep raw rates
+    // Arrivals end with the table, so a warmup past it measures nothing.
+    const auto seconds = static_cast<double>(opts.config.trace.table.size());
+    if (opts.config.warmup >= seconds) {
+      return fail(strfmt("--warmup %g must be below the %g s of %s",
+                         opts.config.warmup, seconds, opts.trace_file.c_str()));
+    }
+  }
+  if (opts.config.warmup >= opts.config.trace.horizon) {
+    // The measurement window would be empty: every figure would read 0 and
+    // compliance a vacuous 100%.
+    return fail(strfmt("--warmup %g must be below --horizon %g",
+                       opts.config.warmup, opts.config.trace.horizon));
   }
   if (opts.schemes.empty()) opts.schemes.push_back(sched::Scheme::kProtean);
   if ((fault_retries_given || hedge_given) &&

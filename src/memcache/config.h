@@ -42,14 +42,13 @@ struct MemCacheConfig {
   bool oversubscribe = false;
   double max_overcommit = 1.5;
   double swap_penalty = 0.8;
-
-  /// Fraction of the container cold-start latency attributable to loading
-  /// model weights (vs runtime/container init). A cache hit skips this part.
-  double weight_load_fraction = 0.6;
-
-  /// Cache-affinity term for the schedulers: slices where the model is
-  /// already resident are preferred with this weight (0 disables the term).
-  double affinity_weight = 0.25;
 };
+
+/// Share of the container cold-start latency that loads model weights (vs
+/// runtime/container init); a cache hit skips it.
+inline constexpr double kWeightLoadFraction = 0.6;
+/// Cache-affinity term for the schedulers: with the cache enabled, slices
+/// where the model is already resident are preferred with this weight.
+inline constexpr double kAffinityWeight = 0.25;
 
 }  // namespace protean::memcache

@@ -9,6 +9,11 @@ namespace protean::sched {
 
 namespace {
 
+/// GPUlet's SM caps per Section 6.2: strict requests get a ~60–65% upper
+/// bound, BE requests the remainder.
+constexpr double kGpuletStrictSmCap = 0.625;
+constexpr double kGpuletBeSmCap = 0.375;
+
 gpu::JobSpec probe(const workload::Batch& batch, const gpu::Slice& slice) {
   return workload::job_spec_for(batch, slice.profile());
 }
@@ -56,7 +61,6 @@ gpu::Slice* NaiveSlicingScheduler::place(const workload::Batch& batch,
   // enabled, resident weights add a free-memory-equivalent bonus so the
   // balancer leans toward slices that skip the weight load.
   const memcache::ModelCache* cache = node.cache();
-  const double affinity = node.config().memcache.affinity_weight;
   gpu::Slice* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
   const auto slices = node.gpu().slices();
@@ -64,9 +68,8 @@ gpu::Slice* NaiveSlicingScheduler::place(const workload::Batch& batch,
     if (!batch.model->fits(slice->profile())) continue;
     if (!slice->can_admit(probe(batch, *slice))) continue;
     double score = slice->available_memory();
-    if (cache != nullptr && affinity > 0.0 &&
-        cache->resident(slice->id(), batch.model)) {
-      score += affinity * batch.model->weight_gb;
+    if (cache != nullptr && cache->resident(slice->id(), batch.model)) {
+      score += memcache::kAffinityWeight * batch.model->weight_gb;
     }
     if (best == nullptr || score > best_score) {
       best = slice;
@@ -100,8 +103,6 @@ gpu::Slice* MpsMigScheduler::place(const workload::Batch& batch,
   // Even spread: the admitting slice with the fewest resident jobs
   // (ties broken toward more free memory, then toward cached weights).
   const memcache::ModelCache* cache = node.cache();
-  const bool use_affinity =
-      cache != nullptr && node.config().memcache.affinity_weight > 0.0;
   gpu::Slice* best = nullptr;
   for (gpu::Slice* slice : node.gpu().slices()) {
     if (!batch.model->fits(slice->profile())) continue;
@@ -109,7 +110,7 @@ gpu::Slice* MpsMigScheduler::place(const workload::Batch& batch,
     if (best == nullptr || slice->running_jobs() < best->running_jobs() ||
         (slice->running_jobs() == best->running_jobs() &&
          slice->available_memory() > best->available_memory()) ||
-        (use_affinity && slice->running_jobs() == best->running_jobs() &&
+        (cache != nullptr && slice->running_jobs() == best->running_jobs() &&
          slice->available_memory() == best->available_memory() &&
          cache->resident(slice->id(), batch.model) &&
          !cache->resident(best->id(), batch.model))) {
@@ -190,7 +191,7 @@ gpu::JobSpec GpuletScheduler::make_job(const workload::Batch& batch,
                                        const gpu::Slice& slice,
                                        JobId job_id) const {
   gpu::JobSpec spec = cluster::Scheduler::make_job(batch, slice, job_id);
-  const double cap = batch.strict ? strict_cap_ : be_cap_;
+  const double cap = batch.strict ? kGpuletStrictSmCap : kGpuletBeSmCap;
   // The batch's effective SM requirement (fill-scaled) against the cap:
   // capping below the need stretches the solo time and shrinks the job's
   // bandwidth draw and SM occupancy proportionally (FBR = bw×sm).

@@ -50,67 +50,50 @@ class InflessLlamaScheduler : public cluster::Scheduler {
 
 class NaiveSlicingScheduler : public cluster::Scheduler {
  public:
-  explicit NaiveSlicingScheduler(
-      gpu::Geometry geometry = gpu::Geometry::g4_2_1())
-      : geometry_(std::move(geometry)) {}
   std::string name() const override { return "Naive Slicing"; }
-  gpu::Geometry initial_geometry() const override { return geometry_; }
+  gpu::Geometry initial_geometry() const override {
+    return gpu::Geometry::g4_2_1();
+  }
   gpu::Slice* place(const workload::Batch& batch,
                     cluster::WorkerNode& node) override;
-
- private:
-  gpu::Geometry geometry_;
 };
 
 class MigOnlyScheduler : public cluster::Scheduler {
  public:
-  explicit MigOnlyScheduler(gpu::Geometry geometry = gpu::Geometry::g4_3())
-      : geometry_(std::move(geometry)) {}
   std::string name() const override { return "MIG Only"; }
   gpu::SharingMode sharing_mode() const override {
     return gpu::SharingMode::kTimeShare;
   }
-  gpu::Geometry initial_geometry() const override { return geometry_; }
+  gpu::Geometry initial_geometry() const override {
+    return gpu::Geometry::g4_3();
+  }
   gpu::Slice* place(const workload::Batch& batch,
                     cluster::WorkerNode& node) override;
-
- private:
-  gpu::Geometry geometry_;
 };
 
 class MpsMigScheduler : public cluster::Scheduler {
  public:
-  explicit MpsMigScheduler(gpu::Geometry geometry = gpu::Geometry::g4_3())
-      : geometry_(std::move(geometry)) {}
   std::string name() const override { return "MPS+MIG"; }
-  gpu::Geometry initial_geometry() const override { return geometry_; }
+  gpu::Geometry initial_geometry() const override {
+    return gpu::Geometry::g4_3();
+  }
   gpu::Slice* place(const workload::Batch& batch,
                     cluster::WorkerNode& node) override;
-
- private:
-  gpu::Geometry geometry_;
 };
 
 class SmartMpsMigScheduler : public cluster::Scheduler {
  public:
-  explicit SmartMpsMigScheduler(gpu::Geometry geometry = gpu::Geometry::g4_3())
-      : geometry_(std::move(geometry)) {}
   std::string name() const override { return "'Smart' MPS+MIG"; }
-  gpu::Geometry initial_geometry() const override { return geometry_; }
+  gpu::Geometry initial_geometry() const override {
+    return gpu::Geometry::g4_3();
+  }
   bool reorder_strict_first() const override { return true; }
   gpu::Slice* place(const workload::Batch& batch,
                     cluster::WorkerNode& node) override;
-
- private:
-  gpu::Geometry geometry_;
 };
 
 class GpuletScheduler : public cluster::Scheduler {
  public:
-  /// SM caps per Section 6.2: strict requests get a ~60–65% upper bound,
-  /// BE requests the remainder.
-  GpuletScheduler(double strict_sm_cap = 0.625, double be_sm_cap = 0.375)
-      : strict_cap_(strict_sm_cap), be_cap_(be_sm_cap) {}
   std::string name() const override { return "GPUlet"; }
   gpu::Geometry initial_geometry() const override {
     return gpu::Geometry::full();
@@ -124,10 +107,6 @@ class GpuletScheduler : public cluster::Scheduler {
                     cluster::WorkerNode& node) override;
   gpu::JobSpec make_job(const workload::Batch& batch, const gpu::Slice& slice,
                         JobId job_id) const override;
-
- private:
-  double strict_cap_;
-  double be_cap_;
 };
 
 }  // namespace protean::sched

@@ -110,7 +110,6 @@ std::unique_ptr<cluster::Scheduler> make_scheduler(Scheme scheme) {
     case Scheme::kProteanStatic: {
       core::ProteanOptions options;
       options.dynamic_reconfig = false;
-      options.initial_geometry = gpu::Geometry::g4_3();
       return std::make_unique<core::ProteanScheduler>(options);
     }
     case Scheme::kProteanNoEta: {

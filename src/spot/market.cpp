@@ -6,6 +6,9 @@
 
 namespace protean::spot {
 
+/// Cadence of the hybrid policy's on-demand → spot migration probe.
+constexpr Duration kSpotUpgradeInterval = 120.0;
+
 const char* to_string(VmTier tier) noexcept {
   return tier == VmTier::kOnDemand ? "on-demand" : "spot";
 }
@@ -21,7 +24,7 @@ const char* to_string(ProcurementPolicy policy) noexcept {
 
 const std::vector<ProviderPricing>& pricing_table() {
   static const std::vector<ProviderPricing> table = {
-      {"AWS", 32.7726, 9.8318},
+      {"AWS", kOnDemandHourly, kSpotHourly},
       {"Microsoft Azure", 32.7700, 18.0235},
       {"Google Cloud", 30.0846, 8.8147},
   };
@@ -43,8 +46,7 @@ Market::Market(sim::Simulator& simulator, const MarketConfig& config,
 Market::~Market() { stop(); }
 
 double Market::hourly(VmTier tier) const noexcept {
-  return tier == VmTier::kSpot ? config_.spot_hourly
-                               : config_.on_demand_hourly;
+  return tier == VmTier::kSpot ? kSpotHourly : kOnDemandHourly;
 }
 
 bool Market::spot_request_succeeds() {
@@ -89,7 +91,7 @@ void Market::start() {
   }
   if (config_.policy == ProcurementPolicy::kHybrid && market_can_revoke) {
     upgrade_task_ = std::make_unique<sim::PeriodicTask>(
-        sim_, config_.spot_upgrade_interval, [this] {
+        sim_, kSpotUpgradeInterval, [this] {
           // Opportunistically migrate on-demand nodes back to spot. The
           // switch is graceful: the new spot VM boots first, so no downtime.
           for (NodeId node = 0; node < nodes_.size(); ++node) {
@@ -272,7 +274,7 @@ double Market::on_demand_reference_cost() const {
   const double fleet = config_.reference_nodes != 0
                            ? static_cast<double>(config_.reference_nodes)
                            : static_cast<double>(nodes_.size());
-  return fleet * elapsed / 3600.0 * config_.on_demand_hourly;
+  return fleet * elapsed / 3600.0 * kOnDemandHourly;
 }
 
 }  // namespace protean::spot

@@ -71,9 +71,6 @@ struct MarketConfig {
   Duration eviction_notice = 30.0;
   Duration vm_boot_time = 25.0;            ///< replacement provisioning time
   Duration spot_retry_interval = 30.0;     ///< spot-only reacquisition retry
-  Duration spot_upgrade_interval = 120.0;  ///< hybrid od→spot migration probe
-  double on_demand_hourly = 32.7726;
-  double spot_hourly = 9.8318;
   /// Probability a spot *request* is granted; negative derives 1 - p_rev
   /// (tight revocation markets are also tight acquisition markets).
   double spot_availability = -1.0;

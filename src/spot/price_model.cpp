@@ -8,10 +8,20 @@
 
 namespace protean::spot {
 
+/// Peak-to-mean swing of the diurnal component (0.25 → ±25%), and its period.
+constexpr double kDiurnalAmplitude = 0.25;
+constexpr Duration kDiurnalPeriod = 3600.0;
+/// Std-dev of the AR(1) noise, as a fraction of the mean price.
+constexpr double kNoiseSigma = 0.10;
+/// Per sampled second: chance of a short demand spike; its size and length.
+constexpr double kSpikeProbability = 0.002;
+constexpr double kSpikeMultiplier = 2.5;
+constexpr Duration kSpikeDuration = 60.0;
+
 PriceTrace::PriceTrace(const PriceModelConfig& config) : config_(config) {
   PROTEAN_CHECK_MSG(config_.horizon >= 1.0, "horizon too short");
   PROTEAN_CHECK_MSG(config_.mean_spot_hourly > 0.0, "invalid mean price");
-  PROTEAN_CHECK_MSG(config_.mean_spot_hourly < config_.on_demand_hourly,
+  PROTEAN_CHECK_MSG(config_.mean_spot_hourly < kOnDemandHourly,
                     "spot must be cheaper than on-demand");
 
   Rng rng(config_.seed);
@@ -23,19 +33,18 @@ PriceTrace::PriceTrace(const PriceModelConfig& config) : config_(config) {
   for (std::size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(i);
     const double diurnal =
-        1.0 + config_.diurnal_amplitude *
-                  std::sin(2.0 * M_PI * t / config_.diurnal_period);
-    noise = 0.98 * noise + 0.02 * rng.normal(0.0, config_.noise_sigma * 50.0);
+        1.0 + kDiurnalAmplitude * std::sin(2.0 * M_PI * t / kDiurnalPeriod);
+    noise = 0.98 * noise + 0.02 * rng.normal(0.0, kNoiseSigma * 50.0);
     double price = config_.mean_spot_hourly * diurnal *
                    std::max(0.3, 1.0 + noise);
     if (t < spike_until) {
-      price *= config_.spike_multiplier;
-    } else if (rng.bernoulli(config_.spike_probability)) {
-      spike_until = t + config_.spike_duration;
-      price *= config_.spike_multiplier;
+      price *= kSpikeMultiplier;
+    } else if (rng.bernoulli(kSpikeProbability)) {
+      spike_until = t + kSpikeDuration;
+      price *= kSpikeMultiplier;
     }
     // The market never charges more than on-demand (nobody would pay it).
-    prices_.push_back(std::min(price, config_.on_demand_hourly));
+    prices_.push_back(std::min(price, kOnDemandHourly));
   }
   mean_ = std::accumulate(prices_.begin(), prices_.end(), 0.0) /
           static_cast<double>(prices_.size());

@@ -17,19 +17,14 @@
 
 namespace protean::spot {
 
+/// Table 3's AWS row: $/hour of an 8×A100 instance. The market bills these
+/// prices, and the price model caps its trace at on-demand.
+inline constexpr double kOnDemandHourly = 32.7726;
+inline constexpr double kSpotHourly = 9.8318;
+
 struct PriceModelConfig {
-  double on_demand_hourly = 32.7726;
   /// Long-run average spot price (the ~70% discount of Table 3).
-  double mean_spot_hourly = 9.8318;
-  /// Peak-to-mean swing of the diurnal component (0.25 → ±25%).
-  double diurnal_amplitude = 0.25;
-  Duration diurnal_period = 3600.0;
-  /// Std-dev of the AR(1) noise, as a fraction of the mean price.
-  double noise_sigma = 0.10;
-  /// Probability per sampled second of a short demand spike, and its size.
-  double spike_probability = 0.002;
-  double spike_multiplier = 2.5;
-  Duration spike_duration = 60.0;
+  double mean_spot_hourly = kSpotHourly;
   Duration horizon = 7200.0;
   std::uint64_t seed = 97;
 };

@@ -53,7 +53,7 @@ void RateTrace::build(Rng& rng) {
       const double amplitude = 0.035;
       for (std::size_t i = 0; i < rates_.size(); ++i) {
         const double t = static_cast<double>(i);
-        const double phase = 2.0 * M_PI * t / config_.diurnal_period;
+        const double phase = 2.0 * M_PI * t / kDiurnalPeriod;
         const double noise = 1.0 + 0.004 * rng.normal(0.0, 1.0);
         rates_[i] = (1.0 + amplitude * std::sin(phase)) * std::max(0.2, noise);
       }

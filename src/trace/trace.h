@@ -30,14 +30,16 @@ enum class TraceKind {
 
 const char* to_string(TraceKind kind) noexcept;
 
+/// Compressed "day" length of the kWiki trace, seconds.
+inline constexpr Duration kDiurnalPeriod = 60.0;
+
 struct TraceConfig {
   TraceKind kind = TraceKind::kWiki;
   /// Target mean rate (requests/s). For kTwitter the paper scales to a
   /// target *peak* instead; set scale_to_peak and this becomes the peak.
   double target_rps = 5000.0;
   bool scale_to_peak = false;
-  Duration horizon = 120.0;       ///< trace length, seconds
-  Duration diurnal_period = 60.0; ///< compressed "day" length for kWiki
+  Duration horizon = 120.0;  ///< trace length, seconds
   std::uint64_t seed = 1;
   /// kTable only: the per-second rate table (see trace/io.h for CSV
   /// loading). The horizon becomes the table length.

@@ -141,7 +141,7 @@ TEST(ReactivePolicy, ScalesUpWhenAttainmentDropsOrBacklogGrows) {
   auto policy = make_policy(PolicyKind::kReactive);
   AutoscaleConfig c;
   Signals s = healthy_signals();
-  s.window_attainment_pct = 90.0;  // below up_attainment_pct
+  s.window_attainment_pct = 90.0;  // below the 97% scale-up threshold
   Decision d = policy->decide(s, c);
   EXPECT_GT(d.target_nodes, s.committed_nodes);
   EXPECT_EQ(d.vertical, VerticalStance::kPromote);
@@ -160,7 +160,7 @@ TEST(ReactivePolicy, ScalesDownOnlyWhenHealthyAndIdle) {
   Decision d = policy->decide(s, c);
   EXPECT_EQ(d.target_nodes, s.committed_nodes - 1);
 
-  s.window_attainment_pct = 99.0;  // below down_attainment_pct: hold
+  s.window_attainment_pct = 99.0;  // below the 99.5% scale-down floor: hold
   d = policy->decide(s, c);
   EXPECT_GE(d.target_nodes, s.committed_nodes);
 }

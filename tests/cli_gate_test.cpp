@@ -160,8 +160,9 @@ INSTANTIATE_TEST_SUITE_P(Repeat, CliGate, ::testing::ValuesIn(kRepeat));
 INSTANTIATE_TEST_SUITE_P(Same, CliGate, ::testing::ValuesIn(kSame));
 
 // A malformed command exits with `status` and `message` on stderr. It runs
-// in a directory that holds zero.csv, an all-zero rate table, and gap.csv,
-// whose second row names a second far past the parser's limit.
+// in a directory that holds zero.csv, an all-zero rate table, gap.csv,
+// whose second row names a second far past the parser's limit, and
+// short.csv, a 10-second table.
 struct Reject {
   std::string command;
   int status;
@@ -172,6 +173,8 @@ const Reject kReject[] = {
     {"protean_sim --rps nan", 2, "--rps needs a positive number"},
     {"protean_sim --horizon nan", 2, "--horizon needs a positive number"},
     {"protean_sim --warmup nan", 2, "--warmup needs a non-negative number"},
+    {"protean_sim --warmup 30 --horizon 30", 2,
+     "--warmup 30 must be below --horizon 30"},
     {"protean_sim --slo-mult nan", 2, "--slo-mult needs a value >= 1"},
     {"protean_sim --strict-frac nan", 2, "--strict-frac needs a value in"},
     {"protean_sim --p-rev inf", 2, "--p-rev needs a value in [0, 1]"},
@@ -192,6 +195,8 @@ const Reject kReject[] = {
     {"protean_sim --trace-file zero.csv --rps 100", 2,
      "rate CSV has no positive rate"},
     {"protean_sim --trace-file gap.csv --rps 100", 2, "rate CSV line 2: "},
+    {"protean_sim --trace-file short.csv", 2,
+     "--warmup 20 must be below the 10 s of short.csv"},
 };
 
 // "protean_sim --p-rev inf" prints as "p_rev_inf".
@@ -211,6 +216,9 @@ TEST_P(CliGateReject, ExitsWithMessage) {
   std::filesystem::create_directories(dir);
   spit(dir + "/zero.csv", "second,rps\n0,0\n1,0\n");
   spit(dir + "/gap.csv", "0,1\n99999999999,1\n");
+  std::string ten_seconds;
+  for (int t = 0; t < 10; ++t) ten_seconds += std::to_string(t) + ",100\n";
+  spit(dir + "/short.csv", ten_seconds);
   std::string err;
   EXPECT_EQ(run_in(dir, row.command, nullptr, &err), row.status) << err;
   EXPECT_NE(err.find(row.message), std::string::npos) << err;

@@ -91,8 +91,9 @@ TEST(ClusterIntegration, UtilizationWithinBounds) {
 
 TEST(ClusterIntegration, ProteanMeetsSloOnLightLoad) {
   auto config = small_cluster(4);
-  // At 1500 rps the default 50 ms batch timeout would seal partial batches
-  // (fill time ~170 ms); give the gateway room to form full batches.
+  // At 1500 rps a batch fills in ~170 ms. The hold time is clamped to
+  // [50 ms floor, batch_timeout cap]; a 200 ms cap (default 300 ms) still
+  // lets the gateway form full batches.
   config.batch_timeout = 0.2;
   Deployment d(sched::Scheme::kProtean, config, small_driver(1500.0));
   d.run(20.0);

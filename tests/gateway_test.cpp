@@ -68,7 +68,7 @@ TEST(Gateway, TimeoutFlushesPartialBatch) {
   EXPECT_EQ(f.dispatched[0].count, 10);
   // Partial flush happens within ~timeout + one flush-check period.
   EXPECT_LE(f.dispatched[0].formed_at,
-            timeout + f.config.batch_flush_check + 1e-9);
+            timeout + Gateway::kFlushCheck + 1e-9);
 }
 
 TEST(Gateway, TimeoutIsSloAware) {
@@ -78,7 +78,7 @@ TEST(Gateway, TimeoutIsSloAware) {
   // A light model clamps to the floor; a heavy multiplier to the cap.
   const auto& shuffle = workload::ModelCatalog::instance().by_name("ShuffleNet V2");
   EXPECT_DOUBLE_EQ(Gateway::timeout_for(shuffle, config),
-                   std::max(config.batch_timeout_floor,
+                   std::max(Gateway::kTimeoutFloor,
                             0.45 * 3.0 * shuffle.solo_time_7g));
   config.slo_multiplier = 30.0;
   EXPECT_DOUBLE_EQ(Gateway::timeout_for(resnet(), config),
@@ -165,13 +165,13 @@ TEST(Gateway, TimeoutMeasuresFromOldestRequest) {
   f.sim.schedule_at(timeout - 0.01, [&] {
     f.gateway->on_arrivals(resnet(), true, 10, timeout - 0.01, timeout);
   });
-  f.sim.run_until(timeout + f.config.batch_flush_check + 0.01);
+  f.sim.run_until(timeout + Gateway::kFlushCheck + 0.01);
   ASSERT_EQ(f.dispatched.size(), 1u);
   EXPECT_EQ(f.dispatched[0].count, 20);
   // Sealed within one flush-check period of the oldest request's deadline,
   // not `timeout` after the second burst.
   EXPECT_LE(f.dispatched[0].formed_at,
-            timeout + f.config.batch_flush_check + 1e-9);
+            timeout + Gateway::kFlushCheck + 1e-9);
 }
 
 TEST(Gateway, SurgeNeverWaitsBehindFullBatch) {

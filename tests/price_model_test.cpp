@@ -27,7 +27,7 @@ TEST(PriceTrace, MeanNearConfiguredMean) {
 TEST(PriceTrace, NeverExceedsOnDemand) {
   PriceTrace trace(quick_config());
   for (double p : trace.table()) {
-    EXPECT_LE(p, trace.config().on_demand_hourly + 1e-9);
+    EXPECT_LE(p, kOnDemandHourly + 1e-9);
     EXPECT_GT(p, 0.0);
   }
 }

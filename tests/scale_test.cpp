@@ -18,6 +18,7 @@
 #include "fault/injector.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
+#include "sched/baselines.h"
 #include "sched/registry.h"
 #include "telemetry/pipeline.h"
 #include "trace/driver.h"
@@ -375,16 +376,23 @@ TEST(DispatchIndexAudit, LeastLoadedThroughReconfigurations) {
   EXPECT_GT(d.cluster->collector().strict_completed(), 0u);
 }
 
-/// Consolidating dispatch (INFless's own policy; Naive Slicing via the
-/// cluster default, so ECC faults have a multi-slice GPU to land on) under
-/// crashes with reboots, ECC losses with repair reconfigurations, the
-/// model cache, and autoscale drains.
+/// Naive Slicing placement behind consolidating dispatch, so ECC faults
+/// have a multi-slice GPU to land on.
+class ConsolidatingNaiveScheduler final : public sched::NaiveSlicingScheduler {
+ public:
+  std::optional<cluster::DispatchPolicy> dispatch_policy() const override {
+    return cluster::DispatchPolicy::kConsolidate;
+  }
+};
+
+/// Consolidating dispatch (INFless's own policy, and Naive Slicing through
+/// ConsolidatingNaiveScheduler) under crashes with reboots, ECC losses with
+/// repair reconfigurations, the model cache, and autoscale drains.
 class ConsolidateAudit : public ::testing::TestWithParam<sched::Scheme> {};
 
 TEST_P(ConsolidateAudit, HoldsUnderFaultsMemcacheAndAutoscale) {
   cluster::ClusterConfig config;
   config.node_count = 6;
-  config.dispatch = cluster::DispatchPolicy::kConsolidate;
   config.memcache.enabled = true;
   config.fault.enabled = true;
   config.fault.crash_rate = 300.0;  // per node-hour
@@ -394,7 +402,11 @@ TEST_P(ConsolidateAudit, HoldsUnderFaultsMemcacheAndAutoscale) {
   config.autoscale.enabled = true;
   config.autoscale.tick = 2.0;
   config.autoscale.settle_ticks = 1;
-  AuditedDeployment d(sched::make_scheduler(GetParam()), config, 1200.0);
+  std::unique_ptr<cluster::Scheduler> scheduler =
+      GetParam() == sched::Scheme::kNaiveSlicing
+          ? std::make_unique<ConsolidatingNaiveScheduler>()
+          : sched::make_scheduler(GetParam());
+  AuditedDeployment d(std::move(scheduler), config, 1200.0);
   d.run_audited(40.0);
   EXPECT_GT(d.audited_events, 1000u);
   const fault::FaultInjector& faults = *d.cluster->injector();

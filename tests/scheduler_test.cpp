@@ -147,7 +147,7 @@ TEST(SmartMpsMig, IsolatesStrictOnLargestSlice) {
 }
 
 TEST(Gpulet, CapsStrictSmUsage) {
-  GpuletScheduler scheduler(0.625, 0.375);
+  GpuletScheduler scheduler;
   Rig rig(scheduler);
   auto* slice = rig.node->gpu().slices()[0];
   Batch strict = make_batch(model("VGG 19"), true);  // sm_req 1.0
@@ -160,7 +160,7 @@ TEST(Gpulet, CapsStrictSmUsage) {
 }
 
 TEST(Gpulet, BeGetsTheRemainder) {
-  GpuletScheduler scheduler(0.625, 0.375);
+  GpuletScheduler scheduler;
   Rig rig(scheduler);
   auto* slice = rig.node->gpu().slices()[0];
   Batch be = make_batch(model("VGG 19"), false);
@@ -171,7 +171,7 @@ TEST(Gpulet, BeGetsTheRemainder) {
 }
 
 TEST(Gpulet, CapAboveRequirementIsFree) {
-  GpuletScheduler scheduler(0.625, 0.375);
+  GpuletScheduler scheduler;
   Rig rig(scheduler);
   auto* slice = rig.node->gpu().slices()[0];
   Batch strict = make_batch(model("ALBERT"), true);  // sm_req 0.35 < cap

@@ -11,11 +11,10 @@
 // Exit 0 when every sample is within tolerance, 1 on any drift or
 // structural mismatch (missing metric, extra scrape), 2 on usage errors.
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -202,14 +202,9 @@ int main(int argc, char** argv) {
     };
     // A count must be a whole integer: "2.5", "1e30" and "nan" are usage
     // errors, not a truncated or out-of-range cast.
-    const auto next_count = [&]() -> std::optional<std::size_t> {
+    const auto next_count = [&]() -> std::optional<std::uint64_t> {
       if (i + 1 >= argc) return std::nullopt;
-      const char* v = argv[++i];
-      const char* end = v + std::strlen(v);
-      std::size_t n = 0;
-      const auto [ptr, ec] = std::from_chars(v, end, n);
-      if (ec != std::errc{} || ptr != end) return std::nullopt;
-      return n;
+      return protean::parse_count(argv[++i]);
     };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);

@@ -21,10 +21,9 @@
 // --cross-check, or unreadable input; 2 usage errors. A healthy run with
 // violations still exits 0 — violations are the thing being explained,
 // not an error.
-#include <charconv>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "attr/explain.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -74,14 +74,10 @@ int main(int argc, char** argv) {
     };
     // The whole argument must be a non-negative integer: "12x" is a usage
     // error, not 12.
-    const auto next_count = [&]() -> std::optional<unsigned long long> {
+    const auto next_count = [&]() -> std::optional<std::uint64_t> {
       const char* v = next_arg();
       if (v == nullptr) return std::nullopt;
-      const char* end = v + std::strlen(v);
-      unsigned long long n = 0;
-      const auto [ptr, ec] = std::from_chars(v, end, n);
-      if (ec != std::errc{} || ptr != end) return std::nullopt;
-      return n;
+      return protean::parse_count(v);
     };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
       filter.model = v;
     } else if (arg == "--group-shard") {
       const auto n = next_count();
-      if (!n || *n > static_cast<unsigned long long>(INT_MAX)) {
+      if (!n || *n > static_cast<std::uint64_t>(INT_MAX)) {
         usage(stderr);
         return 2;
       }

@@ -8,13 +8,13 @@
 //                                   # + ranked SLO-violation causes from the
 //                                   #   embedded attr_cause_* aggregates
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/check.h"
 
 namespace {
@@ -98,13 +98,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) { usage(stderr); return 2; }
       // The whole argument must be a positive integer: "5x" is a usage
       // error, not 5.
-      const char* v = argv[++i];
-      const char* end = v + std::strlen(v);
-      const auto [ptr, ec] = std::from_chars(v, end, causes_n);
-      if (ec != std::errc{} || ptr != end || causes_n == 0) {
+      const auto n = protean::parse_count(argv[++i]);
+      if (!n || *n == 0) {
         usage(stderr);
         return 2;
       }
+      causes_n = *n;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       usage(stdout);
