@@ -158,8 +158,10 @@ Result run(sched::Scheme scheme, const workload::ModelProfile& model) {
   const auto& collector = deployment.collector();
   Result result;
   result.compliance = collector.slo_compliance_pct_for(&model);
-  result.p99_ms = to_ms(metrics::percentile(
-      collector.latencies_for(&model, /*strict=*/true), 99.0));
+  const double p99 = 99.0;
+  double p99_s = 0.0;
+  collector.percentiles_for(&model, /*strict=*/true, {&p99, 1}, {&p99_s, 1});
+  result.p99_ms = to_ms(p99_s);
   result.tail = collector.tail_breakdown_for(&model, 99.0);
   deployment.stop();
   return result;

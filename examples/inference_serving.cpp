@@ -7,12 +7,12 @@
 // service report — the workflow a platform operator would run before
 // signing an SLA.
 #include <cstdio>
+#include <iterator>
 #include <memory>
 
 #include "cluster/cluster.h"
 #include "common/strfmt.h"
 #include "harness/table.h"
-#include "metrics/stats.h"
 #include "sched/registry.h"
 #include "trace/driver.h"
 
@@ -79,14 +79,14 @@ int main() {
                         "SLO compliance"});
   for (const Tenant& tenant : tenants) {
     const bool strict = tenant.strict_fraction > 0.0;
-    const auto latencies = collector.latencies_for(tenant.model, strict);
-    const auto served = latencies.size();
-    const double p50 = metrics::percentile(latencies, 50.0);
-    const double p99 = metrics::percentile(latencies, 99.0);
+    static constexpr double kPs[] = {50.0, 99.0};
+    double p50_p99[std::size(kPs)] = {};
+    collector.percentiles_for(tenant.model, strict, kPs, p50_p99);
     table.add_row(
         {tenant.description, tenant.model->name,
-         strfmt("%zu", served), strfmt("%.0f", to_ms(p50)),
-         strfmt("%.0f", to_ms(p99)),
+         strfmt("%llu", static_cast<unsigned long long>(
+                            collector.requests_for(tenant.model, strict))),
+         strfmt("%.0f", to_ms(p50_p99[0])), strfmt("%.0f", to_ms(p50_p99[1])),
          strict ? strfmt("%.2f%%",
                          collector.slo_compliance_pct_for(tenant.model))
                 : std::string("n/a (best effort)")});

@@ -189,20 +189,29 @@ void WorkerNode::enqueue(workload::Batch batch) {
   try_dispatch();
 }
 
-MemGb WorkerNode::be_mem_queued() const noexcept {
-  MemGb total = 0.0;
-  for (const auto& b : queue_) {
-    if (!b.strict) total += b.model->mem_gb;
+const WorkerNode::BeQueueSums& WorkerNode::be_queue_sums() const noexcept {
+  if (be_sums_queue_version_ != queue_version_) {
+    BeQueueSums sums;
+    for (const auto& b : queue_) {
+      if (b.strict) continue;
+      sums.mem += b.model->mem_gb;
+      ++sums.count;
+      sums.fbr += b.model->fbr;
+      if (sums.max_mem_model == nullptr || b.model->mem_gb > sums.max_mem) {
+        sums.max_mem = b.model->mem_gb;
+        sums.max_mem_model = b.model;
+      }
+    }
+    be_sums_ = sums;
+    be_sums_queue_version_ = queue_version_;
   }
-  return total;
+  return be_sums_;
 }
 
-std::size_t WorkerNode::be_queued() const noexcept {
-  std::size_t count = 0;
-  for (const auto& b : queue_) {
-    if (!b.strict) ++count;
-  }
-  return count;
+double WorkerNode::be_fbr_density() const noexcept {
+  const BeQueueSums& sums = be_queue_sums();
+  if (sums.mem <= 0.0) return 0.0;
+  return sums.fbr / sums.mem;
 }
 
 double WorkerNode::estimated_pressure() const noexcept {

@@ -166,11 +166,29 @@ class WorkerNode {
   /// node's queue has changed since the last call, so every value is
   /// bit-identical to a fresh evaluation.
   const DispatchEstimate& dispatch_estimate() const noexcept;
+  /// Sums over the queued best-effort batches, in queue order.
+  struct BeQueueSums {
+    MemGb mem = 0.0;        ///< summed memory footprint
+    std::size_t count = 0;  ///< batches
+    double fbr = 0.0;       ///< summed FBR
+    /// The largest footprint, and the model of the first batch that has it
+    /// (null while no BE batch is queued).
+    MemGb max_mem = 0.0;
+    const workload::ModelProfile* max_mem_model = nullptr;
+  };
+  /// Memoized BeQueueSums: recomputed by one queue walk only when the
+  /// queue has changed since the last call, so every value is bit-identical
+  /// to a fresh walk. A backlogged node's placements read it once per
+  /// queued batch per dispatch pass.
+  const BeQueueSums& be_queue_sums() const noexcept;
   /// Total GPU memory demanded by queued best-effort batches (Algorithm 1's
   /// BE_mem input).
-  MemGb be_mem_queued() const noexcept;
+  MemGb be_mem_queued() const noexcept { return be_queue_sums().mem; }
   /// Count of queued best-effort batches.
-  std::size_t be_queued() const noexcept;
+  std::size_t be_queued() const noexcept { return be_queue_sums().count; }
+  /// FBR per GB of the queued best-effort batches, used to turn tag values
+  /// into expected interference. Zero when nothing is queued.
+  double be_fbr_density() const noexcept;
   /// When a strict batch last arrived at this node (kNeverTime negated:
   /// -inf until one ever arrives). Policies use this to decide whether
   /// strict work is "present".
@@ -336,11 +354,13 @@ class WorkerNode {
   common::Ring<workload::Batch> queue_;
   /// Bumped on every queue_ mutation, and when restore() installs a GPU
   /// whose state_version() restarts; with that version it stamps the
-  /// dispatch_estimate() memo.
+  /// dispatch_estimate() memo. It alone stamps the be_queue_sums() memo.
   std::uint64_t queue_version_ = 0;
   mutable DispatchEstimate estimate_;
   mutable std::uint64_t estimate_gpu_version_ = 0;
   mutable std::uint64_t estimate_queue_version_ = ~std::uint64_t{0};
+  mutable BeQueueSums be_sums_;
+  mutable std::uint64_t be_sums_queue_version_ = ~std::uint64_t{0};
   std::function<void(workload::Batch&&)> redistribute_;
   /// Batches executing on the GPU, parked by begin_exec until their job's
   /// completion callback takes them out. The callback captures only the

@@ -121,17 +121,4 @@ gpu::Slice* JobDistributor::choose_best_effort_slice(
   return nullptr;
 }
 
-double JobDistributor::be_fbr_density(
-    const common::Ring<workload::Batch>& queue) {
-  double fbr = 0.0;
-  MemGb mem = 0.0;
-  for (const auto& b : queue) {
-    if (b.strict) continue;
-    fbr += b.model->fbr;
-    mem += b.model->mem_gb;
-  }
-  if (mem <= 0.0) return 0.0;
-  return fbr / mem;
-}
-
 }  // namespace protean::core

@@ -9,7 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "common/ring.h"
 #include "gpu/engine.h"
 #include "workload/batch.h"
 
@@ -67,10 +66,6 @@ class JobDistributor {
       const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
       bool protect_largest = true,
       const memcache::ModelCache* cache = nullptr);
-
-  /// FBR per GB of the queued best-effort batches on a node, used to turn
-  /// tag values into expected interference. Zero when nothing is queued.
-  static double be_fbr_density(const common::Ring<workload::Batch>& queue);
 };
 
 }  // namespace protean::core

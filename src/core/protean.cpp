@@ -50,7 +50,7 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
                                0.0);
       return nullptr;
     }
-    const double density = JobDistributor::be_fbr_density(node.queue());
+    const double density = node.be_fbr_density();
     double eta = 0.0;
     gpu::Slice* chosen = JobDistributor::choose_strict_slice(
         batch, tagged, density, node.cache(), &eta);
@@ -85,8 +85,9 @@ void ProteanScheduler::on_monitor(cluster::WorkerNode& node,
   // Instantaneous BE footprint (catches backlogs) combined with the
   // Little's-law estimate of steady concurrent demand (arrival rate ×
   // service × footprint — robust when short BE jobs drain between ticks).
-  info.be_mem_demand = node.be_mem_queued();
-  info.be_batches = static_cast<int>(node.be_queued());
+  const cluster::WorkerNode::BeQueueSums queued = node.be_queue_sums();
+  info.be_mem_demand = queued.mem;
+  info.be_batches = static_cast<int>(queued.count);
   for (const gpu::Slice* slice : std::as_const(node.gpu()).slices()) {
     info.be_mem_demand += slice->be_memory_in_use();
   }
@@ -94,13 +95,9 @@ void ProteanScheduler::on_monitor(cluster::WorkerNode& node,
       std::max(info.be_mem_demand, node.take_be_demand_estimate());
   info.be_batch_mem = node.last_be_batch_mem();
   const workload::ModelProfile* be_model = node.last_be_model();
-  for (const auto& b : node.queue()) {
-    if (!b.strict) {
-      if (b.model->mem_gb > info.be_batch_mem) {
-        info.be_batch_mem = b.model->mem_gb;
-        be_model = b.model;
-      }
-    }
+  if (queued.max_mem_model != nullptr && queued.max_mem > info.be_batch_mem) {
+    info.be_batch_mem = queued.max_mem;
+    be_model = queued.max_mem_model;
   }
   if (be_model != nullptr) {
     info.be_rdf_2g = be_model->rdf(gpu::SliceProfile::k2g);

@@ -204,19 +204,61 @@ double Collector::slo_compliance_pct() const noexcept {
          static_cast<double>(strict_total_);
 }
 
+/// The ramps of the batch records in one {strict, stream} scope, read in
+/// place: a record outside the scope is an empty slot.
+class Collector::ScopedRamps final : public RampSource {
+ public:
+  ScopedRamps(const BatchRecords& records, bool strict,
+              std::vector<bool> of_stream, std::size_t requests,
+              std::size_t ramps)
+      : records_(records),
+        strict_(strict),
+        of_stream_(std::move(of_stream)),
+        requests_(requests),
+        ramps_(ramps) {}
+
+  std::size_t slots() const override { return records_.size(); }
+  LatencyRamp ramp(std::size_t slot) const override {
+    const BatchBreakdown& b = records_[slot];
+    if (b.strict != strict_ || !of_stream_[b.stream]) return {};
+    return {b.worst_latency, b.best_latency, b.count};
+  }
+  std::size_t requests() const override { return requests_; }
+  std::size_t ramps() const override { return ramps_; }
+
+ private:
+  const BatchRecords& records_;
+  bool strict_;
+  std::vector<bool> of_stream_;
+  std::size_t requests_;
+  std::size_t ramps_;
+};
+
+Collector::ScopedRamps Collector::scope(
+    bool strict, const workload::ModelProfile* model) const {
+  std::vector<bool> of_stream = streams_of(model);
+  const LatencyTotals& totals = strict ? strict_totals_ : be_totals_;
+  auto requests = static_cast<std::size_t>(totals.requests);
+  std::size_t ramps = totals.ramps;
+  if (model != nullptr) {  // one model's share of the class's totals
+    requests = ramps = 0;
+    for (const auto& b : batches_) {
+      if (b.strict != strict || !of_stream[b.stream]) continue;
+      requests += static_cast<std::size_t>(b.count);
+      ++ramps;
+    }
+  }
+  return ScopedRamps(batches_, strict, std::move(of_stream), requests, ramps);
+}
+
 LatencyRamps Collector::ramps(bool strict,
                               const workload::ModelProfile* model) const {
-  const std::vector<bool> of_model = streams_of(model);
-  const auto in_scope = [strict, &of_model](const BatchBreakdown& b) {
-    return b.strict == strict && of_model[b.stream];
-  };
+  const ScopedRamps in_scope = scope(strict, model);
   LatencyRamps out;
-  out.reserve(model != nullptr
-                  ? static_cast<std::size_t>(std::count_if(
-                        batches_.begin(), batches_.end(), in_scope))
-                  : (strict ? strict_totals_ : be_totals_).ramps);
-  for (const auto& b : batches_) {
-    if (in_scope(b)) out.add(b.worst_latency, b.best_latency, b.count);
+  out.reserve(in_scope.ramps());
+  for (std::size_t slot = 0; slot < in_scope.slots(); ++slot) {
+    const LatencyRamp r = in_scope.ramp(slot);
+    if (r.count > 0) out.add(r.first, r.last, r.count);
   }
   return out;
 }
@@ -231,7 +273,18 @@ void Collector::percentiles(bool strict, std::span<const double> ps,
     }
     return;
   }
-  select_percentiles(ramps(strict, nullptr), ps, out);
+  select_percentiles(scope(strict, nullptr), ps, out);
+}
+
+void Collector::percentiles_for(const workload::ModelProfile* model,
+                                bool strict, std::span<const double> ps,
+                                std::span<double> out) const {
+  select_percentiles(scope(strict, model), ps, out);
+}
+
+std::uint64_t Collector::requests_for(const workload::ModelProfile* model,
+                                      bool strict) const {
+  return scope(strict, model).requests();
 }
 
 double Collector::strict_percentile(double p) const {

@@ -233,9 +233,9 @@ class Collector {
   void use_sketch_store(double alpha);
   bool sketch_store() const noexcept { return strict_sketch_.has_value(); }
 
-  /// Approximate bytes the percentile path reads: one LatencyRamp per
-  /// batch record, or the sketch buckets in sketch mode. The telemetry
-  /// overhead bench compares the two.
+  /// Approximate bytes the exact percentiles are selected from: the ramp
+  /// of every batch record, 24 bytes each as a LatencyRamp, or the sketch
+  /// buckets in sketch mode. The telemetry overhead bench compares the two.
   std::size_t latency_store_bytes() const noexcept;
 
   /// Records a completed batch. The batch must have completed_at set.
@@ -335,8 +335,10 @@ class Collector {
   /// Latency percentiles in seconds over strict (or BE) request latencies,
   /// out[i] for ps[i], all from one selection. Exact: bit-identical to
   /// selecting over every request's float latency, read from the ramps of
-  /// the batch records; within the configured relative-error bound in
-  /// sketch mode.
+  /// the batch records in place (select_percentiles over a RampSource:
+  /// at most 16 bytes per in-scope record and, on latencies from 1 ms to
+  /// 1000 s, under 0.5 MiB besides);
+  /// within the configured relative-error bound in sketch mode.
   void percentiles(bool strict, std::span<const double> ps,
                    std::span<double> out) const;
   double strict_percentile(double p) const;
@@ -347,7 +349,8 @@ class Collector {
   double be_mean() const;
 
   /// Request latencies as one ramp per batch record, for CDFs and
-  /// significance tests. Empty in sketch mode.
+  /// significance tests: a copy of 24 bytes per record. Empty in sketch
+  /// mode.
   LatencyRamps strict_latencies() const;
   LatencyRamps be_latencies() const;
 
@@ -365,6 +368,14 @@ class Collector {
                              bool strict) const {
     return ramps(strict, model);
   }
+  /// Percentiles in seconds over one (model, strictness) stream, selected
+  /// from its batch records in place as percentiles() is; always exact.
+  void percentiles_for(const workload::ModelProfile* model, bool strict,
+                       std::span<const double> ps,
+                       std::span<double> out) const;
+  /// Requests recorded in one (model, strictness) stream.
+  std::uint64_t requests_for(const workload::ModelProfile* model,
+                             bool strict) const;
   /// SLO compliance over one model's strict requests, in [0,100].
   double slo_compliance_pct_for(const workload::ModelProfile* model) const;
   /// Tail breakdown restricted to one model's strict batches.
@@ -392,8 +403,12 @@ class Collector {
                   const Breakdown& breakdown, int count, bool strict,
                   const workload::ModelProfile* model, double slo);
 
-  /// The ramps of the strict (or BE) batch records of `model` (every model
-  /// when null).
+  /// The strict (or BE) batch records of `model` (every model when null),
+  /// as a RampSource that reads their ramps in place.
+  class ScopedRamps;
+  ScopedRamps scope(bool strict, const workload::ModelProfile* model) const;
+
+  /// A copy of the ramps of scope(strict, model).
   LatencyRamps ramps(bool strict, const workload::ModelProfile* model) const;
 
   /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches

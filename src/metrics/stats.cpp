@@ -140,27 +140,64 @@ float float_of(std::uint64_t key) noexcept {
   return std::bit_cast<float>((k & 0x80000000u) != 0 ? k & 0x7FFFFFFFu : ~k);
 }
 
+/// Request i of a ramp as the float store kept it.
+float value_of(const LatencyRamp& r, int i) noexcept {
+  return static_cast<float>(
+      workload::request_latency(r.first, r.last, i, r.count));
+}
+
+/// Largest slot a RampHeader can hold.
+constexpr std::size_t kMaxSlot = 0x7FFFFFFF;
+
+/// All the ramp search keeps of one ramp while the ramp itself stays where
+/// it is: its slot, the direction it reads in non-decreasing order, its end
+/// keys and its request count. The direction comes from the ramp's own end
+/// floats, so a ramp that rises by rounding noise reads right too.
+class RampHeader {
+ public:
+  RampHeader(std::size_t slot, const LatencyRamp& r) noexcept
+      : count_(r.count) {
+    // value_of(r, 0) and value_of(r, r.count - 1) without their divisions:
+    // request_latency's fraction is exactly 0 and 1 there.
+    const double span = r.last - r.first;
+    const float head = static_cast<float>(r.first + span * 0.0);
+    const float tail =
+        static_cast<float>(r.first + span * (r.count == 1 ? 0.0 : 1.0));
+    const bool ascending = tail >= head;
+    tagged_slot_ = static_cast<std::uint32_t>(slot << 1) |
+                   static_cast<std::uint32_t>(ascending);
+    min_key_ = key_of(ascending ? head : tail);
+    max_key_ = key_of(ascending ? tail : head);
+  }
+
+  std::size_t slot() const noexcept { return tagged_slot_ >> 1; }
+  bool ascending() const noexcept { return (tagged_slot_ & 1u) != 0; }
+  std::uint32_t min_key() const noexcept { return min_key_; }
+  std::uint32_t max_key() const noexcept { return max_key_; }
+  int size() const noexcept { return count_; }
+
+ private:
+  std::uint32_t tagged_slot_;  // slot << 1 | ascending
+  std::uint32_t min_key_;
+  std::uint32_t max_key_;
+  std::int32_t count_;
+};
+static_assert(sizeof(RampHeader) == 16, "a ramp header is 16 bytes");
+
 /// One ramp's values in non-decreasing order: the ramp read forward when
-/// it rises, backward when it falls. The direction comes from the ramp's
-/// own end floats, so a ramp that rises by rounding noise reads right too.
+/// it rises, backward when it falls. A view over the ramp and its header.
 class SortedRamp {
  public:
-  explicit SortedRamp(const LatencyRamp& r) noexcept : r_(r) {
-    const float head = value(0);
-    const float tail = value(r.count - 1);
-    ascending_ = tail >= head;
-    min_key_ = key_of(ascending_ ? head : tail);
-    max_key_ = key_of(ascending_ ? tail : head);
-    if (min_key_ < max_key_) {
+  SortedRamp(const LatencyRamp& r, const RampHeader& header) noexcept
+      : r_(r), header_(header) {
+    if (header.min_key() < header.max_key()) {
       scale_ = static_cast<double>(r.count - 1) / (r.last - r.first);
     }
   }
 
   int size() const noexcept { return r_.count; }
-  std::uint32_t min_key() const noexcept { return min_key_; }
-  std::uint32_t max_key() const noexcept { return max_key_; }
   float at(int j) const noexcept {
-    return value(ascending_ ? j : r_.count - 1 - j);
+    return value_of(r_, header_.ascending() ? j : r_.count - 1 - j);
   }
 
   /// Values whose key is below k. The ramp's real-arithmetic inverse
@@ -168,12 +205,13 @@ class SortedRamp {
   /// the count; a window around the guess, widened until it holds the
   /// answer, is then bisected. A right guess costs two evaluations.
   int count_below(std::uint64_t k) const noexcept {
-    if (k <= min_key_) return 0;
-    if (k > max_key_) return size();
+    if (k <= header_.min_key()) return 0;
+    if (k > header_.max_key()) return size();
     const int n = size();
     const auto below = [&](int j) { return key_of(at(j)) < k; };
     const double t = (static_cast<double>(float_of(k)) - r_.first) * scale_;
-    const double guess = ascending_ ? std::ceil(t) : n - 1 - std::floor(t);
+    const double guess =
+        header_.ascending() ? std::ceil(t) : n - 1 - std::floor(t);
     int lo = std::isfinite(guess) ? static_cast<int>(std::clamp(
                                         guess, 0.0, static_cast<double>(n)))
                                   : 0;
@@ -196,32 +234,43 @@ class SortedRamp {
   }
 
  private:
-  float value(int i) const noexcept {
-    return static_cast<float>(
-        workload::request_latency(r_.first, r_.last, i, r_.count));
-  }
-
   LatencyRamp r_;
+  RampHeader header_;
   double scale_ = 0.0;  ///< (n - 1) / (last - first): index per second
-  bool ascending_ = true;
-  std::uint32_t min_key_ = 0;
-  std::uint32_t max_key_ = 0;
 };
 
 /// Keys that bracket any rank, read off the ramps' end keys alone at the
 /// resolution of the keys' high 16 bits: no value below a key belongs to a
 /// ramp that starts at or above it, and every value of a ramp that ends
-/// below it does. Keeps far outliers out of every bracket.
+/// below it does. Keeps far outliers out of every bracket. The buckets span
+/// only the end keys' range: 2.6k buckets (62 KiB) for latencies from 1 ms
+/// to 1000 s, 1.5 MiB at most. Fill with add(), then seal() before the
+/// first query.
 class EndBounds {
  public:
-  explicit EndBounds(const std::vector<SortedRamp>& all)
-      : starts_(kBuckets + 1), ends_(kBuckets + 1) {
-    for (const SortedRamp& s : all) {
-      starts_[(s.min_key() >> 16) + 1] += static_cast<std::uint64_t>(s.size());
-      ends_[(s.max_key() >> 16) + 1] += static_cast<std::uint64_t>(s.size());
+  /// Buckets for the keys in [min_key, max_key].
+  EndBounds(std::uint32_t min_key, std::uint32_t max_key)
+      : first_(min_key >> 16),
+        starts_((max_key >> 16) - first_ + 2),
+        ends_(starts_.size()),
+        ramp_starts_(starts_.size()),
+        ramp_ends_(starts_.size()) {}
+
+  void add(const RampHeader& ramp) {
+    const std::size_t start = (ramp.min_key() >> 16) - first_ + 1;
+    const std::size_t end = (ramp.max_key() >> 16) - first_ + 1;
+    starts_[start] += static_cast<std::uint64_t>(ramp.size());
+    ends_[end] += static_cast<std::uint64_t>(ramp.size());
+    ++ramp_starts_[start];
+    ++ramp_ends_[end];
+  }
+  void seal() {
+    for (auto* values : {&starts_, &ends_}) {
+      std::partial_sum(values->begin(), values->end(), values->begin());
     }
-    std::partial_sum(starts_.begin(), starts_.end(), starts_.begin());
-    std::partial_sum(ends_.begin(), ends_.end(), ends_.begin());
+    for (auto* ramps : {&ramp_starts_, &ramp_ends_}) {
+      std::partial_sum(ramps->begin(), ramps->end(), ramps->begin());
+    }
   }
 
   /// A key with at most r values below it: rank r's key is not below it.
@@ -234,38 +283,142 @@ class EndBounds {
     return bucket_key(std::upper_bound(ends_.begin(), ends_.end(), r) -
                       ends_.begin());
   }
+  /// At least as many ramps as overlap [k_lo, k_hi) (min key below k_hi,
+  /// max key not below k_lo), for k_hi a key above() returned.
+  std::size_t overlapping(std::uint64_t k_lo, std::uint64_t k_hi) const {
+    return static_cast<std::size_t>(ramp_starts_[(k_hi >> 16) - first_] -
+                                    ramp_ends_[(k_lo >> 16) - first_]);
+  }
 
  private:
-  static constexpr std::size_t kBuckets = std::size_t{1} << 16;
-  static std::uint64_t bucket_key(std::ptrdiff_t b) {
-    return static_cast<std::uint64_t>(b) << 16;
+  std::uint64_t bucket_key(std::ptrdiff_t b) const {
+    return (first_ + static_cast<std::uint64_t>(b)) << 16;
   }
-  // [b]: values of the ramps whose start (end) key's high half is below b.
+  std::uint32_t first_;  // the lowest key's bucket
+  // [b]: values (ramps) of the ramps whose start (end) key's high half is
+  // below first_ + b. Ramps fit 32 bits: a source has at most kMaxSlot + 1.
   std::vector<std::uint64_t> starts_, ends_;
+  std::vector<std::uint32_t> ramp_starts_, ramp_ends_;
+};
+
+/// The ramps of one key bracket [k_lo, k_hi): the values of the ramps
+/// wholly below k_lo, and the headers of the ramps that overlap it.
+struct Bracket {
+  std::uint64_t base = 0;
+  std::span<const RampHeader> active;
+};
+
+/// Brackets over a ramp array read in place: each bracket rescans the
+/// array and keeps a header only for the ramps that overlap it, in an
+/// array sized from the end-key buckets.
+class ScannedRamps {
+ public:
+  explicit ScannedRamps(std::span<const LatencyRamp> ramps) noexcept
+      : ramps_(ramps) {}
+
+  /// Calls f(header) for every non-empty ramp.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t slot = 0; slot < ramps_.size(); ++slot) {
+      if (ramps_[slot].count > 0) f(RampHeader(slot, ramps_[slot]));
+    }
+  }
+  const LatencyRamp& ramp(const RampHeader& h) const noexcept {
+    return ramps_[h.slot()];
+  }
+  /// `overlapping`: at least as many ramps as overlap [k_lo, k_hi).
+  Bracket bracket(std::uint64_t k_lo, std::uint64_t k_hi,
+                  std::size_t overlapping) {
+    Bracket out;
+    active_ = {};
+    active_.reserve(overlapping);
+    for_each([&](const RampHeader& h) {
+      if (h.max_key() < k_lo) {
+        out.base += static_cast<std::uint64_t>(h.size());
+      } else if (h.min_key() < k_hi) {
+        active_.push_back(h);
+      }
+    });
+    out.active = active_;
+    return out;
+  }
+
+ private:
+  std::span<const LatencyRamp> ramps_;
+  std::vector<RampHeader> active_;
+};
+
+/// Brackets over a ramp source whose ramps are costly to gather: one pass
+/// reads a header per ramp, in slot order. Brackets rise, so each bracket
+/// drops the ramps wholly below it for good, keeping their value count,
+/// and hands out the headers that remain: those above the bracket cost a
+/// count one key comparison. Only a ramp that a key falls inside is read
+/// from the source again, in slot order.
+class GatheredRamps {
+ public:
+  GatheredRamps(const RampSource& source, std::size_t ramps)
+      : source_(source) {
+    headers_.reserve(ramps);
+    for (std::size_t slot = 0; slot < source.slots(); ++slot) {
+      const LatencyRamp r = source.ramp(slot);
+      if (r.count > 0) headers_.emplace_back(slot, r);
+    }
+  }
+
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const RampHeader& h : headers_) f(h);
+  }
+  LatencyRamp ramp(const RampHeader& h) const {
+    return source_.ramp(h.slot());
+  }
+  /// Brackets rise from call to call (k_lo never falls).
+  Bracket bracket(std::uint64_t k_lo, std::uint64_t /*k_hi*/,
+                  std::size_t /*overlapping*/) {
+    std::erase_if(headers_, [&](const RampHeader& h) {
+      if (h.max_key() >= k_lo) return false;
+      below_ += static_cast<std::uint64_t>(h.size());
+      return true;
+    });
+    return {below_, headers_};
+  }
+
+ private:
+  const RampSource& source_;
+  std::vector<RampHeader> headers_;
+  std::uint64_t below_ = 0;  // values of the ramps dropped so far
 };
 
 /// Largest window (values) the selection expands and sorts.
 constexpr std::uint64_t kWindow = 1 << 16;
 
-/// The order statistics of the ramps' expanded floats at sorted ranks.
+/// The order statistics of the ramps' expanded floats at sorted ranks;
+/// `Ramps` is ScannedRamps or GatheredRamps. Values are selected from the
+/// multiset, so the order the ramps are visited in does not matter.
 ///
 /// For the lowest unresolved rank r it takes the key bracket [k_lo, k_hi)
 /// the end keys give, counts the values below each end exactly, and
-/// narrows the bracket by regula falsi on those counts, dropping the ramps
-/// that leave it. An end kept twice in a row has its weight halved (the
-/// Illinois correction), so both ends close in. Once at most kWindow
-/// values remain, it expands them, places every rank that falls inside
-/// with place_ranks, and goes on above the bracket.
-std::vector<double> ramp_order_stats(std::span<const LatencyRamp> ramps,
+/// narrows the bracket by regula falsi on those counts. An end kept twice
+/// in a row has its weight halved (the Illinois correction), so both ends
+/// close in. Once at most kWindow values remain, it expands them, places
+/// every rank that falls inside with place_ranks, and goes on above the
+/// bracket. A count reads only the headers, and the ramps the key falls
+/// inside.
+template <typename Ramps>
+std::vector<double> ramp_order_stats(Ramps& ramps,
                                      std::span<const std::size_t> ranks) {
-  std::vector<SortedRamp> all;
-  all.reserve(ramps.size());
-  for (const LatencyRamp& r : ramps) {
-    if (r.count > 0) all.emplace_back(r);
-  }
-  const EndBounds bounds(all);
+  const auto sorted = [&ramps](const RampHeader& a) {
+    return SortedRamp(ramps.ramp(a), a);
+  };
+  std::uint32_t min_key = ~std::uint32_t{0}, max_key = 0;
+  ramps.for_each([&](const RampHeader& a) {
+    min_key = std::min(min_key, a.min_key());
+    max_key = std::max(max_key, a.max_key());
+  });
+  EndBounds bounds(min_key, max_key);
+  ramps.for_each([&bounds](const RampHeader& a) { bounds.add(a); });
+  bounds.seal();
   std::vector<double> stats(ranks.size());
-  std::vector<const SortedRamp*> active;
   std::vector<float> window;
   std::vector<std::size_t> local;
   std::uint64_t floor_key = 0;  // no unresolved rank's key is below this
@@ -273,19 +426,14 @@ std::vector<double> ramp_order_stats(std::span<const LatencyRamp> ramps,
     const std::uint64_t r = ranks[i];
     std::uint64_t k_lo = std::max(bounds.at_or_below(r), floor_key);
     std::uint64_t k_hi = bounds.above(r);
-    std::uint64_t base = 0;  // values of the ramps wholly below k_lo
-    active.clear();
-    for (const SortedRamp& s : all) {
-      if (s.max_key() < k_lo) {
-        base += static_cast<std::uint64_t>(s.size());
-      } else if (s.min_key() < k_hi) {
-        active.push_back(&s);
-      }
-    }
+    const Bracket bracket =
+        ramps.bracket(k_lo, k_hi, bounds.overlapping(k_lo, k_hi));
     const auto count = [&](std::uint64_t k) {
-      std::uint64_t c = base;
-      for (const SortedRamp* s : active) {
-        c += static_cast<std::uint64_t>(s->count_below(k));
+      std::uint64_t c = bracket.base;
+      for (const RampHeader& a : bracket.active) {
+        if (k <= a.min_key()) continue;
+        c += static_cast<std::uint64_t>(
+            k > a.max_key() ? a.size() : sorted(a).count_below(k));
       }
       return c;
     };
@@ -306,19 +454,12 @@ std::vector<double> ramp_order_stats(std::span<const LatencyRamp> ramps,
         fac_lo = 1.0;
         if (kept < 0) fac_hi /= 2.0;
         kept = -1;
-        std::erase_if(active, [&](const SortedRamp* s) {
-          if (s->max_key() >= k) return false;
-          base += static_cast<std::uint64_t>(s->size());
-          return true;
-        });
       } else {
         k_hi = k;
         c_hi = c;
         fac_hi = 1.0;
         if (kept > 0) fac_lo /= 2.0;
         kept = 1;
-        std::erase_if(active,
-                      [k](const SortedRamp* s) { return s->min_key() >= k; });
       }
     }
     local.clear();
@@ -330,10 +471,12 @@ std::vector<double> ramp_order_stats(std::span<const LatencyRamp> ramps,
                   local.size(), static_cast<double>(float_of(k_lo)));
     } else {
       window.clear();
-      for (const SortedRamp* s : active) {
-        const int end = s->count_below(k_hi);
-        for (int j = s->count_below(k_lo); j < end; ++j) {
-          window.push_back(s->at(j));
+      for (const RampHeader& a : bracket.active) {
+        if (a.max_key() < k_lo || a.min_key() >= k_hi) continue;
+        const SortedRamp s = sorted(a);
+        const int end = s.count_below(k_hi);
+        for (int j = s.count_below(k_lo); j < end; ++j) {
+          window.push_back(s.at(j));
         }
       }
       PROTEAN_DCHECK(window.size() == c_hi - c_lo);
@@ -348,6 +491,33 @@ std::vector<double> ramp_order_stats(std::span<const LatencyRamp> ramps,
   return stats;
 }
 
+/// Selection budget of the float path: ramps whose expanded floats take at
+/// most this many bytes per ramp (four requests on average) are expanded
+/// whole, which is faster for short ramps than the ramp search.
+constexpr std::size_t kShortRampBytes = 16;
+
+/// Shared body of the ramp overloads: the float path when the ramps are
+/// short, else the ramp search over the brackets `make_ramps()` returns.
+/// `for_each(f)` calls f(ramp) for every ramp.
+template <typename ForEach, typename MakeRamps>
+void select_ramps(std::size_t requests, std::size_t ramps,
+                  std::span<const double> ps, std::span<double> out,
+                  ForEach for_each, MakeRamps make_ramps) {
+  if (requests * sizeof(float) <= ramps * kShortRampBytes) {
+    std::vector<float> floats;
+    floats.reserve(requests);
+    for_each([&floats](const LatencyRamp& r) {
+      for (int i = 0; i < r.count; ++i) floats.push_back(value_of(r, i));
+    });
+    select_impl(std::span<float>(floats), ps, out);
+    return;
+  }
+  select_frame(requests, ps, out, [&](std::span<const std::size_t> ranks) {
+    auto brackets = make_ramps();
+    return ramp_order_stats(brackets, ranks);
+  });
+}
+
 }  // namespace
 
 void select_percentiles(std::span<float> xs, std::span<const double> ps,
@@ -360,25 +530,33 @@ void select_percentiles(std::span<double> xs, std::span<const double> ps,
   select_impl(xs, ps, out);
 }
 
+void select_percentiles(const RampSource& xs, std::span<const double> ps,
+                        std::span<double> out) {
+  PROTEAN_CHECK_MSG(xs.slots() <= kMaxSlot + 1,
+                    "more ramp slots than the ramp search can index");
+  select_ramps(
+      xs.requests(), xs.ramps(), ps, out,
+      [&xs](auto&& f) {
+        for (std::size_t slot = 0; slot < xs.slots(); ++slot) f(xs.ramp(slot));
+      },
+      [&xs] { return GatheredRamps(xs, xs.ramps()); });
+}
+
 void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,
                         std::span<double> out) {
-  // Short ramps (small batches) select faster as plain floats, and then
-  // the floats take no more memory than the ramp search's own records.
-  if (xs.size() * sizeof(float) <= xs.ramps().size() * sizeof(SortedRamp)) {
-    std::vector<float> floats;
-    floats.reserve(xs.size());
-    for (const LatencyRamp& r : xs.ramps()) {
-      for (int i = 0; i < r.count; ++i) {
-        floats.push_back(static_cast<float>(
-            workload::request_latency(r.first, r.last, i, r.count)));
-      }
-    }
-    select_impl(std::span<float>(floats), ps, out);
-    return;
-  }
-  select_frame(xs.size(), ps, out, [&xs](std::span<const std::size_t> ranks) {
-    return ramp_order_stats(xs.ramps(), ranks);
-  });
+  const std::span<const LatencyRamp> ramps = xs.ramps();
+  PROTEAN_CHECK_MSG(ramps.size() <= kMaxSlot + 1,
+                    "more ramps than the ramp search can index");
+  const auto nonempty = static_cast<std::size_t>(std::count_if(
+      ramps.begin(), ramps.end(), [](const LatencyRamp& r) {
+        return r.count > 0;
+      }));
+  select_ramps(
+      xs.size(), nonempty, ps, out,
+      [ramps](auto&& f) {
+        for (const LatencyRamp& r : ramps) f(r);
+      },
+      [ramps] { return ScannedRamps(ramps); });
 }
 
 double percentile(std::vector<float> xs, double p) noexcept {

@@ -55,13 +55,36 @@ class LatencyRamps {
   std::size_t requests_ = 0;
 };
 
+/// Read-only access to latency ramps kept elsewhere, so percentiles can be
+/// selected from them in place: slot i, for i < slots(), holds ramp(i). A
+/// ramp of count 0 holds no request, which is how a source leaves a slot
+/// out of its multiset.
+class RampSource {
+ public:
+  virtual ~RampSource() = default;
+  virtual std::size_t slots() const = 0;
+  virtual LatencyRamp ramp(std::size_t slot) const = 0;
+  /// The requests, and the ramps of count > 0, over all slots.
+  virtual std::size_t requests() const = 0;
+  virtual std::size_t ramps() const = 0;
+};
+
 /// The same percentiles as the float overload over the expanded multiset,
 /// bit for bit, without expanding it. Each rank is bracketed in the floats'
 /// order-preserving bit keys and the bracket narrowed on exact counts (a
 /// monotone ramp counts the values below a key with one guessed binary
 /// search) until at most 2^16 values remain; only those are expanded.
-/// Short ramps (about ten requests or fewer on average) are expanded
-/// whole instead, which is faster for them. Memory is O(ramps) either way.
+/// Short ramps (four requests or fewer on average) are expanded whole
+/// instead, which is faster for them.
+///
+/// Memory: the ramps are read in place. From a RampSource the search keeps
+/// a 16-byte header per ramp; from a LatencyRamps, whose ramps it can
+/// rescan cheaply, a header per ramp that overlaps the current bracket.
+/// The float path takes at most 16 bytes per ramp. The search also keeps
+/// a window of at most 2^16 floats, and end-key buckets that span only the
+/// keys present (62 KiB for latencies from 1 ms to 1000 s).
+void select_percentiles(const RampSource& xs, std::span<const double> ps,
+                        std::span<double> out);
 void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,
                         std::span<double> out);
 

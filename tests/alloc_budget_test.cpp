@@ -10,15 +10,24 @@
 // reconfigurator hands out prebuilt geometries. What remains is amortized:
 // reconfigurations (a new slice grows its job buffers from empty) and one
 // chunk of the collector's batch records per 4096 batches.
+//
+// The same operator new also tracks the bytes live on the heap and their
+// high-water mark, which bounds what percentile finalization may allocate
+// on top of the batch records it reads.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <random>
+#include <string>
 
 #include "cluster/cluster.h"
+#include "metrics/collector.h"
 #include "sched/registry.h"
 #include "sim/simulator.h"
 #include "trace/driver.h"
@@ -26,17 +35,29 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_bytes{0};
 }  // namespace
 
 // The array, nothrow and sized forms of the default library forward to
 // these two, so every allocation this program makes through new is counted.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    const std::size_t bytes = malloc_usable_size(p);
+    const std::size_t live = g_live_bytes.fetch_add(bytes) + bytes;
+    std::size_t peak = g_peak_bytes.load();
+    while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+    }
+    return p;
+  }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) g_live_bytes.fetch_sub(malloc_usable_size(p));
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace protean {
 namespace {
@@ -94,6 +115,76 @@ TEST(AllocationBudget, SteadyStateBertCellStaysUnderAQuarterPerBatch) {
               static_cast<unsigned long long>(batches));
   EXPECT_LT(per_batch, 0.25) << allocs << " allocations over " << batches
                             << " completed batches";
+}
+
+// Heap bytes allocated through new at the high-water mark of f(), above
+// the bytes live when it started.
+template <typename F>
+std::size_t heap_high_water(F&& f) {
+  const std::size_t before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  f();
+  return g_peak_bytes.load() - before;
+}
+
+// A collector of `records` seeded batches of `batch` requests each, two
+// strict to one best-effort: latencies of 50 ms to 1.5 s, arrival spans of
+// up to 100 ms.
+metrics::Collector ramp_collector(int batch, int records) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(batch));
+  std::uniform_real_distribution<double> wait(0.05, 1.5);
+  std::uniform_real_distribution<double> span(0.0, 0.1);
+  metrics::Collector collector;
+  workload::Batch b;
+  b.model = &workload::ModelCatalog::instance().by_name("ResNet 50");
+  b.count = batch;
+  for (int i = 0; i < records; ++i) {
+    b.id = static_cast<BatchId>(i + 1);
+    b.strict = i % 3 != 0;
+    b.first_arrival = 0.001 * i;
+    b.last_arrival = b.first_arrival + span(rng);
+    b.formed_at = b.last_arrival;
+    b.slo = b.strict ? 0.6 : kNeverTime;
+    b.completed_at = b.last_arrival + wait(rng);
+    b.exec_time = 0.05;
+    b.exec_start = b.completed_at - b.exec_time;
+    b.solo_min = 0.05;
+    b.solo_on_slice = 0.05;
+    collector.record(b);
+  }
+  return collector;
+}
+
+TEST(FinalizationBudget, PercentilesReadTheBatchRecordsInPlace) {
+  // Selecting percentiles may allocate at most 16 bytes per in-scope batch
+  // record and 2 MiB besides: no copy of the records' ramps. Batch 128
+  // takes the ramp search, batch 4 the float path.
+  constexpr int kRecords = 300000;
+  constexpr std::size_t kPerRecord = 16;
+  constexpr std::size_t kFixed = std::size_t{2} << 20;
+  static constexpr std::array<double, 2> kPs = {50.0, 99.0};
+  for (const int batch : {128, 4}) {
+    const metrics::Collector collector = ramp_collector(batch, kRecords);
+    for (const bool strict : {true, false}) {
+      const std::size_t in_scope = static_cast<std::size_t>(
+          (strict ? collector.strict_completed() : collector.be_completed()) /
+          static_cast<std::uint64_t>(batch));
+      std::array<double, kPs.size()> out{};
+      const std::size_t bytes = heap_high_water(
+          [&] { collector.percentiles(strict, kPs, out); });
+      const std::size_t budget = kPerRecord * in_scope + kFixed;
+      const std::string row = "batch " + std::to_string(batch) +
+                              (strict ? " strict" : " best-effort");
+      RecordProperty(row, std::to_string(bytes));
+      std::printf("%s: %zu bytes over %zu records (%.2f per record), budget "
+                  "%zu\n",
+                  row.c_str(), bytes, in_scope,
+                  static_cast<double>(bytes) / static_cast<double>(in_scope),
+                  budget);
+      EXPECT_GT(out[1], 0.0) << row;
+      EXPECT_LE(bytes, budget) << row;
+    }
+  }
 }
 
 }  // namespace

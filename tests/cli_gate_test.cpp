@@ -103,6 +103,10 @@ const Row kRepeat[] = {
      "--shards 3 --nodes 9 --trace atf.json --json",
      {"\"identity_violations\": 0", "\"negative_component_clamps\": 0"},
      {"atf.json"}, {"trace_stats atf.json --check", "slo_explain atf.json"}},
+    // Four nodes cannot keep up with 3000 rps of BERT: a growing backlog,
+    // whose placements read the node's queue sums once per queued batch.
+    {"backlog", "--scheme protean --nodes 4 --rps 3000 --model BERT "
+     "--warmup 5 --horizon 10 --seed 1 --json"},
     {"golden", "--rps 12000 --seed 7 --telemetry g.jsonl:5",
      {"SLO burn alerts, first at"}, {"g.jsonl"},
      {"metrics_diff g.jsonl $GOLDEN --rel-tol 1e-3 --abs-tol 1e-6"}},

@@ -665,6 +665,121 @@ TEST(CollectorRecords, ChunkedStoreMatchesAPlainVectorAcrossStreams) {
             collector.slo_compliance_pct());
 }
 
+// ---- in-place selection over every scope ----------------------------------
+
+// Long ResNet 50 ramps (5 to 400 requests) and short MobileNet ramps (1 to
+// 4), strict and best-effort, in shapes the in-place selection must get
+// right: one-request ramps, equal-end (flat) ramps, zero-latency ramps,
+// bit-identical flat ramps (ties beyond the selection window), ramps packed
+// into 0.1 ms (a bracket narrowed below the window), and ordinary
+// descending ramps.
+std::vector<workload::Batch> scope_batches(int n, std::uint64_t seed) {
+  const auto& resnet = workload::ModelCatalog::instance().by_name("ResNet 50");
+  const auto& mobilenet =
+      workload::ModelCatalog::instance().by_name("MobileNet");
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::uniform_int_distribution<int> long_count(5, 400);
+  std::uniform_int_distribution<int> short_count(1, 4);
+  std::vector<workload::Batch> out;
+  for (int i = 0; i < n; ++i) {
+    workload::Batch b;
+    b.id = static_cast<BatchId>(i + 1);
+    b.model = i % 2 == 0 ? &resnet : &mobilenet;
+    b.strict = i % 3 != 0;
+    b.count = b.model == &resnet ? long_count(rng) : short_count(rng);
+    b.first_arrival = 1.0 + 0.001 * i;
+    b.last_arrival = b.first_arrival + 0.1 * u(rng);
+    b.completed_at = b.last_arrival + 0.05 + 1.5 * u(rng);
+    switch (i % 6) {
+      case 0:  // one request
+        b.count = 1;
+        break;
+      case 1:  // equal ends
+        b.last_arrival = b.first_arrival;
+        break;
+      case 2:  // zero latency
+        b.last_arrival = b.first_arrival;
+        b.completed_at = b.first_arrival;
+        break;
+      case 3:  // bit-identical flat ramps, all 0.25 s
+        b.first_arrival = b.last_arrival = 1.0;
+        b.completed_at = 1.25;
+        break;
+      case 4:  // packed into [0.5, 0.5001] s
+        b.last_arrival = b.first_arrival + 1e-4 * u(rng);
+        b.completed_at = b.first_arrival + 0.5001;
+        break;
+      default:
+        break;
+    }
+    b.formed_at = b.last_arrival;
+    b.slo = b.strict ? 0.6 : kNeverTime;
+    b.exec_time = 0.0;
+    b.exec_start = b.completed_at;
+    b.solo_min = 0.0;
+    b.solo_on_slice = 0.0;
+    out.push_back(b);
+  }
+  return out;
+}
+
+// The float latencies of one scope's requests, in recording order.
+std::vector<float> scope_floats(const std::vector<workload::Batch>& batches,
+                                const workload::ModelProfile* model,
+                                bool strict) {
+  std::vector<float> out;
+  for (const auto& b : batches) {
+    if (b.strict != strict || (model != nullptr && b.model != model)) continue;
+    for (int i = 0; i < b.count; ++i) {
+      out.push_back(static_cast<float>(workload::request_latency(
+          b.completed_at - b.first_arrival, b.completed_at - b.last_arrival, i,
+          b.count)));
+    }
+  }
+  return out;
+}
+
+TEST(CollectorStore, InPlaceSelectionMatchesTheExpandedFloatsInEveryScope) {
+  const auto batches = scope_batches(3000, 41);
+  const Collector collector = filled(batches);
+  const auto* resnet = &workload::ModelCatalog::instance().by_name("ResNet 50");
+  const auto* mobilenet =
+      &workload::ModelCatalog::instance().by_name("MobileNet");
+  const double ps[] = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
+  bool ramp_search = false, float_path = false;
+  for (const auto* model : {resnet, mobilenet,
+                            static_cast<const workload::ModelProfile*>(nullptr)}) {
+    for (const bool strict : {true, false}) {
+      std::vector<float> floats = scope_floats(batches, model, strict);
+      std::size_t ramps = 0;
+      for (const auto& b : batches) {
+        if (b.strict == strict && (model == nullptr || b.model == model)) {
+          ++ramps;
+        }
+      }
+      // The selection expands ramps of four requests or fewer on average
+      // and searches the rest in place; both must be covered.
+      (floats.size() <= 4 * ramps ? float_path : ramp_search) = true;
+      std::vector<double> want(std::size(ps)), got(std::size(ps));
+      select_percentiles(std::span<float>(floats), ps, want);
+      if (model == nullptr) {
+        collector.percentiles(strict, ps, got);
+      } else {
+        collector.percentiles_for(model, strict, ps, got);
+        EXPECT_EQ(collector.requests_for(model, strict), floats.size());
+      }
+      for (std::size_t i = 0; i < std::size(ps); ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << (model != nullptr ? model->name : "every model")
+            << (strict ? " strict p" : " best-effort p") << ps[i];
+      }
+    }
+  }
+  EXPECT_TRUE(ramp_search);
+  EXPECT_TRUE(float_path);
+}
+
 TEST(CollectorRecords, RecordsStayInPlaceAsChunksAreAppended) {
   const auto batches = three_stream_batches(2 * BatchRecords::kChunk + 7, 32);
   Collector collector;

@@ -220,15 +220,5 @@ TEST(ChooseBestEffort, SpillsToLargestWhenNothingElseCanEverFit) {
   EXPECT_EQ(chosen->profile(), SliceProfile::k4g);
 }
 
-TEST(BeFbrDensity, AveragesOverQueuedBeBatches) {
-  common::Ring<Batch> queue;
-  queue.push_back(make_batch(model("MobileNet"), false));
-  queue.push_back(make_batch(model("ResNet 50"), true));  // ignored
-  const double density = JobDistributor::be_fbr_density(queue);
-  EXPECT_NEAR(density, model("MobileNet").fbr / model("MobileNet").mem_gb,
-              1e-9);
-  EXPECT_DOUBLE_EQ(JobDistributor::be_fbr_density({}), 0.0);
-}
-
 }  // namespace
 }  // namespace protean::core

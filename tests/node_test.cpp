@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "metrics/collector.h"
 #include "sched/baselines.h"
@@ -248,6 +249,114 @@ TEST(WorkerNode, BeMemQueuedSumsBestEffortOnly) {
   EXPECT_DOUBLE_EQ(f.node->be_mem_queued(), 2 * mobilenet().mem_gb);
   EXPECT_EQ(f.node->be_queued(), 2u);
   EXPECT_EQ(f.node->queued(), 3u);
+}
+
+TEST(WorkerNode, BeFbrDensityAveragesOverQueuedBeBatches) {
+  Fixture f;
+  EXPECT_EQ(f.node->be_fbr_density(), 0.0);
+  for (auto* slice : f.node->gpu().slices()) slice->set_accepting(false);
+  f.node->enqueue(make_batch(mobilenet(), false, 0.0));
+  f.node->enqueue(make_batch(resnet(), true, 0.0));  // ignored
+  EXPECT_NEAR(f.node->be_fbr_density(), mobilenet().fbr / mobilenet().mem_gb,
+              1e-9);
+}
+
+// The memoized BE queue sums against a fresh walk of the queue, in queue
+// order, compared exactly. Each call also refreshes the memo, so the next
+// mutation must invalidate it.
+void expect_sums_match_a_fresh_walk(const WorkerNode& node) {
+  WorkerNode::BeQueueSums walk;
+  for (const Batch& b : node.queue()) {
+    if (b.strict) continue;
+    walk.mem += b.model->mem_gb;
+    ++walk.count;
+    walk.fbr += b.model->fbr;
+    if (walk.max_mem_model == nullptr || b.model->mem_gb > walk.max_mem) {
+      walk.max_mem = b.model->mem_gb;
+      walk.max_mem_model = b.model;
+    }
+  }
+  const WorkerNode::BeQueueSums& memo = node.be_queue_sums();
+  EXPECT_EQ(memo.mem, walk.mem);
+  EXPECT_EQ(memo.count, walk.count);
+  EXPECT_EQ(memo.fbr, walk.fbr);
+  EXPECT_EQ(memo.max_mem, walk.max_mem);
+  EXPECT_EQ(memo.max_mem_model, walk.max_mem_model);
+  EXPECT_EQ(node.be_mem_queued(), walk.mem);
+  EXPECT_EQ(node.be_queued(), walk.count);
+  EXPECT_EQ(node.be_fbr_density(),
+            walk.mem <= 0.0 ? 0.0 : walk.fbr / walk.mem);
+}
+
+TEST(WorkerNode, BeQueueSumsFollowEveryQueueMutation) {
+  // SmartMpsMig reorders strict batches ahead of BE ones, so strict
+  // enqueues insert mid-queue.
+  sim::Simulator sim;
+  ClusterConfig config;
+  config.cold_start = 0.0;
+  sched::SmartMpsMigScheduler scheduler;
+  metrics::Collector collector;
+  WorkerNode node(sim, 0, config, scheduler, collector);
+  std::vector<Batch> redistributed;
+  node.set_redistribute(
+      [&](Batch&& b) { redistributed.push_back(std::move(b)); });
+  const ModelProfile& vgg = ModelCatalog::instance().by_name("VGG 19");
+  const auto hold = [&](bool accepting) {
+    for (auto* slice : node.gpu().slices()) slice->set_accepting(accepting);
+  };
+  const auto fill = [&] {
+    node.enqueue(make_batch(mobilenet(), false, sim.now(), 1));
+    expect_sums_match_a_fresh_walk(node);
+    node.enqueue(make_batch(vgg, false, sim.now(), 2));
+    expect_sums_match_a_fresh_walk(node);
+    node.enqueue(make_batch(resnet(), true, sim.now(), 3));  // jumps ahead
+    expect_sums_match_a_fresh_walk(node);
+    node.enqueue(make_batch(vgg, false, sim.now(), 4));  // ties the max
+    expect_sums_match_a_fresh_walk(node);
+    node.enqueue(make_batch(resnet(), false, sim.now(), 5));
+    expect_sums_match_a_fresh_walk(node);
+  };
+  expect_sums_match_a_fresh_walk(node);
+
+  // Enqueue, then dispatch: the batches start once the slices accept.
+  hold(false);
+  fill();
+  ASSERT_EQ(node.queued(), 5u);
+  ASSERT_EQ(node.queue().front().id, 3u);
+  EXPECT_EQ(node.be_queue_sums().max_mem_model, &vgg);
+  node.prewarm(resnet(), 2);
+  node.prewarm(mobilenet(), 1);
+  node.prewarm(vgg, 2);
+  hold(true);
+  node.try_dispatch();
+  EXPECT_LT(node.queued(), 5u);
+  expect_sums_match_a_fresh_walk(node);
+  sim.run_until(sim.now() + 30.0);
+  expect_sums_match_a_fresh_walk(node);
+
+  // take_queue.
+  hold(false);
+  fill();
+  EXPECT_EQ(node.take_queue().size(), 5u);
+  expect_sums_match_a_fresh_walk(node);
+
+  // Evict and restore.
+  fill();
+  node.evict();
+  EXPECT_EQ(node.queued(), 0u);
+  expect_sums_match_a_fresh_walk(node);
+  node.restore();
+  expect_sums_match_a_fresh_walk(node);
+
+  // Reconfiguration: a MIG drain hands the queue back for redistribution.
+  hold(false);
+  fill();
+  const gpu::Geometry target = gpu::Geometry::g3_3();
+  ASSERT_NE(node.gpu().geometry(), target);
+  EXPECT_TRUE(node.begin_reconfigure(target));
+  EXPECT_EQ(redistributed.size(), 5u);
+  EXPECT_EQ(node.queued(), 0u);
+  expect_sums_match_a_fresh_walk(node);
 }
 
 TEST(WorkerNode, TakeQueueFlushesPendingBatches) {
