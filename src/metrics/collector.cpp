@@ -251,9 +251,8 @@ Collector::ScopedRamps Collector::scope(
   return ScopedRamps(batches_, strict, std::move(of_stream), requests, ramps);
 }
 
-LatencyRamps Collector::ramps(bool strict,
-                              const workload::ModelProfile* model) const {
-  const ScopedRamps in_scope = scope(strict, model);
+LatencyRamps Collector::ramps(bool strict) const {
+  const ScopedRamps in_scope = scope(strict, nullptr);
   LatencyRamps out;
   out.reserve(in_scope.ramps());
   for (std::size_t slot = 0; slot < in_scope.slots(); ++slot) {
@@ -308,11 +307,11 @@ double Collector::be_mean() const {
 }
 
 LatencyRamps Collector::strict_latencies() const {
-  return strict_sketch_ ? LatencyRamps{} : ramps(true, nullptr);
+  return strict_sketch_ ? LatencyRamps{} : ramps(true);
 }
 
 LatencyRamps Collector::be_latencies() const {
-  return be_sketch_ ? LatencyRamps{} : ramps(false, nullptr);
+  return be_sketch_ ? LatencyRamps{} : ramps(false);
 }
 
 Breakdown Collector::tail_of(const workload::ModelProfile* model,

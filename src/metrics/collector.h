@@ -363,11 +363,6 @@ class Collector {
 
   // ---- per-model queries (multi-workload experiments, e.g. Fig. 2) -------
 
-  /// Request latencies of one (model, strictness) stream, seconds.
-  LatencyRamps latencies_for(const workload::ModelProfile* model,
-                             bool strict) const {
-    return ramps(strict, model);
-  }
   /// Percentiles in seconds over one (model, strictness) stream, selected
   /// from its batch records in place as percentiles() is; always exact.
   void percentiles_for(const workload::ModelProfile* model, bool strict,
@@ -408,8 +403,8 @@ class Collector {
   class ScopedRamps;
   ScopedRamps scope(bool strict, const workload::ModelProfile* model) const;
 
-  /// A copy of the ramps of scope(strict, model).
-  LatencyRamps ramps(bool strict, const workload::ModelProfile* model) const;
+  /// A copy of the ramps of one class, every model.
+  LatencyRamps ramps(bool strict) const;
 
   /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches
   /// of `model` (every model when null).

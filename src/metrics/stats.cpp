@@ -243,33 +243,26 @@ class SortedRamp {
 /// resolution of the keys' high 16 bits: no value below a key belongs to a
 /// ramp that starts at or above it, and every value of a ramp that ends
 /// below it does. Keeps far outliers out of every bracket. The buckets span
-/// only the end keys' range: 2.6k buckets (62 KiB) for latencies from 1 ms
-/// to 1000 s, 1.5 MiB at most. Fill with add(), then seal() before the
-/// first query.
+/// only the end keys' range: 2.6k buckets (40 KiB) for latencies from 1 ms
+/// to 1000 s, 1 MiB at most. Fill with add(), then seal() before the first
+/// query.
 class EndBounds {
  public:
   /// Buckets for the keys in [min_key, max_key].
   EndBounds(std::uint32_t min_key, std::uint32_t max_key)
       : first_(min_key >> 16),
         starts_((max_key >> 16) - first_ + 2),
-        ends_(starts_.size()),
-        ramp_starts_(starts_.size()),
-        ramp_ends_(starts_.size()) {}
+        ends_(starts_.size()) {}
 
   void add(const RampHeader& ramp) {
-    const std::size_t start = (ramp.min_key() >> 16) - first_ + 1;
-    const std::size_t end = (ramp.max_key() >> 16) - first_ + 1;
-    starts_[start] += static_cast<std::uint64_t>(ramp.size());
-    ends_[end] += static_cast<std::uint64_t>(ramp.size());
-    ++ramp_starts_[start];
-    ++ramp_ends_[end];
+    starts_[(ramp.min_key() >> 16) - first_ + 1] +=
+        static_cast<std::uint64_t>(ramp.size());
+    ends_[(ramp.max_key() >> 16) - first_ + 1] +=
+        static_cast<std::uint64_t>(ramp.size());
   }
   void seal() {
     for (auto* values : {&starts_, &ends_}) {
       std::partial_sum(values->begin(), values->end(), values->begin());
-    }
-    for (auto* ramps : {&ramp_starts_, &ramp_ends_}) {
-      std::partial_sum(ramps->begin(), ramps->end(), ramps->begin());
     }
   }
 
@@ -283,105 +276,47 @@ class EndBounds {
     return bucket_key(std::upper_bound(ends_.begin(), ends_.end(), r) -
                       ends_.begin());
   }
-  /// At least as many ramps as overlap [k_lo, k_hi) (min key below k_hi,
-  /// max key not below k_lo), for k_hi a key above() returned.
-  std::size_t overlapping(std::uint64_t k_lo, std::uint64_t k_hi) const {
-    return static_cast<std::size_t>(ramp_starts_[(k_hi >> 16) - first_] -
-                                    ramp_ends_[(k_lo >> 16) - first_]);
-  }
 
  private:
   std::uint64_t bucket_key(std::ptrdiff_t b) const {
     return (first_ + static_cast<std::uint64_t>(b)) << 16;
   }
   std::uint32_t first_;  // the lowest key's bucket
-  // [b]: values (ramps) of the ramps whose start (end) key's high half is
-  // below first_ + b. Ramps fit 32 bits: a source has at most kMaxSlot + 1.
+  // [b]: values of the ramps whose start (end) key's high half is below
+  // first_ + b.
   std::vector<std::uint64_t> starts_, ends_;
-  std::vector<std::uint32_t> ramp_starts_, ramp_ends_;
 };
 
-/// The ramps of one key bracket [k_lo, k_hi): the values of the ramps
-/// wholly below k_lo, and the headers of the ramps that overlap it.
-struct Bracket {
-  std::uint64_t base = 0;
-  std::span<const RampHeader> active;
-};
-
-/// Brackets over a ramp array read in place: each bracket rescans the
-/// array and keeps a header only for the ramps that overlap it, in an
-/// array sized from the end-key buckets.
-class ScannedRamps {
- public:
-  explicit ScannedRamps(std::span<const LatencyRamp> ramps) noexcept
-      : ramps_(ramps) {}
-
-  /// Calls f(header) for every non-empty ramp.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (std::size_t slot = 0; slot < ramps_.size(); ++slot) {
-      if (ramps_[slot].count > 0) f(RampHeader(slot, ramps_[slot]));
-    }
-  }
-  const LatencyRamp& ramp(const RampHeader& h) const noexcept {
-    return ramps_[h.slot()];
-  }
-  /// `overlapping`: at least as many ramps as overlap [k_lo, k_hi).
-  Bracket bracket(std::uint64_t k_lo, std::uint64_t k_hi,
-                  std::size_t overlapping) {
-    Bracket out;
-    active_ = {};
-    active_.reserve(overlapping);
-    for_each([&](const RampHeader& h) {
-      if (h.max_key() < k_lo) {
-        out.base += static_cast<std::uint64_t>(h.size());
-      } else if (h.min_key() < k_hi) {
-        active_.push_back(h);
-      }
-    });
-    out.active = active_;
-    return out;
-  }
-
- private:
-  std::span<const LatencyRamp> ramps_;
-  std::vector<RampHeader> active_;
-};
-
-/// Brackets over a ramp source whose ramps are costly to gather: one pass
-/// reads a header per ramp, in slot order. Brackets rise, so each bracket
-/// drops the ramps wholly below it for good, keeping their value count,
-/// and hands out the headers that remain: those above the bracket cost a
-/// count one key comparison. Only a ramp that a key falls inside is read
-/// from the source again, in slot order.
+/// The ramps of a source as the ramp search sees them: one pass reads a
+/// header per ramp, in slot order. The search's low key only rises, so a
+/// ramp wholly below it is dropped for good and only its value count kept;
+/// a header above the bracket costs a count one key comparison. Only a
+/// ramp that a key falls inside is read from the source again.
 class GatheredRamps {
  public:
-  GatheredRamps(const RampSource& source, std::size_t ramps)
-      : source_(source) {
-    headers_.reserve(ramps);
+  explicit GatheredRamps(const RampSource& source) : source_(source) {
+    headers_.reserve(source.ramps());
     for (std::size_t slot = 0; slot < source.slots(); ++slot) {
       const LatencyRamp r = source.ramp(slot);
       if (r.count > 0) headers_.emplace_back(slot, r);
     }
   }
 
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const RampHeader& h : headers_) f(h);
-  }
+  std::span<const RampHeader> headers() const noexcept { return headers_; }
   LatencyRamp ramp(const RampHeader& h) const {
     return source_.ramp(h.slot());
   }
-  /// Brackets rise from call to call (k_lo never falls).
-  Bracket bracket(std::uint64_t k_lo, std::uint64_t /*k_hi*/,
-                  std::size_t /*overlapping*/) {
+  /// Drops the ramps wholly below k_lo, which never falls from call to
+  /// call.
+  void drop_below(std::uint64_t k_lo) {
     std::erase_if(headers_, [&](const RampHeader& h) {
       if (h.max_key() >= k_lo) return false;
       below_ += static_cast<std::uint64_t>(h.size());
       return true;
     });
-    return {below_, headers_};
   }
+  /// Values of the ramps dropped so far.
+  std::uint64_t dropped() const noexcept { return below_; }
 
  private:
   const RampSource& source_;
@@ -392,9 +327,9 @@ class GatheredRamps {
 /// Largest window (values) the selection expands and sorts.
 constexpr std::uint64_t kWindow = 1 << 16;
 
-/// The order statistics of the ramps' expanded floats at sorted ranks;
-/// `Ramps` is ScannedRamps or GatheredRamps. Values are selected from the
-/// multiset, so the order the ramps are visited in does not matter.
+/// The order statistics of the ramps' expanded floats at sorted ranks.
+/// Values are selected from the multiset, so the order the ramps are
+/// visited in does not matter.
 ///
 /// For the lowest unresolved rank r it takes the key bracket [k_lo, k_hi)
 /// the end keys give, counts the values below each end exactly, and
@@ -404,40 +339,40 @@ constexpr std::uint64_t kWindow = 1 << 16;
 /// every rank that falls inside with place_ranks, and goes on above the
 /// bracket. A count reads only the headers, and the ramps the key falls
 /// inside.
-template <typename Ramps>
-std::vector<double> ramp_order_stats(Ramps& ramps,
+std::vector<double> ramp_order_stats(GatheredRamps& ramps,
                                      std::span<const std::size_t> ranks) {
   const auto sorted = [&ramps](const RampHeader& a) {
     return SortedRamp(ramps.ramp(a), a);
   };
   std::uint32_t min_key = ~std::uint32_t{0}, max_key = 0;
-  ramps.for_each([&](const RampHeader& a) {
+  for (const RampHeader& a : ramps.headers()) {
     min_key = std::min(min_key, a.min_key());
     max_key = std::max(max_key, a.max_key());
-  });
+  }
   EndBounds bounds(min_key, max_key);
-  ramps.for_each([&bounds](const RampHeader& a) { bounds.add(a); });
+  for (const RampHeader& a : ramps.headers()) bounds.add(a);
   bounds.seal();
   std::vector<double> stats(ranks.size());
   std::vector<float> window;
   std::vector<std::size_t> local;
-  std::uint64_t floor_key = 0;  // no unresolved rank's key is below this
+  std::uint64_t floor_key = 0;    // no unresolved rank's key is below this
+  std::uint64_t floor_count = 0;  // values below floor_key
   for (std::size_t i = 0; i < ranks.size();) {
     const std::uint64_t r = ranks[i];
     std::uint64_t k_lo = std::max(bounds.at_or_below(r), floor_key);
     std::uint64_t k_hi = bounds.above(r);
-    const Bracket bracket =
-        ramps.bracket(k_lo, k_hi, bounds.overlapping(k_lo, k_hi));
+    ramps.drop_below(k_lo);
     const auto count = [&](std::uint64_t k) {
-      std::uint64_t c = bracket.base;
-      for (const RampHeader& a : bracket.active) {
+      std::uint64_t c = ramps.dropped();
+      for (const RampHeader& a : ramps.headers()) {
         if (k <= a.min_key()) continue;
         c += static_cast<std::uint64_t>(
             k > a.max_key() ? a.size() : sorted(a).count_below(k));
       }
       return c;
     };
-    std::uint64_t c_lo = count(k_lo), c_hi = count(k_hi);
+    std::uint64_t c_lo = k_lo == floor_key ? floor_count : count(k_lo);
+    std::uint64_t c_hi = count(k_hi);
     double fac_lo = 1.0, fac_hi = 1.0;
     int kept = 0;  // +1: the low end was kept last step; -1: the high end
     while (c_hi - c_lo > kWindow && k_hi - k_lo > 1) {
@@ -451,6 +386,7 @@ std::vector<double> ramp_order_stats(Ramps& ramps,
       if (c <= r) {
         k_lo = k;
         c_lo = c;
+        ramps.drop_below(k_lo);
         fac_lo = 1.0;
         if (kept < 0) fac_hi /= 2.0;
         kept = -1;
@@ -471,7 +407,7 @@ std::vector<double> ramp_order_stats(Ramps& ramps,
                   local.size(), static_cast<double>(float_of(k_lo)));
     } else {
       window.clear();
-      for (const RampHeader& a : bracket.active) {
+      for (const RampHeader& a : ramps.headers()) {
         if (a.max_key() < k_lo || a.min_key() >= k_hi) continue;
         const SortedRamp s = sorted(a);
         const int end = s.count_below(k_hi);
@@ -487,36 +423,28 @@ std::vector<double> ramp_order_stats(Ramps& ramps,
     }
     i += local.size();
     floor_key = k_hi;
+    floor_count = c_hi;
   }
   return stats;
 }
 
-/// Selection budget of the float path: ramps whose expanded floats take at
-/// most this many bytes per ramp (four requests on average) are expanded
-/// whole, which is faster for short ramps than the ramp search.
-constexpr std::size_t kShortRampBytes = 16;
-
-/// Shared body of the ramp overloads: the float path when the ramps are
-/// short, else the ramp search over the brackets `make_ramps()` returns.
-/// `for_each(f)` calls f(ramp) for every ramp.
-template <typename ForEach, typename MakeRamps>
-void select_ramps(std::size_t requests, std::size_t ramps,
-                  std::span<const double> ps, std::span<double> out,
-                  ForEach for_each, MakeRamps make_ramps) {
-  if (requests * sizeof(float) <= ramps * kShortRampBytes) {
-    std::vector<float> floats;
-    floats.reserve(requests);
-    for_each([&floats](const LatencyRamp& r) {
-      for (int i = 0; i < r.count; ++i) floats.push_back(value_of(r, i));
-    });
-    select_impl(std::span<float>(floats), ps, out);
-    return;
+/// The ramps of a LatencyRamps as a RampSource.
+class RampArray final : public RampSource {
+ public:
+  explicit RampArray(const LatencyRamps& xs) noexcept
+      : ramps_(xs.ramps()), requests_(xs.size()) {
+    for (const LatencyRamp& r : ramps_) nonempty_ += r.count > 0 ? 1 : 0;
   }
-  select_frame(requests, ps, out, [&](std::span<const std::size_t> ranks) {
-    auto brackets = make_ramps();
-    return ramp_order_stats(brackets, ranks);
-  });
-}
+  std::size_t slots() const override { return ramps_.size(); }
+  LatencyRamp ramp(std::size_t slot) const override { return ramps_[slot]; }
+  std::size_t requests() const override { return requests_; }
+  std::size_t ramps() const override { return nonempty_; }
+
+ private:
+  std::span<const LatencyRamp> ramps_;
+  std::size_t requests_;
+  std::size_t nonempty_ = 0;
+};
 
 }  // namespace
 
@@ -534,29 +462,31 @@ void select_percentiles(const RampSource& xs, std::span<const double> ps,
                         std::span<double> out) {
   PROTEAN_CHECK_MSG(xs.slots() <= kMaxSlot + 1,
                     "more ramp slots than the ramp search can index");
-  select_ramps(
-      xs.requests(), xs.ramps(), ps, out,
-      [&xs](auto&& f) {
-        for (std::size_t slot = 0; slot < xs.slots(); ++slot) f(xs.ramp(slot));
-      },
-      [&xs] { return GatheredRamps(xs, xs.ramps()); });
+  // The float path when the expanded floats take no more memory than the
+  // ramp search's headers: it is the faster of the two on short ramps. The
+  // perfbench workloads sit on either side: llm-fleet's BERT batches hold
+  // at most 4 requests (4.0 per ramp, floats), the other three's batches
+  // about 128 (search).
+  if (xs.requests() * sizeof(float) <= xs.ramps() * sizeof(RampHeader)) {
+    std::vector<float> floats;
+    floats.reserve(xs.requests());
+    for (std::size_t slot = 0; slot < xs.slots(); ++slot) {
+      const LatencyRamp r = xs.ramp(slot);
+      for (int i = 0; i < r.count; ++i) floats.push_back(value_of(r, i));
+    }
+    select_impl(std::span<float>(floats), ps, out);
+    return;
+  }
+  select_frame(xs.requests(), ps, out,
+               [&xs](std::span<const std::size_t> ranks) {
+                 GatheredRamps ramps(xs);
+                 return ramp_order_stats(ramps, ranks);
+               });
 }
 
 void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,
                         std::span<double> out) {
-  const std::span<const LatencyRamp> ramps = xs.ramps();
-  PROTEAN_CHECK_MSG(ramps.size() <= kMaxSlot + 1,
-                    "more ramps than the ramp search can index");
-  const auto nonempty = static_cast<std::size_t>(std::count_if(
-      ramps.begin(), ramps.end(), [](const LatencyRamp& r) {
-        return r.count > 0;
-      }));
-  select_ramps(
-      xs.size(), nonempty, ps, out,
-      [ramps](auto&& f) {
-        for (const LatencyRamp& r : ramps) f(r);
-      },
-      [ramps] { return ScannedRamps(ramps); });
+  select_percentiles(RampArray(xs), ps, out);
 }
 
 double percentile(std::vector<float> xs, double p) noexcept {

@@ -74,15 +74,15 @@ class RampSource {
 /// order-preserving bit keys and the bracket narrowed on exact counts (a
 /// monotone ramp counts the values below a key with one guessed binary
 /// search) until at most 2^16 values remain; only those are expanded.
-/// Short ramps (four requests or fewer on average) are expanded whole
-/// instead, which is faster for them.
+/// Short ramps are expanded whole instead when their floats take no more
+/// memory than the search's headers (four requests per ramp or fewer on
+/// average), which is also faster for them. A LatencyRamps is selected
+/// through the same path as a RampSource.
 ///
-/// Memory: the ramps are read in place. From a RampSource the search keeps
-/// a 16-byte header per ramp; from a LatencyRamps, whose ramps it can
-/// rescan cheaply, a header per ramp that overlaps the current bracket.
-/// The float path takes at most 16 bytes per ramp. The search also keeps
-/// a window of at most 2^16 floats, and end-key buckets that span only the
-/// keys present (62 KiB for latencies from 1 ms to 1000 s).
+/// Memory: the ramps are read in place. The search keeps a 16-byte header
+/// per ramp, the float path at most as much. The search also keeps a
+/// window of at most 2^16 floats, and end-key buckets that span only the
+/// keys present (40 KiB for latencies from 1 ms to 1000 s).
 void select_percentiles(const RampSource& xs, std::span<const double> ps,
                         std::span<double> out);
 void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,

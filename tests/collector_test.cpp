@@ -627,18 +627,22 @@ TEST(CollectorRecords, ChunkedStoreMatchesAPlainVectorAcrossStreams) {
 
   for (const auto* model : {resnet, bert}) {
     for (const bool strict_class : {true, false}) {
-      const LatencyRamps ramps = collector.latencies_for(model, strict_class);
-      std::vector<LatencyRamp> want;
+      std::vector<float> want;
       for (const auto& r : records) {
-        if (r.model == model && r.strict == strict_class) {
-          want.push_back({r.worst, r.best, r.count});
+        if (r.model != model || r.strict != strict_class) continue;
+        for (int k = 0; k < r.count; ++k) {
+          want.push_back(static_cast<float>(
+              workload::request_latency(r.worst, r.best, k, r.count)));
         }
       }
-      ASSERT_EQ(ramps.ramps().size(), want.size()) << model->name;
-      for (std::size_t k = 0; k < want.size(); ++k) {
-        EXPECT_EQ(ramps.ramps()[k].first, want[k].first);
-        EXPECT_EQ(ramps.ramps()[k].last, want[k].last);
-        EXPECT_EQ(ramps.ramps()[k].count, want[k].count);
+      EXPECT_EQ(collector.requests_for(model, strict_class), want.size())
+          << model->name;
+      std::vector<double> got(std::size(kOraclePs)),
+          expected(std::size(kOraclePs));
+      collector.percentiles_for(model, strict_class, kOraclePs, got);
+      select_percentiles(std::span<float>(want), kOraclePs, expected);
+      for (std::size_t k = 0; k < std::size(kOraclePs); ++k) {
+        EXPECT_EQ(got[k], expected[k]) << model->name << " " << kOraclePs[k];
       }
     }
   }
