@@ -4,31 +4,48 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "attr/attribution.h"
 #include "common/json.h"
+#include "obs/check.h"
+#include "telemetry/pipeline.h"
 
 namespace protean::attr {
 namespace {
 
-// Counts arrive as JSON numbers. Anything else, or a negative, reads as 0;
-// values beyond the uint64 range saturate instead of overflowing the cast.
-std::uint64_t as_count(const Json& v) {
-  const double n = v.number_or(0.0);
+// A negative count reads as 0; values beyond the uint64 range saturate
+// instead of overflowing the cast.
+std::uint64_t as_count(double n) {
   if (n < 0.0) return 0;
   if (n + 0.5 >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
   return static_cast<std::uint64_t>(n + 0.5);
 }
 
+// Counts arrive as JSON numbers; anything else reads as 0.
+std::uint64_t as_count(const Json& v) { return as_count(v.number_or(0.0)); }
+
+// A lane's position in attr::Cause; names of no lane rank after them all.
+int cause_rank(const std::string& name) {
+  for (int c = 0; c < kCauseCount; ++c) {
+    if (name == cause_name(static_cast<Cause>(c))) return c;
+  }
+  return kCauseCount;
+}
+
 // --- reductions per artifact kind -----------------------------------------
 
+// Ranks the causes by violations, ties in attr::Cause order whatever order
+// the artifact listed them in, and fills in the shares and the dominant.
 void finalize(RunExplanation& run) {
   std::stable_sort(run.causes.begin(), run.causes.end(),
                    [](const CauseRow& a, const CauseRow& b) {
-                     return a.violations > b.violations;
+                     if (a.violations != b.violations) {
+                       return a.violations > b.violations;
+                     }
+                     return cause_rank(a.cause) < cause_rank(b.cause);
                    });
   for (CauseRow& row : run.causes) {
     row.share_pct = run.violations > 0
@@ -127,14 +144,10 @@ bool explain_trace_json(const std::string& text,
                         std::vector<RunExplanation>& out,
                         std::string& error) {
   std::string why;
-  const std::optional<Json> root = Json::parse(text, &why);
-  if (!root) {
+  const std::optional<std::map<std::string, double>> summary =
+      obs::parse_trace_summary(text, &why);
+  if (!summary) {
     error = "malformed trace JSON: " + why;
-    return false;
-  }
-  const Json::Object* summary = root->find("collector").as_object();
-  if (summary == nullptr) {
-    error = "trace file has no collector summary";
     return false;
   }
   RunExplanation run;
@@ -172,70 +185,47 @@ bool explain_trace_json(const std::string& text,
 bool explain_telemetry_jsonl(const std::string& text,
                              std::vector<RunExplanation>& out,
                              std::string& error) {
+  telemetry::TimelineError bad;
+  const std::optional<telemetry::Timeline> timeline =
+      telemetry::parse_timeline(text, &bad);
+  if (!timeline) {
+    error = "malformed JSONL line " + std::to_string(bad.line) + ": " +
+            bad.why;
+    return false;
+  }
   // The counters are monotone, so the *last* sample of each attr series is
   // the finished-run value; the final scrape snapshots them all.
   RunExplanation run;
   run.label = "telemetry";
-  std::vector<std::pair<std::string, std::uint64_t>> last;  // cause -> count
   bool any = false;
-  std::size_t begin = 0;
-  std::size_t line_no = 0;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + begin, end - begin);
-    begin = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    std::string why;
-    const std::optional<Json> obj = Json::parse(line, &why);
-    if (!obj) {
-      error = "malformed JSONL line " + std::to_string(line_no) + ": " + why;
-      return false;
-    }
-    const Json::Object* metrics = obj->find("metrics").as_object();
-    if (metrics == nullptr) continue;
-    for (const auto& [name, value] : *metrics) {
-      if (name == "attr_requests_total") {
-        run.requests = as_count(value);
-        any = true;
-      } else if (name == "attr_identity_violations_total") {
-        run.identity_violations = as_count(value);
-        any = true;
-      } else if (name == "attr_negative_clamps_total") {
-        run.negative_clamps = as_count(value);
-      } else if (name.rfind("attr_violations_total{cause=\"", 0) == 0) {
-        const std::size_t open = name.find('"') + 1;
-        const std::size_t close = name.find('"', open);
-        if (close == std::string::npos) continue;
-        const std::string cause = name.substr(open, close - open);
-        bool found = false;
-        for (auto& [k, v] : last) {
-          if (k == cause) {
-            v = as_count(value);
-            found = true;
-            break;
-          }
-        }
-        if (!found) last.emplace_back(cause, as_count(value));
-        any = true;
-      }
+  const std::string lane_prefix = "attr_violations_total{cause=\"";
+  for (const auto& [name, samples] : timeline->series) {
+    const std::uint64_t last = as_count(samples.back().value);
+    if (name == "attr_requests_total") {
+      run.requests = last;
+      any = true;
+    } else if (name == "attr_identity_violations_total") {
+      run.identity_violations = last;
+      any = true;
+    } else if (name == "attr_negative_clamps_total") {
+      run.negative_clamps = last;
+    } else if (name.rfind(lane_prefix, 0) == 0) {
+      const std::size_t close = name.find('"', lane_prefix.size());
+      if (close == std::string::npos) continue;
+      CauseRow row;
+      row.cause = name.substr(lane_prefix.size(), close - lane_prefix.size());
+      row.violations = last;
+      // The per-cause lanes partition the violations exactly, so the total
+      // is their sum: the count slo_explain cross-checks against the
+      // report.
+      run.violations += last;
+      run.causes.push_back(std::move(row));
+      any = true;
     }
   }
   if (!any) {
     error = "JSONL has no attr_* series (was the run --attr on?)";
     return false;
-  }
-  // The per-cause lanes partition the violations exactly, so the total is
-  // their sum — this is the count slo_explain cross-checks against the
-  // report.
-  run.violations = 0;
-  for (const auto& [cause, count] : last) {
-    CauseRow row;
-    row.cause = cause;
-    row.violations = count;
-    run.violations += row.violations;
-    run.causes.push_back(std::move(row));
   }
   finalize(run);
   out.push_back(std::move(run));

@@ -2,12 +2,14 @@
 //
 // Reads any of the three artifacts an attribution-enabled run can leave
 // behind — the harness run/sweep JSON (its `attribution` blocks), the
-// telemetry JSONL timeline (final-scrape `attr_*` series), or a tracer
-// JSON file (its `collector` summary) — and reduces each to the same
+// telemetry JSONL timeline (final-scrape `attr_*` series, read by
+// telemetry::parse_timeline), or a tracer JSON file (its `collector`
+// summary, read by obs::parse_trace_summary) — and reduces each to the same
 // RunExplanation: total requests, exact strict-violation count, per-cause
-// violation tallies ranked by blame, and the accounting-health counters
-// (identity violations, negative component clamps) that must be zero on a
-// healthy run.
+// violation tallies ranked by blame (ties in attr::Cause order), and the
+// accounting-health counters (identity violations, negative component
+// clamps) that must be zero on a healthy run. This is the one place that
+// ranks violation causes.
 //
 // The violation count recovered from the telemetry JSONL alone equals the
 // report's `strict_emitted - strict_completed·compliance` count exactly:
@@ -49,7 +51,7 @@ struct RunExplanation {
   std::uint64_t identity_violations = 0;
   std::uint64_t negative_clamps = 0;
   std::string dominant = "none";
-  std::vector<CauseRow> causes;      ///< ranked desc after finalize
+  std::vector<CauseRow> causes;      ///< ranked desc, ties in Cause order
   std::vector<ExplainGroup> groups;  ///< empty unless the source has them
 };
 

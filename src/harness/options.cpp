@@ -519,7 +519,9 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       }
     } else if (arg == "--trace-file") {
       const auto value = next();
-      if (!value) return fail("--trace-file needs a value");
+      if (!value || value->empty()) {
+        return fail("--trace-file needs a file path");
+      }
       opts.trace_file = *value;
     } else if (arg == "--rps") {
       const auto value = next();
@@ -700,7 +702,9 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       opts.config.sketch_alpha = *alpha;
     } else if (arg == "--dump-mem-timeline") {
       const auto value = next();
-      if (!value) return fail("--dump-mem-timeline needs a file path");
+      if (!value || value->empty()) {
+        return fail("--dump-mem-timeline needs a file path");
+      }
       opts.mem_timeline_file = *value;
       opts.config.keep_mem_timeline = true;
     } else if (arg == "--sweep") {

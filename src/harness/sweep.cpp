@@ -28,6 +28,19 @@ namespace {
 /// The most points one axis may expand to (as many as --seeds allows).
 constexpr double kMaxPoints = 10000;
 
+/// `path` with a grid index before its extension ("out.json" ->
+/// "out-3.json"), so a grid's runs do not clobber one output file. A dot
+/// in a directory name is not an extension.
+std::string with_index(const std::string& path, std::size_t index) {
+  const std::size_t slash = path.rfind('/');
+  std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos ||
+      (slash != std::string::npos && dot < slash)) {
+    dot = path.size();
+  }
+  return path.substr(0, dot) + "-" + std::to_string(index) + path.substr(dot);
+}
+
 /// Points in lo..hi by step. The epsilon admits hi itself when (hi - lo) is
 /// an exact multiple of step.
 double point_count(double lo, double hi, double step) {
@@ -159,10 +172,10 @@ std::vector<ExperimentConfig> SweepConfig::grid() const {
         // A multi-cell grid can't have every run write the same trace
         // file: derive one path per grid index (foo.json → foo-3.json).
         if (config.trace_out.enabled() && total > 1) {
-          config.trace_out = config.trace_out.with_index(out.size());
+          config.trace_out.path = with_index(config.trace_out.path, out.size());
         }
         if (config.telemetry.enabled() && total > 1) {
-          config.telemetry = config.telemetry.with_index(out.size());
+          config.telemetry.path = with_index(config.telemetry.path, out.size());
         }
         out.push_back(std::move(config));
       }

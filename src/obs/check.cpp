@@ -46,21 +46,46 @@ int int_field(const Json& event, const char* key) {
       static_cast<double>(std::numeric_limits<int>::max())));
 }
 
-}  // namespace
-
-std::optional<ParsedTrace> parse_trace_json(const std::string& text,
-                                            std::string* error) {
-  const std::optional<Json> root = Json::parse(text, error);
+// The trace document's root: an object holding a traceEvents array.
+std::optional<Json> parse_root(const std::string& text, std::string* error) {
+  std::optional<Json> root = Json::parse(text, error);
   if (!root) return std::nullopt;
   if (root->as_object() == nullptr) {
     if (error != nullptr) *error = "trace root is not an object";
     return std::nullopt;
   }
-  const Json::Array* events = root->find("traceEvents").as_array();
-  if (events == nullptr) {
+  if (root->find("traceEvents").as_array() == nullptr) {
     if (error != nullptr) *error = "missing traceEvents array";
     return std::nullopt;
   }
+  return root;
+}
+
+// The numeric keys of the embedded "collector" block (empty if absent).
+std::map<std::string, double> read_collector(const Json& root) {
+  std::map<std::string, double> out;
+  if (const Json::Object* collector = root.find("collector").as_object()) {
+    for (const auto& [k, v] : *collector) {
+      if (const double* num = v.as_number()) out[k] = *num;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<std::map<std::string, double>> parse_trace_summary(
+    const std::string& text, std::string* error) {
+  const std::optional<Json> root = parse_root(text, error);
+  if (!root) return std::nullopt;
+  return read_collector(*root);
+}
+
+std::optional<ParsedTrace> parse_trace_json(const std::string& text,
+                                            std::string* error) {
+  const std::optional<Json> root = parse_root(text, error);
+  if (!root) return std::nullopt;
+  const Json::Array* events = root->find("traceEvents").as_array();
 
   ParsedTrace out;
   out.events.reserve(events->size());
@@ -87,11 +112,7 @@ std::optional<ParsedTrace> parse_trace_json(const std::string& text,
     out.events.push_back(std::move(ev));
   }
 
-  if (const Json::Object* collector = root->find("collector").as_object()) {
-    for (const auto& [k, v] : *collector) {
-      if (const double* num = v.as_number()) out.collector[k] = *num;
-    }
-  }
+  out.collector = read_collector(*root);
 
   const std::string* cats = root->find("categories").as_string();
   if (cats == nullptr || cats->empty()) {

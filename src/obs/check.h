@@ -42,6 +42,11 @@ struct ParsedTrace {
 std::optional<ParsedTrace> parse_trace_json(const std::string& text,
                                             std::string* error = nullptr);
 
+/// Reads only the embedded collector aggregates of the same documents
+/// parse_trace_json accepts (same errors), without decoding the events.
+std::optional<std::map<std::string, double>> parse_trace_summary(
+    const std::string& text, std::string* error = nullptr);
+
 /// Convenience: read `path` and parse it.
 std::optional<ParsedTrace> parse_trace_file(const std::string& path,
                                             std::string* error = nullptr);

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/json.h"
 
@@ -42,63 +41,6 @@ const char* category_name(Category category) noexcept {
     case kSched: return "sched";
   }
   return "?";
-}
-
-std::optional<TraceOptions> TraceOptions::parse(const std::string& spec) {
-  TraceOptions out;
-  const std::size_t colon = spec.rfind(':');
-  // A lone "C:\..." style prefix is not a concern here (POSIX paths only),
-  // so the last ':' always separates the filter list.
-  const std::string path =
-      colon == std::string::npos ? spec : spec.substr(0, colon);
-  if (path.empty()) return std::nullopt;
-  out.path = path;
-  if (colon == std::string::npos) return out;
-
-  out.categories = 0;
-  std::string filter = spec.substr(colon + 1);
-  std::size_t start = 0;
-  while (start <= filter.size()) {
-    std::size_t comma = filter.find(',', start);
-    if (comma == std::string::npos) comma = filter.size();
-    const std::string token = filter.substr(start, comma - start);
-    if (token == "spans") {
-      out.categories |= kSpans;
-    } else if (token == "counters") {
-      out.categories |= kCounters;
-    } else if (token == "sched") {
-      out.categories |= kSched;
-    } else {
-      return std::nullopt;  // empty token or unknown name
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::string TraceOptions::filter_string() const {
-  if ((categories & kAllCategories) == kAllCategories) return "";
-  std::string out;
-  for (Category c : {kSpans, kCounters, kSched}) {
-    if ((categories & c) == 0) continue;
-    if (!out.empty()) out += ',';
-    out += category_name(c);
-  }
-  return out;
-}
-
-TraceOptions TraceOptions::with_index(std::size_t index) const {
-  TraceOptions out = *this;
-  if (path.empty()) return out;
-  const std::size_t slash = path.rfind('/');
-  std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    dot = path.size();
-  }
-  out.path = path.substr(0, dot) + "-" + std::to_string(index) +
-             path.substr(dot);
-  return out;
 }
 
 Tracer::Tracer(sim::Simulator& simulator, unsigned categories)

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -56,17 +55,6 @@ struct TraceOptions {
   unsigned categories = kAllCategories;   ///< bitmask of Category
 
   bool enabled() const noexcept { return !path.empty(); }
-
-  /// Parses "FILE" or "FILE:spans,counters,sched" (any non-empty subset).
-  /// Returns nullopt for an empty path or an unknown filter token.
-  static std::optional<TraceOptions> parse(const std::string& spec);
-
-  /// Canonical filter suffix ("" when all categories are on).
-  std::string filter_string() const;
-
-  /// A copy whose path carries a per-run index ("out.json" -> "out-3.json"),
-  /// used by sweep grids so replications do not clobber one file.
-  TraceOptions with_index(std::size_t index) const;
 };
 
 /// Collects trace events for one run and serializes them as Chrome

@@ -1,8 +1,7 @@
 #include "telemetry/pipeline.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 
 #include "common/check.h"
@@ -37,39 +36,74 @@ bool write_text_file(const std::string& path, const std::string& body) {
 
 constexpr double kLatencyAlpha = 0.01;
 
-}  // namespace
-
-std::optional<TelemetryOptions> TelemetryOptions::parse(
-    const std::string& spec) {
-  TelemetryOptions out;
-  const std::size_t colon = spec.rfind(':');
-  const std::string path =
-      colon == std::string::npos ? spec : spec.substr(0, colon);
-  if (path.empty()) return std::nullopt;
-  out.path = path;
-  if (colon == std::string::npos) return out;
-  const std::string interval = spec.substr(colon + 1);
-  char* end = nullptr;
-  const double value = std::strtod(interval.c_str(), &end);
-  if (interval.empty() || end == nullptr || *end != '\0' || value <= 0.0 ||
-      !std::isfinite(value)) {
-    return std::nullopt;
+// Folds one parsed timeline line into `out`; false when it is neither a
+// scrape nor an alert.
+bool fold_line(const Json& doc, Timeline& out) {
+  const Json::Object* fields = doc.as_object();
+  if (fields == nullptr || fields->size() < 2 || (*fields)[0].first != "t") {
+    return false;
   }
-  out.interval = value;
-  return out;
+  const double* t = (*fields)[0].second.as_number();
+  if (t == nullptr) return false;
+  const auto& [kind, body] = (*fields)[1];
+
+  if (kind == "metrics") {
+    const Json::Object* metrics = body.as_object();
+    if (metrics == nullptr || fields->size() != 2) return false;
+    for (const auto& [name, value] : *metrics) {
+      const double* v = value.as_number();
+      if (v == nullptr) return false;
+      out.series[name].push_back({*t, *v});
+    }
+    ++out.scrapes;
+    return true;
+  }
+
+  const std::string* event = body.as_string();
+  if (kind != "event" || event == nullptr || *event != "slo_burn_alert") {
+    return false;
+  }
+  TimelineAlert alert;
+  alert.t = *t;
+  for (std::size_t i = 2; i < fields->size(); ++i) {
+    const auto& [field, value] = (*fields)[i];
+    if (field == "state" || field == "dominant_cause") {
+      const std::string* text = value.as_string();
+      if (text == nullptr) return false;
+      (field == "state" ? alert.state : alert.dominant_cause) = *text;
+    } else {
+      const double* v = value.as_number();
+      if (v == nullptr) return false;
+      if (field == "fast_burn") alert.fast_burn = *v;
+      if (field == "slow_burn") alert.slow_burn = *v;
+    }
+  }
+  out.alerts.push_back(std::move(alert));
+  return true;
 }
 
-TelemetryOptions TelemetryOptions::with_index(std::size_t index) const {
-  TelemetryOptions out = *this;
-  if (path.empty()) return out;
-  const std::size_t slash = path.rfind('/');
-  std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    dot = path.size();
+}  // namespace
+
+std::optional<Timeline> parse_timeline(std::string_view text,
+                                       TimelineError* error) {
+  Timeline out;
+  std::size_t line_no = 0;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(std::min(end + 1, text.size()));
+    ++line_no;
+    if (line.empty()) continue;
+    std::string why;
+    const std::optional<Json> doc = Json::parse(line, &why);
+    if (!doc || !fold_line(*doc, out)) {
+      if (error != nullptr) {
+        error->line = line_no;
+        error->why = doc ? "not a scrape or a burn alert" : why;
+      }
+      return std::nullopt;
+    }
   }
-  out.path =
-      path.substr(0, dot) + "-" + std::to_string(index) + path.substr(dot);
   return out;
 }
 

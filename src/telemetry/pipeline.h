@@ -17,13 +17,17 @@
 //                 edges, in simulation order.
 //  * `FILE.om`  — final-scrape OpenMetrics snapshot (`# TYPE` lines,
 //                 `name value` samples, `# EOF`).
+// parse_timeline reads the JSONL timeline back for the offline tools
+// (metrics_diff, slo_explain).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -44,17 +48,45 @@ struct TelemetryOptions {
   Duration interval = 10.0;  ///< sim-seconds between scrapes
 
   bool enabled() const noexcept { return !path.empty(); }
-
-  /// Parses "FILE" or "FILE:interval_s" (interval must parse as a
-  /// positive number). Returns nullopt for an empty path or a bad
-  /// interval.
-  static std::optional<TelemetryOptions> parse(const std::string& spec);
-
-  /// A copy whose path carries a per-run index ("m.jsonl" ->
-  /// "m-3.jsonl"), used by sweep grids so replications do not clobber
-  /// one file.
-  TelemetryOptions with_index(std::size_t index) const;
 };
+
+/// One metric's value at one scrape of a JSONL timeline.
+struct TimelineSample {
+  double t = 0.0;
+  double value = 0.0;
+};
+
+/// One `slo_burn_alert` line of a JSONL timeline.
+struct TimelineAlert {
+  double t = 0.0;
+  std::string state;
+  double fast_burn = 0.0;
+  double slow_burn = 0.0;
+  std::string dominant_cause;  ///< present on attribution-enabled runs
+};
+
+/// A JSONL timeline read back (what TelemetryPipeline::write_files writes).
+struct Timeline {
+  /// Metric name -> one sample per scrape it appeared in, in file order.
+  std::map<std::string, std::vector<TimelineSample>> series;
+  std::vector<TimelineAlert> alerts;
+  std::size_t scrapes = 0;
+};
+
+/// Why parse_timeline stopped: the 1-based line number, and the JSON
+/// parser's message or "not a scrape or a burn alert".
+struct TimelineError {
+  std::size_t line = 0;
+  std::string why;
+};
+
+/// The one reader of the JSONL timeline. Every non-empty line must be a
+/// scrape, {"t":T,"metrics":{NAME:NUMBER,...}}, or an alert,
+/// {"t":T,"event":"slo_burn_alert",...} whose fields are numbers except
+/// the string-valued state and dominant_cause. On any other line returns
+/// nullopt and fills `error`.
+std::optional<Timeline> parse_timeline(std::string_view text,
+                                       TimelineError* error = nullptr);
 
 /// Per-run burn-monitor summary for the final report.
 struct BurnSummary {

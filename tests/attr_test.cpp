@@ -445,6 +445,38 @@ TEST(Explain, TraceSummaryReproducesTheViolationCount) {
   std::remove(path.c_str());
 }
 
+// Two lanes with equal counts rank in attr::Cause order (retry before
+// blackout) whichever order the artifact lists them in: the JSONL lists
+// metrics by name, the run JSON and the trace here list blackout first.
+TEST(Explain, TiedCausesRankInCauseOrderOnEveryArtifactKind) {
+  const std::string kArtifacts[] = {
+      R"({"t":5,"metrics":{"attr_requests_total":10,)"
+      R"("attr_violations_total{cause=\"blackout\"}":4,)"
+      R"("attr_violations_total{cause=\"queue\"}":1,)"
+      R"("attr_violations_total{cause=\"retry\"}":4}})"
+      "\n",
+      R"({"traceEvents":[],"collector":{"attr_requests":10,)"
+      R"("attr_violations":9,"attr_cause_blackout":4,)"
+      R"("attr_cause_queue":1,"attr_cause_retry":4}})",
+      R"({"scheme":"protean","attribution":{"requests":10,"violations":9,)"
+      R"("causes":[{"cause":"blackout","violations":4},)"
+      R"({"cause":"queue","violations":1},)"
+      R"({"cause":"retry","violations":4}]}})",
+  };
+  for (const std::string& text : kArtifacts) {
+    std::vector<attr::RunExplanation> runs;
+    std::string error;
+    ASSERT_TRUE(attr::explain_text(text, runs, error)) << error;
+    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_EQ(runs[0].causes.size(), 3u) << text;
+    EXPECT_EQ(runs[0].causes[0].cause, "retry") << text;
+    EXPECT_EQ(runs[0].causes[1].cause, "blackout") << text;
+    EXPECT_EQ(runs[0].causes[2].cause, "queue") << text;
+    EXPECT_EQ(runs[0].violations, 9u) << text;
+    EXPECT_EQ(runs[0].dominant, "retry") << text;
+  }
+}
+
 TEST(Explain, RenderHonorsFiltersAndTopN) {
   attr::RunExplanation run;
   run.label = "protean";

@@ -96,8 +96,8 @@ const Row kRepeat[] = {
      "--trace att.json --json", {"\"attribution\""}, {"at.jsonl", "att.json"},
      {"slo_explain report.json",
       "slo_explain report.json at.jsonl att.json --cross-check --top 5",
-      "trace_stats att.json --check --top-causes 5",
-      "metrics_diff at.jsonl at.jsonl --top-causes 5"}},
+      "slo_explain att.json --top 5", "slo_explain at.jsonl --top 5",
+      "trace_stats att.json --check", "metrics_diff at.jsonl at.jsonl"}},
     {"attr_composed", "--scheme protean-pipe --attr on:alpha=0.02 --workflow "
      "diamond --faults crash@10:n1,kill-rate=40 --spot hybrid --p-rev 0.354 "
      "--shards 3 --nodes 9 --trace atf.json --json",
@@ -201,11 +201,23 @@ const Reject kReject[] = {
     {"protean_sim --trace-file gap.csv --rps 100", 2, "rate CSV line 2: "},
     {"protean_sim --trace-file short.csv", 2,
      "--warmup 20 must be below the 10 s of short.csv"},
+    {"protean_sim --trace-file ''", 2, "--trace-file needs a file path"},
+    {"protean_sim --memcache lru:16 --dump-mem-timeline ''", 2,
+     "--dump-mem-timeline needs a file path"},
+    // Only slo_explain ranks violation causes.
+    {"trace_stats short.csv --top-causes 5", 2, "usage: trace_stats"},
+    {"metrics_diff short.csv short.csv --top-causes 5", 2,
+     "usage: metrics_diff"},
 };
 
-// "protean_sim --p-rev inf" prints as "p_rev_inf".
+// "protean_sim --p-rev inf" prints as "p_rev_inf", and
+// "trace_stats t.json --top-causes 5" as "trace_stats_top_causes_5".
 void PrintTo(const Reject& row, std::ostream* os) {
+  const std::size_t tool_end = row.command.find(' ');
   std::string name = row.command.substr(row.command.find(" --") + 3);
+  if (row.command.compare(0, tool_end, "protean_sim") != 0) {
+    name = row.command.substr(0, tool_end) + " " + name;
+  }
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }

@@ -129,9 +129,7 @@ TEST(ObsIntegration, InvariantsHoldUnderFaults) {
 TEST(ObsIntegration, FilterLimitsTraceToRequestedCategories) {
   auto config = small_config();
   const std::string path = temp_path("obs-filter.json");
-  const auto opts = obs::TraceOptions::parse(path + ":sched");
-  ASSERT_TRUE(opts.has_value());
-  config.with_trace(*opts);
+  config.with_trace({.path = path, .categories = obs::kSched});
   run_experiment(config);
 
   const auto trace = obs::parse_trace_file(path);

@@ -1,6 +1,6 @@
-// Tests for the tracing subsystem: option parsing, event emission, JSON
-// round-tripping through the replay parser, determinism, and the invariant
-// checker's failure modes.
+// Tests for the tracing subsystem: event emission, JSON round-tripping
+// through the replay parser, determinism, and the invariant checker's
+// failure modes.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -10,43 +10,6 @@
 
 namespace protean::obs {
 namespace {
-
-TEST(TraceOptions, ParsePlainPath) {
-  const auto opts = TraceOptions::parse("out/run.json");
-  ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->path, "out/run.json");
-  EXPECT_EQ(opts->categories, kAllCategories);
-  EXPECT_TRUE(opts->enabled());
-  EXPECT_EQ(opts->filter_string(), "");
-}
-
-TEST(TraceOptions, ParseFilterSubset) {
-  const auto opts = TraceOptions::parse("t.json:sched,spans");
-  ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->path, "t.json");
-  EXPECT_EQ(opts->categories, kSpans | kSched);
-  // Canonical order, independent of the spec's order.
-  EXPECT_EQ(opts->filter_string(), "spans,sched");
-}
-
-TEST(TraceOptions, ParseRejectsBadSpecs) {
-  EXPECT_FALSE(TraceOptions::parse("").has_value());
-  EXPECT_FALSE(TraceOptions::parse("t.json:").has_value());
-  EXPECT_FALSE(TraceOptions::parse("t.json:bogus").has_value());
-  EXPECT_FALSE(TraceOptions::parse("t.json:spans,").has_value());
-  EXPECT_FALSE(TraceOptions::parse(":spans").has_value());
-}
-
-TEST(TraceOptions, WithIndexInsertsBeforeExtension) {
-  TraceOptions opts;
-  opts.path = "out/run.json";
-  EXPECT_EQ(opts.with_index(3).path, "out/run-3.json");
-  opts.path = "noext";
-  EXPECT_EQ(opts.with_index(0).path, "noext-0");
-  // A dot in a directory name is not an extension.
-  opts.path = "v1.2/trace";
-  EXPECT_EQ(opts.with_index(7).path, "v1.2/trace-7");
-}
 
 TEST(Tracer, EventsRoundTripThroughParser) {
   sim::Simulator sim;

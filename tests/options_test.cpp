@@ -139,6 +139,43 @@ TEST(Cli, TraceFilterSelectsCategories) {
   EXPECT_FALSE((opts.config.trace_out.categories & obs::kSpans) != 0);
 }
 
+// parse_cli is the only parser of the --trace and --telemetry FILE specs.
+TEST(Cli, TraceAndTelemetrySpecsParseOrFail) {
+  const auto trace = must_parse({"--trace", "t.json:sched,spans"});
+  EXPECT_EQ(trace.config.trace_out.path, "t.json");
+  EXPECT_EQ(trace.config.trace_out.categories, obs::kSpans | obs::kSched);
+  const auto plain = must_parse({"--telemetry", "out.jsonl"});
+  EXPECT_EQ(plain.config.telemetry.path, "out.jsonl");
+  EXPECT_DOUBLE_EQ(plain.config.telemetry.interval, 10.0);
+  const auto timed = must_parse({"--telemetry", "out.jsonl:2.5"});
+  EXPECT_EQ(timed.config.telemetry.path, "out.jsonl");
+  EXPECT_DOUBLE_EQ(timed.config.telemetry.interval, 2.5);
+
+  const std::pair<std::string, std::string> kRejected[] = {
+      {"--trace", "t.json:"},        {"--trace", "t.json:bogus"},
+      {"--trace", "t.json:spans,"},  {"--trace", ":spans"},
+      {"--trace", ""},               {"--telemetry", "f.jsonl:0"},
+      {"--telemetry", "f.jsonl:-1"}, {"--telemetry", "f.jsonl:abc"},
+      {"--telemetry", ":5"},         {"--telemetry", ""},
+  };
+  for (const auto& [flag, spec] : kRejected) {
+    EXPECT_NE(must_fail({flag, spec}).find("bad " + flag + " value"),
+              std::string::npos)
+        << flag << " '" << spec << "'";
+  }
+}
+
+TEST(Cli, EmptyFilePathsFail) {
+  EXPECT_NE(must_fail({"--trace-file", ""}).find(
+                "--trace-file needs a file path"),
+            std::string::npos);
+  EXPECT_NE(must_fail({"--trace-file"}).find("--trace-file needs a file path"),
+            std::string::npos);
+  EXPECT_NE(must_fail({"--memcache", "lru:16", "--dump-mem-timeline", ""})
+                .find("--dump-mem-timeline needs a file path"),
+            std::string::npos);
+}
+
 TEST(Cli, BadTraceFilterFails) {
   EXPECT_NE(must_fail({"--trace", "run.json:bogus"}).find("bad --trace"),
             std::string::npos);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "sim/simulator.h"
 
@@ -106,6 +107,39 @@ TEST(SweepConfig, GridIsRowMajorAxisSchemeSeed) {
   EXPECT_EQ(grid[6].cluster.node_count, 8u);
   EXPECT_EQ(grid[6].scheme, sched::Scheme::kProtean);
   EXPECT_EQ(grid[6].seed, 100u);
+}
+
+// A multi-run grid gives each run its own trace and telemetry file, the
+// grid index inserted before the extension; a one-run grid keeps the path.
+TEST(SweepConfig, GridIndexesEachRunsOutputPaths) {
+  const std::pair<const char*, const char*> kPaths[] = {
+      {"out/run.json", "out/run-2.json"},
+      {"runs/m.jsonl", "runs/m-2.jsonl"},
+      {"noext", "noext-2"},
+      // A dot in a directory name is not an extension.
+      {"v1.2/trace", "v1.2/trace-2"},
+      {"dir.d/noext", "dir.d/noext-2"},
+  };
+  for (const auto& [path, third] : kPaths) {
+    SweepConfig sweep;
+    sweep.base = quick_config();
+    sweep.base.trace_out.path = path;
+    sweep.base.telemetry.path = path;
+    sweep.replications = 3;
+    const auto grid = sweep.grid();
+    ASSERT_EQ(grid.size(), 3u);
+    EXPECT_EQ(grid[2].trace_out.path, third);
+    EXPECT_EQ(grid[2].telemetry.path, third);
+    sweep.replications = 1;
+    EXPECT_EQ(sweep.grid()[0].trace_out.path, path);
+    EXPECT_EQ(sweep.grid()[0].telemetry.path, path);
+  }
+  // Disabled outputs stay disabled.
+  SweepConfig sweep;
+  sweep.base = quick_config();
+  sweep.replications = 2;
+  EXPECT_FALSE(sweep.grid()[1].trace_out.enabled());
+  EXPECT_FALSE(sweep.grid()[1].telemetry.enabled());
 }
 
 TEST(Summarize, MatchesHandComputedMoments) {

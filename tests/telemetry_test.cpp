@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: metrics registry exposition rules,
-// burn-rate alert logic, options parsing, and pipeline determinism.
+// burn-rate alert logic, pipeline determinism, and the timeline reader.
 #include "telemetry/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -234,38 +234,6 @@ TEST(BurnRateMonitor, RejectsBadConfig) {
   EXPECT_THROW(BurnRateMonitor(test_burn_config(), 0.0), std::logic_error);
 }
 
-// ---- TelemetryOptions ---------------------------------------------------
-
-TEST(TelemetryOptions, ParsesPathAndInterval) {
-  auto opts = TelemetryOptions::parse("out.jsonl");
-  ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->path, "out.jsonl");
-  EXPECT_DOUBLE_EQ(opts->interval, 10.0);
-
-  opts = TelemetryOptions::parse("out.jsonl:2.5");
-  ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->path, "out.jsonl");
-  EXPECT_DOUBLE_EQ(opts->interval, 2.5);
-}
-
-TEST(TelemetryOptions, RejectsBadSpecs) {
-  EXPECT_FALSE(TelemetryOptions::parse("").has_value());
-  EXPECT_FALSE(TelemetryOptions::parse(":5").has_value());
-  EXPECT_FALSE(TelemetryOptions::parse("f.jsonl:0").has_value());
-  EXPECT_FALSE(TelemetryOptions::parse("f.jsonl:-1").has_value());
-  EXPECT_FALSE(TelemetryOptions::parse("f.jsonl:abc").has_value());
-}
-
-TEST(TelemetryOptions, WithIndexInsertsBeforeExtension) {
-  TelemetryOptions opts;
-  opts.path = "runs/m.jsonl";
-  EXPECT_EQ(opts.with_index(3).path, "runs/m-3.jsonl");
-  opts.path = "noext";
-  EXPECT_EQ(opts.with_index(1).path, "noext-1");
-  opts.path = "dir.d/noext";
-  EXPECT_EQ(opts.with_index(2).path, "dir.d/noext-2");
-}
-
 // ---- TelemetryPipeline --------------------------------------------------
 
 // Feeds `pipeline` 60 s of requests and finishes it.
@@ -383,6 +351,72 @@ TEST(TelemetryPipeline, RegisteredGaugeAppearsInEveryScrape) {
     EXPECT_NE(line.find("\"slo_burn_rate_fast\":"), std::string::npos);
     EXPECT_NE(line.find("\"slo_window_attainment_pct\":"),
               std::string::npos);
+  }
+}
+
+// ---- parse_timeline -----------------------------------------------------
+
+TEST(Timeline, ReadsTheGoldenDump) {
+  const auto timeline = parse_timeline(slurp(GOLDEN_TELEMETRY));
+  ASSERT_TRUE(timeline.has_value());
+  EXPECT_EQ(timeline->scrapes, 10u);
+  ASSERT_EQ(timeline->alerts.size(), 1u);
+  EXPECT_EQ(timeline->alerts[0].state, "firing");
+  EXPECT_DOUBLE_EQ(timeline->alerts[0].t, 30.0);
+  EXPECT_DOUBLE_EQ(timeline->alerts[0].fast_burn, 100.0);
+  EXPECT_DOUBLE_EQ(timeline->alerts[0].slow_burn, 100.0);
+  EXPECT_EQ(timeline->alerts[0].dominant_cause, "");
+  ASSERT_FALSE(timeline->series.empty());
+  for (const auto& [name, samples] : timeline->series) {
+    EXPECT_EQ(samples.size(), 10u) << name;
+  }
+  EXPECT_DOUBLE_EQ(timeline->series.at("cold_starts_total").front().t, 5.0);
+}
+
+TEST(Timeline, ReadsBackWhatThePipelineWrites) {
+  std::string text;
+  std::size_t alert_lines = 0;
+  const auto lines = run_pipeline_once(1.0);
+  for (const std::string& line : lines) {
+    text += line + "\n";
+    if (line.find("\"event\"") != std::string::npos) ++alert_lines;
+  }
+  const auto timeline = parse_timeline(text);
+  ASSERT_TRUE(timeline.has_value());
+  ASSERT_GE(alert_lines, 1u);
+  EXPECT_EQ(timeline->alerts.size(), alert_lines);
+  EXPECT_EQ(timeline->scrapes, lines.size() - alert_lines);
+  EXPECT_EQ(timeline->alerts[0].state, "firing");
+  // The custom gauge reads the scrape time; the final scrape is at 60 s.
+  EXPECT_DOUBLE_EQ(timeline->series.at("custom_gauge").back().value, 60.0);
+}
+
+// Each line shape the writer never produces stops the read at its line
+// number; blank lines count but are skipped. Text that is not JSON keeps
+// the parser's message.
+TEST(Timeline, RejectsEachMalformedLineShapeWithItsNumber) {
+  const std::string good = "{\"t\":5,\"metrics\":{\"a\":1}}\n";
+  const char* const kBad[] = {
+      "not json",
+      "[1,2]",                                             // not an object
+      R"({"metrics":{"a":1}})",                            // no t
+      R"({"metrics":{"a":1},"t":5})",                      // t not first
+      R"({"t":"5","metrics":{"a":1}})",                    // t not a number
+      R"({"t":5,"metrics":{"a":"x"}})",                    // string metric
+      R"({"t":5,"metrics":{"a":1},"b":2})",                // extra field
+      R"({"t":5,"event":"deploy"})",                       // unknown event
+      R"({"t":5,"event":"slo_burn_alert","state":1})",     // numeric state
+      R"({"t":5,"event":"slo_burn_alert","fast_burn":"x"})",
+  };
+  ASSERT_TRUE(parse_timeline(good + "\n" + good).has_value());
+  for (const char* bad : kBad) {
+    TimelineError error;
+    EXPECT_FALSE(parse_timeline(good + "\n" + bad + "\n" + good, &error))
+        << bad;
+    EXPECT_EQ(error.line, 3u) << bad;
+    EXPECT_EQ(error.why == "not a scrape or a burn alert",
+              std::string(bad) != "not json")
+        << bad << ": " << error.why;
   }
 }
 

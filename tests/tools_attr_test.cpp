@@ -1,10 +1,9 @@
 // End-to-end tests for the attribution-aware CLI tools: slo_explain must
 // reproduce a run's violation count from every artifact kind (and fail
-// loudly when told to expect the wrong one), metrics_diff must diff the
-// dominant_cause alert field structurally and rank causes with
-// --top-causes, and trace_stats must rank the trace summary's attr_cause_*
-// lanes. The binaries are invoked as subprocesses; their paths come from
-// compile definitions set in tests/CMakeLists.txt.
+// loudly when told to expect the wrong one) and is the one tool that ranks
+// causes; metrics_diff must diff the dominant_cause alert field
+// structurally. The binaries are invoked as subprocesses; their paths come
+// from compile definitions set in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -125,19 +124,14 @@ TEST_F(ToolsAttr, NumericArgumentsRejectTrailingGarbage) {
   EXPECT_EQ(run_tool(slo + " --group-shard x"), 2);
   EXPECT_EQ(run_tool(slo + " --group-shard 99999999999"), 2);
   EXPECT_EQ(run_tool(slo + " --top 3 --group-shard 0"), 0);
-  const std::string stats = std::string(TRACE_STATS_BIN) + " " + trace_path();
-  EXPECT_EQ(run_tool(stats + " --top-causes 5x"), 2);
-  EXPECT_EQ(run_tool(stats + " --top-causes 0"), 2);
-  EXPECT_EQ(run_tool(stats + " --top-causes 5"), 0);
   const std::string diff = std::string(METRICS_DIFF_BIN) + " " +
                            jsonl_path() + " " + jsonl_path();
   EXPECT_EQ(run_tool(diff + " --show 1e30"), 2);
   EXPECT_EQ(run_tool(diff + " --show nan"), 2);
   EXPECT_EQ(run_tool(diff + " --show 2.5"), 2);
-  EXPECT_EQ(run_tool(diff + " --top-causes 5x"), 2);
   EXPECT_EQ(run_tool(diff + " --abs-tol nan"), 2);
   EXPECT_EQ(run_tool(diff + " --rel-tol inf"), 2);
-  EXPECT_EQ(run_tool(diff + " --show 2 --top-causes 5"), 0);
+  EXPECT_EQ(run_tool(diff + " --show 2"), 0);
 }
 
 // Damaged artifacts make every reader exit 1 with a message on stderr; a
@@ -167,43 +161,29 @@ TEST_F(ToolsAttr, MalformedArtifactsAreErrorsNotCrashes) {
   }
 }
 
-// ------------------------------------------------------------ trace_stats --
-
-TEST_F(ToolsAttr, TraceStatsRanksTopCauses) {
-  std::string out;
-  EXPECT_EQ(run_tool(std::string(TRACE_STATS_BIN) + " " + trace_path() +
-                     " --check --top-causes 3", &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("top causes:"), std::string::npos);
-  EXPECT_NE(out.find(report_->attribution.dominant_cause),
-            std::string::npos);
-}
-
-TEST_F(ToolsAttr, TraceStatsHandlesTracesWithoutAttribution) {
+TEST_F(ToolsAttr, SloExplainRejectsTracesWithoutAttribution) {
   auto config = *config_;
   config.cluster.attr.enabled = false;
   config.telemetry = telemetry::TelemetryOptions{};
   const std::string path = temp_path("tools-noattr-trace.json");
   config.trace_out.path = path;
   run_experiment(config);
-  std::string out;
-  EXPECT_EQ(run_tool(std::string(TRACE_STATS_BIN) + " " + path +
-                     " --top-causes 3", &out),
-            0);
-  EXPECT_NE(out.find("no attribution aggregates"), std::string::npos);
+  std::string err;
+  EXPECT_EQ(run_tool(std::string(SLO_EXPLAIN_BIN) + " " + path + " --top 3",
+                     nullptr, &err),
+            1);
+  EXPECT_NE(err.find("no attr_* keys"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- metrics_diff --
 
-TEST_F(ToolsAttr, MetricsDiffRanksTopCausesAndMatchesItself) {
+TEST_F(ToolsAttr, MetricsDiffMatchesItself) {
   std::string out;
   EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + jsonl_path() +
-                     " " + jsonl_path() + " --top-causes 3", &out),
+                     " " + jsonl_path(), &out),
             0)
       << out;
-  EXPECT_NE(out.find("top causes:"), std::string::npos);
   EXPECT_NE(out.find("dumps match within tolerance"), std::string::npos);
 }
 

@@ -4,10 +4,12 @@
 //   protean_sim --telemetry b.jsonl ...   # run B
 //   metrics_diff a.jsonl b.jsonl                    # exact comparison
 //   metrics_diff a.jsonl b.jsonl --rel-tol 1e-3     # CI golden-file check
+//   slo_explain a.jsonl --top 5                     # rank violation causes
 //
-// Scrape lines ({"t":..,"metrics":{..}}) are aligned by scrape index and
-// compared per metric; alert-event lines are compared for exact structural
-// equality (state sequence) but their burn values obey the tolerances.
+// Both dumps are read by telemetry::parse_timeline. Scrape lines
+// ({"t":..,"metrics":{..}}) are aligned by scrape index and compared per
+// metric; alert-event lines are compared for exact structural equality
+// (state sequence) but their burn values obey the tolerances.
 // Exit 0 when every sample is within tolerance, 1 on any drift or
 // structural mismatch (missing metric, extra scrape), 2 on usage errors.
 #include <algorithm>
@@ -16,104 +18,30 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/parse.h"
+#include "telemetry/pipeline.h"
 
 namespace {
 
-using protean::Json;
-
-struct Sample {
-  double t = 0.0;
-  double value = 0.0;
-};
-
-struct AlertEvent {
-  double t = 0.0;
-  std::string state;
-  double fast_burn = 0.0;
-  double slow_burn = 0.0;
-  std::string dominant_cause;  ///< present on attribution-enabled runs
-};
-
-struct Dump {
-  // Metric name -> one sample per scrape it appeared in, in file order.
-  std::map<std::string, std::vector<Sample>> series;
-  std::vector<AlertEvent> alerts;
-  std::size_t scrapes = 0;
-};
-
-// Folds one line of pipeline output into `dump`. A line is either a scrape,
-// {"t":T,"metrics":{NAME:NUMBER,...}}, or an alert,
-// {"t":T,"event":"slo_burn_alert",...} whose fields are numbers except the
-// string-valued state and dominant_cause. Returns false on anything else.
-bool fold_line(const std::string& line, Dump& dump) {
-  const std::optional<Json> doc = Json::parse(line);
-  const Json::Object* fields = doc ? doc->as_object() : nullptr;
-  if (fields == nullptr || fields->size() < 2 || (*fields)[0].first != "t") {
-    return false;
-  }
-  const double* t = (*fields)[0].second.as_number();
-  if (t == nullptr) return false;
-  const auto& [kind, body] = (*fields)[1];
-
-  if (kind == "metrics") {
-    const Json::Object* metrics = body.as_object();
-    if (metrics == nullptr || fields->size() != 2) return false;
-    for (const auto& [name, value] : *metrics) {
-      const double* v = value.as_number();
-      if (v == nullptr) return false;
-      dump.series[name].push_back({*t, *v});
-    }
-    ++dump.scrapes;
-    return true;
-  }
-
-  const std::string* event = body.as_string();
-  if (kind != "event" || event == nullptr || *event != "slo_burn_alert") {
-    return false;
-  }
-  AlertEvent alert;
-  alert.t = *t;
-  for (std::size_t i = 2; i < fields->size(); ++i) {
-    const auto& [field, value] = (*fields)[i];
-    if (field == "state" || field == "dominant_cause") {
-      // dominant_cause appears only when the run had attribution enabled.
-      const std::string* text = value.as_string();
-      if (text == nullptr) return false;
-      (field == "state" ? alert.state : alert.dominant_cause) = *text;
-    } else {
-      const double* v = value.as_number();
-      if (v == nullptr) return false;
-      if (field == "fast_burn") alert.fast_burn = *v;
-      if (field == "slow_burn") alert.slow_burn = *v;
-    }
-  }
-  dump.alerts.push_back(std::move(alert));
-  return true;
-}
-
-std::optional<Dump> load(const std::string& path) {
+// Reads one dump through the shared timeline reader. A malformed line is
+// reported with its number; an unreadable file only by the caller.
+std::optional<protean::telemetry::Timeline> load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
-  Dump dump;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (!fold_line(line, dump)) {
-      std::fprintf(stderr, "metrics_diff: %s:%zu: unparseable line\n",
-                   path.c_str(), line_no);
-      return std::nullopt;
-    }
+  std::ostringstream text;
+  text << in.rdbuf();
+  protean::telemetry::TimelineError error;
+  auto timeline = protean::telemetry::parse_timeline(text.str(), &error);
+  if (!timeline) {
+    std::fprintf(stderr, "metrics_diff: %s:%zu: unparseable line\n",
+                 path.c_str(), error.line);
   }
-  return dump;
+  return timeline;
 }
 
 // --- comparison ---------------------------------------------------------
@@ -139,56 +67,19 @@ struct MetricDelta {
 void usage(std::FILE* out) {
   std::fputs(
       "usage: metrics_diff A.jsonl B.jsonl [--abs-tol X] [--rel-tol Y]\n"
-      "                    [--show N] [--top-causes N]\n"
+      "                    [--show N]\n"
       "  --abs-tol X      absolute tolerance per sample (default 0)\n"
       "  --rel-tol Y      relative tolerance per sample (default 0)\n"
       "  --show N         print at most N offending metrics (default 20)\n"
-      "  --top-causes N   also print each dump's top-N violation causes\n"
-      "                   (final attr_violations_total{cause=...} samples)\n",
+      "Rank a dump's violation causes with slo_explain FILE --top N.\n",
       out);
 }
-
-// Final-sample cause ranking of one dump's attribution series (empty when
-// the run had no --attr).
-std::vector<std::pair<std::string, double>> top_causes(const Dump& dump) {
-  std::vector<std::pair<std::string, double>> causes;
-  const std::string prefix = "attr_violations_total{cause=\"";
-  for (const auto& [name, samples] : dump.series) {
-    if (name.rfind(prefix, 0) != 0 || samples.empty()) continue;
-    const std::size_t open = prefix.size();
-    const std::size_t close = name.find('"', open);
-    if (close == std::string::npos) continue;
-    causes.emplace_back(name.substr(open, close - open),
-                        samples.back().value);
-  }
-  std::stable_sort(causes.begin(), causes.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  return causes;
-}
-
-void print_top_causes(const char* path, const Dump& dump, std::size_t n) {
-  const auto causes = top_causes(dump);
-  if (causes.empty()) {
-    std::printf("%s: no attribution series\n", path);
-    return;
-  }
-  std::printf("%s top causes:\n", path);
-  for (std::size_t i = 0; i < causes.size() && i < n; ++i) {
-    if (causes[i].second <= 0.0) break;
-    std::printf("  %2zu. %-13s %.0f\n", i + 1, causes[i].first.c_str(),
-                causes[i].second);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
   Tolerance tol;
   std::size_t show = 20;
-  std::size_t causes_n = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next_value = [&]() -> std::optional<double> {
@@ -221,10 +112,6 @@ int main(int argc, char** argv) {
       const auto n = next_count();
       if (!n) { usage(stderr); return 2; }
       show = *n;
-    } else if (arg == "--top-causes") {
-      const auto n = next_count();
-      if (!n || *n == 0) { usage(stderr); return 2; }
-      causes_n = *n;
     } else if (arg.rfind("--", 0) == 0) {
       usage(stderr);
       return 2;
@@ -333,11 +220,6 @@ int main(int argc, char** argv) {
     if (offenders.size() > show) {
       std::printf("  ... and %zu more\n", offenders.size() - show);
     }
-  }
-
-  if (causes_n > 0) {
-    print_top_causes(paths[0].c_str(), *a, causes_n);
-    print_top_causes(paths[1].c_str(), *b, causes_n);
   }
 
   if (!structural_ok || !alerts_ok || !offenders.empty()) return 1;

@@ -4,49 +4,20 @@
 //   trace_stats run.json            # deterministic roll-up of the event stream
 //   trace_stats run.json --check    # + replay invariants against the embedded
 //                                   #   collector aggregates; exit 1 on drift
-//   trace_stats run.json --top-causes 5
-//                                   # + ranked SLO-violation causes from the
+//   slo_explain run.json --top 5    # ranked SLO-violation causes from the
 //                                   #   embedded attr_cause_* aggregates
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "common/parse.h"
 #include "obs/check.h"
 
 namespace {
 
 void usage(std::FILE* out) {
-  std::fputs("usage: trace_stats FILE [--check] [--top-causes N]\n", out);
-}
-
-// Ranked violation causes from the embedded attr_cause_* aggregates
-// (present only on --attr runs).
-void print_top_causes(const protean::obs::ParsedTrace& trace,
-                      std::size_t n) {
-  std::vector<std::pair<std::string, double>> causes;
-  for (const auto& [key, value] : trace.collector) {
-    if (key.rfind("attr_cause_", 0) == 0) {
-      causes.emplace_back(key.substr(std::strlen("attr_cause_")), value);
-    }
-  }
-  if (causes.empty()) {
-    std::printf("top causes:        (no attribution aggregates)\n");
-    return;
-  }
-  std::stable_sort(causes.begin(), causes.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  std::printf("top causes:\n");
-  for (std::size_t i = 0; i < causes.size() && i < n; ++i) {
-    if (causes[i].second <= 0.0) break;
-    std::printf("  %2zu. %-13s %.0f\n", i + 1, causes[i].first.c_str(),
-                causes[i].second);
-  }
+  std::fputs("usage: trace_stats FILE [--check]\n"
+             "Rank violation causes with slo_explain FILE --top N.\n",
+             out);
 }
 
 void print_stats(const protean::obs::ParsedTrace& trace,
@@ -90,20 +61,9 @@ void print_stats(const protean::obs::ParsedTrace& trace,
 int main(int argc, char** argv) {
   std::string path;
   bool check = false;
-  std::size_t causes_n = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else if (std::strcmp(argv[i], "--top-causes") == 0) {
-      if (i + 1 >= argc) { usage(stderr); return 2; }
-      // The whole argument must be a positive integer: "5x" is a usage
-      // error, not 5.
-      const auto n = protean::parse_count(argv[++i]);
-      if (!n || *n == 0) {
-        usage(stderr);
-        return 2;
-      }
-      causes_n = *n;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       usage(stdout);
@@ -128,7 +88,6 @@ int main(int argc, char** argv) {
   }
 
   print_stats(*trace, protean::obs::compute_stats(*trace));
-  if (causes_n > 0) print_top_causes(*trace, causes_n);
 
   if (check) {
     const auto result = protean::obs::check_invariants(*trace);
