@@ -363,10 +363,20 @@ Timeline run(sched::Scheme scheme) {
     for (const auto* be : driver.be_models()) deployment.node(id).prewarm(*be, 2);
   }
 
+  // Each recorded strict batch's worst latency, by completion bucket.
+  Timeline timeline;
+  deployment.collector().set_batch_observer(
+      [&timeline](SimTime completed_at, bool strict, double worst, double,
+                  int, double) {
+        if (!strict) return;
+        const int bucket = static_cast<int>(completed_at / kBucket);
+        timeline.strict_latency_by_bucket[bucket].push_back(
+            static_cast<float>(worst));
+      });
+
   deployment.start();
   driver.start();
 
-  Timeline timeline;
   for (double t = kBucket; t <= kHorizon; t += kBucket) {
     sim.run_until(t);
     const int bucket = static_cast<int>(t / kBucket) - 1;
@@ -376,13 +386,6 @@ Timeline run(sched::Scheme scheme) {
             : deployment.node(0).gpu().geometry().to_string();
   }
   sim.run_until(kHorizon + 10.0);
-
-  for (const auto& record : deployment.collector().batch_records()) {
-    if (!record.strict) continue;
-    const int bucket = static_cast<int>(record.completed_at / kBucket);
-    timeline.strict_latency_by_bucket[bucket].push_back(
-        static_cast<float>(record.worst_latency));
-  }
   timeline.reconfigurations = deployment.total_reconfigurations();
   deployment.stop();
   return timeline;

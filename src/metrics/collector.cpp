@@ -4,7 +4,6 @@
 #include <bit>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -49,13 +48,6 @@ std::uint64_t slo_good(double lat_first, double lat_last, int count,
 
 }  // namespace
 
-void BatchRecords::push_back(const BatchBreakdown& record) {
-  const std::size_t offset = size_ % kChunk;
-  if (offset == 0) chunks_.push_back(std::make_unique<Chunk>());
-  std::construct_at(&chunks_.back()->records[offset], record);
-  ++size_;
-}
-
 std::uint16_t Collector::intern_stream(const workload::ModelProfile* model,
                                        double slo) {
   const auto same = [model, slo](const Stream& s) {
@@ -76,19 +68,16 @@ std::uint16_t Collector::intern_stream(const workload::ModelProfile* model,
   return last_stream_;
 }
 
-void Collector::add_record(SimTime completed_at, double lat_first,
-                           double lat_last, const Breakdown& breakdown,
-                           int count, bool strict,
-                           const workload::ModelProfile* model, double slo) {
-  BatchBreakdown bb;
-  bb.completed_at = completed_at;
-  bb.worst_latency = lat_first;
-  bb.best_latency = lat_last;
-  bb.breakdown = breakdown;
-  bb.count = count;
-  bb.strict = strict;
-  bb.stream = intern_stream(model, slo);
-  batches_.push_back(bb);
+void Collector::add_record(double lat_first, double lat_last, int count,
+                           bool strict, const workload::ModelProfile* model,
+                           double slo, const workload::Decomposition& d) {
+  const BatchRamp ramp{lat_first, lat_last, count, intern_stream(model, slo)};
+  if (strict) {
+    strict_ramps_.push_back(ramp);
+    strict_lanes_.push_back(fold(d));
+  } else {
+    be_ramps_.push_back(ramp);
+  }
 }
 
 std::vector<bool> Collector::streams_of(
@@ -101,7 +90,7 @@ std::vector<bool> Collector::streams_of(
 }
 
 void Collector::use_sketch_store(double alpha) {
-  PROTEAN_CHECK_MSG(batches_.empty(),
+  PROTEAN_CHECK_MSG(strict_ramps_.empty() && be_ramps_.empty(),
                     "use_sketch_store must precede the first record()");
   strict_sketch_.emplace(alpha);
   be_sketch_.emplace(alpha);
@@ -111,7 +100,7 @@ std::size_t Collector::latency_store_bytes() const noexcept {
   if (strict_sketch_) {
     return strict_sketch_->approx_bytes() + be_sketch_->approx_bytes();
   }
-  return batches_.size() * sizeof(LatencyRamp);
+  return batch_records().size() * sizeof(LatencyRamp);
 }
 
 void Collector::record(const workload::Batch& batch) {
@@ -138,8 +127,8 @@ void Collector::record(const workload::Batch& batch) {
   if (d.has_negative_lane()) ++negative_component_clamps_;
   if (attr_batch_hook_) attr_batch_hook_(batch, d, lat_first, lat_last);
 
-  add_record(batch.completed_at, lat_first, lat_last, fold(d), batch.count,
-             batch.strict, batch.model, batch.slo);
+  add_record(lat_first, lat_last, batch.count, batch.strict, batch.model,
+             batch.slo, d);
 }
 
 void Collector::record_requests(bool strict, int count, double lat_first,
@@ -186,8 +175,8 @@ bool Collector::record_flow(const FlowRecord& flow) {
               flow.slo);
   }
 
-  add_record(flow.completed_at, lat_first, lat_last, fold(flow.chain),
-             flow.count, flow.strict, flow.model, flow.slo);
+  add_record(lat_first, lat_last, flow.count, flow.strict, flow.model,
+             flow.slo, flow.chain);
   return true;
 }
 
@@ -204,31 +193,28 @@ double Collector::slo_compliance_pct() const noexcept {
          static_cast<double>(strict_total_);
 }
 
-/// The ramps of the batch records in one {strict, stream} scope, read in
-/// place: a record outside the scope is an empty slot.
+/// The ramps of one class's batch records in one stream scope, read in
+/// place: a record of a stream outside the scope is an empty slot.
 class Collector::ScopedRamps final : public RampSource {
  public:
-  ScopedRamps(const BatchRecords& records, bool strict,
-              std::vector<bool> of_stream, std::size_t requests,
-              std::size_t ramps)
+  ScopedRamps(const Chunked<BatchRamp>& records, std::vector<bool> of_stream,
+              std::size_t requests, std::size_t ramps)
       : records_(records),
-        strict_(strict),
         of_stream_(std::move(of_stream)),
         requests_(requests),
         ramps_(ramps) {}
 
   std::size_t slots() const override { return records_.size(); }
   LatencyRamp ramp(std::size_t slot) const override {
-    const BatchBreakdown& b = records_[slot];
-    if (b.strict != strict_ || !of_stream_[b.stream]) return {};
+    const BatchRamp& b = records_[slot];
+    if (!of_stream_[b.stream]) return {};
     return {b.worst_latency, b.best_latency, b.count};
   }
   std::size_t requests() const override { return requests_; }
   std::size_t ramps() const override { return ramps_; }
 
  private:
-  const BatchRecords& records_;
-  bool strict_;
+  const Chunked<BatchRamp>& records_;
   std::vector<bool> of_stream_;
   std::size_t requests_;
   std::size_t ramps_;
@@ -236,28 +222,28 @@ class Collector::ScopedRamps final : public RampSource {
 
 Collector::ScopedRamps Collector::scope(
     bool strict, const workload::ModelProfile* model) const {
+  const Chunked<BatchRamp>& records = ramps_of(strict);
   std::vector<bool> of_stream = streams_of(model);
   const LatencyTotals& totals = strict ? strict_totals_ : be_totals_;
   auto requests = static_cast<std::size_t>(totals.requests);
   std::size_t ramps = totals.ramps;
   if (model != nullptr) {  // one model's share of the class's totals
     requests = ramps = 0;
-    for (const auto& b : batches_) {
-      if (b.strict != strict || !of_stream[b.stream]) continue;
+    for (const BatchRamp& b : records) {
+      if (!of_stream[b.stream]) continue;
       requests += static_cast<std::size_t>(b.count);
       ++ramps;
     }
   }
-  return ScopedRamps(batches_, strict, std::move(of_stream), requests, ramps);
+  return ScopedRamps(records, std::move(of_stream), requests, ramps);
 }
 
 LatencyRamps Collector::ramps(bool strict) const {
-  const ScopedRamps in_scope = scope(strict, nullptr);
+  const Chunked<BatchRamp>& records = ramps_of(strict);
   LatencyRamps out;
-  out.reserve(in_scope.ramps());
-  for (std::size_t slot = 0; slot < in_scope.slots(); ++slot) {
-    const LatencyRamp r = in_scope.ramp(slot);
-    if (r.count > 0) out.add(r.first, r.last, r.count);
+  out.reserve(records.size());
+  for (const BatchRamp& b : records) {
+    out.add(b.worst_latency, b.best_latency, b.count);
   }
   return out;
 }
@@ -317,20 +303,20 @@ LatencyRamps Collector::be_latencies() const {
 Breakdown Collector::tail_of(const workload::ModelProfile* model,
                              double p) const {
   const std::vector<bool> of_model = streams_of(model);
-  const auto in_scope = [&of_model](const BatchBreakdown& b) {
-    return b.strict && of_model[b.stream];
-  };
   std::vector<float> worst;
-  for (const auto& b : batches_) {
-    if (in_scope(b)) worst.push_back(static_cast<float>(b.worst_latency));
+  for (const BatchRamp& b : strict_ramps_) {
+    if (of_model[b.stream]) {
+      worst.push_back(static_cast<float>(b.worst_latency));
+    }
   }
   if (worst.empty()) return {};
   const double cutoff = percentile(std::move(worst), p);
   Breakdown sum;
   std::size_t n = 0;
-  for (const auto& b : batches_) {
-    if (in_scope(b) && b.worst_latency >= cutoff - 1e-12) {
-      sum += b.breakdown;
+  for (std::size_t i = 0; i < strict_ramps_.size(); ++i) {
+    const BatchRamp& b = strict_ramps_[i];
+    if (of_model[b.stream] && b.worst_latency >= cutoff - 1e-12) {
+      sum += strict_lanes_[i];
       ++n;
     }
   }
@@ -342,9 +328,9 @@ Breakdown Collector::tail_of(const workload::ModelProfile* model,
 double Collector::slo_compliance_pct_for(
     const workload::ModelProfile* model) const {
   std::uint64_t total = 0, compliant = 0;
-  for (const auto& b : batches_) {
+  for (const BatchRamp& b : strict_ramps_) {
     const Stream& stream = streams_[b.stream];
-    if (stream.model != model || !b.strict) continue;
+    if (stream.model != model) continue;
     total += static_cast<std::uint64_t>(b.count);
     compliant +=
         slo_good(b.worst_latency, b.best_latency, b.count, stream.slo);

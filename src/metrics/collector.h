@@ -3,10 +3,11 @@
 // The collector receives every completed Batch, whose per-request
 // end-to-end latencies are a linear ramp (arrivals interpolated uniformly
 // across the batch's arrival span), tracks SLO compliance for strict
-// requests, and keeps per-batch records: the latency ramps every exact
-// percentile is selected from, and latency breakdowns so that Fig.
-// 2/6-style stacked-bar rows can be reconstructed (queueing vs cold start
-// vs resource deficiency vs interference vs minimum possible time). Each
+// requests, and keeps per-batch records in one store per class: a 24-byte
+// latency ramp per batch, which every exact percentile is selected from,
+// and for strict batches only, the latency breakdown from which Fig.
+// 2/6-style stacked-bar rows are reconstructed (queueing vs cold start vs
+// resource deficiency vs interference vs minimum possible time). Each
 // breakdown is the fold of the batch's exact decomposition
 // (workload/latency.h), taken once at record time, so its lanes sum to the
 // batch's worst latency.
@@ -19,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -66,36 +68,41 @@ struct Breakdown {
 /// exactly one bucket, so total() equals d.total().
 Breakdown fold(const workload::Decomposition& d) noexcept;
 
-/// Per-batch latency attribution record. The breakdown's lanes sum to the
-/// latency of the batch's earliest (= worst-off) request. The batch's model
-/// and SLO live in the collector's stream table; `stream` indexes it.
-struct BatchBreakdown {
-  SimTime completed_at = 0.0;
-  double worst_latency = 0.0;
-  double best_latency = 0.0;  // latency of the batch's latest request
-  Breakdown breakdown;
+/// Per-batch latency record: the ramp every exact percentile of the batch's
+/// class is selected from. The batch's model and SLO live in the
+/// collector's stream table; `stream` indexes it. A strict record's Fig. 6
+/// lanes are kept beside it in a store of their own; a best-effort record
+/// has none, because the tail breakdown covers strict requests only.
+struct BatchRamp {
+  double worst_latency = 0.0;  // latency of the batch's earliest request
+  double best_latency = 0.0;   // latency of the batch's latest request
   int count = 0;
-  bool strict = false;
   std::uint16_t stream = 0;  // index into the collector's {model, slo} table
 };
-static_assert(sizeof(BatchBreakdown) == 80,
-              "a batch record is 80 bytes; the largest runs keep ~1M of them");
+static_assert(sizeof(BatchRamp) == 24,
+              "a batch ramp is 24 bytes; the largest runs keep ~1M of them");
 
-/// Append-only store of batch records in fixed chunks of kChunk records. A
-/// chunk is allocated once and never moved or copied, so growth has no
-/// transient second copy and a record's address is stable. Read-only to
-/// everyone but the collector.
-class BatchRecords {
+class Collector;
+
+/// Append-only store of records in fixed chunks of kChunk. A chunk is
+/// allocated once and never moved or copied, so growth has no transient
+/// second copy and a record's address is stable. Read-only to everyone but
+/// the collector.
+template <typename T>
+class Chunked {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "chunks never run their records' destructors");
+
  public:
   static constexpr std::size_t kChunk = 4096;
 
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = BatchBreakdown;
+    using value_type = T;
     using difference_type = std::ptrdiff_t;
-    using pointer = const BatchBreakdown*;
-    using reference = const BatchBreakdown&;
+    using pointer = const T*;
+    using reference = const T&;
 
     const_iterator() = default;
     reference operator*() const { return (*records_)[index_]; }
@@ -114,18 +121,18 @@ class BatchRecords {
     }
 
    private:
-    friend class BatchRecords;
-    const_iterator(const BatchRecords* records, std::size_t index)
+    friend class Chunked;
+    const_iterator(const Chunked* records, std::size_t index)
         : records_(records), index_(index) {}
-    const BatchRecords* records_ = nullptr;
+    const Chunked* records_ = nullptr;
     std::size_t index_ = 0;
   };
 
-  BatchRecords() = default;
-  BatchRecords(BatchRecords&& other) noexcept
+  Chunked() = default;
+  Chunked(Chunked&& other) noexcept
       : chunks_(std::move(other.chunks_)),
         size_(std::exchange(other.size_, 0)) {}
-  BatchRecords& operator=(BatchRecords&& other) noexcept {
+  Chunked& operator=(Chunked&& other) noexcept {
     chunks_ = std::move(other.chunks_);
     size_ = std::exchange(other.size_, 0);
     return *this;
@@ -133,7 +140,7 @@ class BatchRecords {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  const BatchBreakdown& operator[](std::size_t i) const {
+  const T& operator[](std::size_t i) const {
     return chunks_[i / kChunk]->records[i % kChunk];
   }
   const_iterator begin() const noexcept { return {this, 0}; }
@@ -147,14 +154,29 @@ class BatchRecords {
   struct Chunk {
     Chunk() {}
     union {
-      BatchBreakdown records[kChunk];
+      T records[kChunk];
     };
   };
 
-  void push_back(const BatchBreakdown& record);
+  void push_back(const T& record) {
+    const std::size_t offset = size_ % kChunk;
+    if (offset == 0) chunks_.push_back(std::make_unique<Chunk>());
+    std::construct_at(&chunks_.back()->records[offset], record);
+    ++size_;
+  }
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::size_t size_ = 0;
+};
+
+/// The collector's batch records, one store per class, in recording order
+/// within each: `lanes[i]` is the Fig. 6 breakdown of `strict[i]`, and its
+/// lanes sum to that batch's worst latency. size() counts both classes.
+struct BatchRecords {
+  const Chunked<BatchRamp>& strict;
+  const Chunked<BatchRamp>& be;
+  const Chunked<Breakdown>& lanes;
+  std::size_t size() const noexcept { return strict.size() + be.size(); }
 };
 
 /// Terminal record of one workflow flow (src/workflow): the per-request
@@ -234,7 +256,7 @@ class Collector {
   bool sketch_store() const noexcept { return strict_sketch_.has_value(); }
 
   /// Approximate bytes the exact percentiles are selected from: the ramp
-  /// of every batch record, 24 bytes each as a LatencyRamp, or the sketch
+  /// of every batch record of both classes, 24 bytes each, or the sketch
   /// buckets in sketch mode. The telemetry overhead bench compares the two.
   std::size_t latency_store_bytes() const noexcept;
 
@@ -263,7 +285,7 @@ class Collector {
   /// (a retried/raced duplicate is discarded under dedup), applies the
   /// measure_from filter, records the same per-request latency ramp as
   /// record(), and counts SLO compliance against the flow's end-to-end
-  /// deadline. The batch-records entry is the fold of the flow's chain.
+  /// deadline. A strict flow's Fig. 6 lanes are the fold of its chain.
   /// Returns true iff the flow entered the statistics (not deduped or
   /// filtered) — the attribution engine keys off the same verdict.
   bool record_flow(const FlowRecord& flow);
@@ -359,7 +381,9 @@ class Collector {
   /// bars use p=99).
   Breakdown tail_breakdown(double p) const { return tail_of(nullptr, p); }
 
-  const BatchRecords& batch_records() const noexcept { return batches_; }
+  BatchRecords batch_records() const noexcept {
+    return {strict_ramps_, be_ramps_, strict_lanes_};
+  }
 
   // ---- per-model queries (multi-workload experiments, e.g. Fig. 2) -------
 
@@ -393,13 +417,19 @@ class Collector {
   /// null)?
   std::vector<bool> streams_of(const workload::ModelProfile* model) const;
 
-  /// Appends one record of a recorded batch or flow.
-  void add_record(SimTime completed_at, double lat_first, double lat_last,
-                  const Breakdown& breakdown, int count, bool strict,
-                  const workload::ModelProfile* model, double slo);
+  /// Appends the ramp of a recorded batch or flow to its class's store
+  /// and, when strict, the fold of its decomposition to the lanes.
+  void add_record(double lat_first, double lat_last, int count, bool strict,
+                  const workload::ModelProfile* model, double slo,
+                  const workload::Decomposition& d);
 
-  /// The strict (or BE) batch records of `model` (every model when null),
-  /// as a RampSource that reads their ramps in place.
+  /// One class's ramp store.
+  const Chunked<BatchRamp>& ramps_of(bool strict) const noexcept {
+    return strict ? strict_ramps_ : be_ramps_;
+  }
+
+  /// The strict (or BE) batch ramps of `model` (every model when null), as
+  /// a RampSource that reads them in place.
   class ScopedRamps;
   ScopedRamps scope(bool strict, const workload::ModelProfile* model) const;
 
@@ -407,7 +437,8 @@ class Collector {
   LatencyRamps ramps(bool strict) const;
 
   /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches
-  /// of `model` (every model when null).
+  /// of `model` (every model when null), walked by index over the strict
+  /// ramps and their lanes.
   Breakdown tail_of(const workload::ModelProfile* model, double p) const;
 
   /// One class's recorded latencies: the recording-order sum of its float
@@ -428,7 +459,9 @@ class Collector {
   BatchObserver observer_;
   AttrBatchHook attr_batch_hook_;
   AttrDropHook attr_drop_hook_;
-  BatchRecords batches_;
+  Chunked<BatchRamp> strict_ramps_;
+  Chunked<BatchRamp> be_ramps_;
+  Chunked<Breakdown> strict_lanes_;  // lanes of strict_ramps_[i]
   /// The distinct {model, slo} pairs of the batch records; the SLO is
   /// compared by bit pattern so a NaN interns once.
   struct Stream {

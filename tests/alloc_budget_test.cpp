@@ -9,11 +9,11 @@
 // node queues and gateway grains are rings that keep their capacity, and the
 // reconfigurator hands out prebuilt geometries. What remains is amortized:
 // reconfigurations (a new slice grows its job buffers from empty) and one
-// chunk of the collector's batch records per 4096 batches.
+// chunk per 4096 records of each of the collector's record stores.
 //
 // The same operator new also tracks the bytes live on the heap and their
-// high-water mark, which bounds what percentile finalization may allocate
-// on top of the batch records it reads.
+// high-water mark, which bounds what the batch records take per recorded
+// batch and what percentile finalization may allocate on top of them.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -185,6 +185,54 @@ TEST(FinalizationBudget, PercentilesReadTheBatchRecordsInPlace) {
       EXPECT_LE(bytes, budget) << row;
     }
   }
+}
+
+TEST(RecordingBudget, BatchRecordsTake72BytesStrictAnd24BestEffort) {
+  // A strict batch keeps a 24-byte ramp and its 48-byte Fig. 6 lanes, a
+  // best-effort batch its ramp alone. Allowed besides: one partly filled
+  // chunk per store and 4 KiB for the chunk-pointer vectors and the
+  // stream table.
+  using metrics::BatchRamp;
+  using metrics::Breakdown;
+  using metrics::Chunked;
+  constexpr std::size_t kChunk = Chunked<BatchRamp>::kChunk;
+  constexpr std::size_t kPerClass = 3 * kChunk + 1000;
+  constexpr std::size_t kPartialChunks =
+      2 * kChunk * sizeof(BatchRamp) + kChunk * sizeof(Breakdown);
+  constexpr std::size_t kBudget =
+      (72 + 24) * kPerClass + kPartialChunks + (std::size_t{4} << 10);
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> wait(0.05, 1.5);
+  workload::Batch b;
+  b.model = &workload::ModelCatalog::instance().by_name("ResNet 50");
+  b.count = 8;
+  b.solo_min = 0.05;
+  b.solo_on_slice = 0.05;
+  b.exec_time = 0.05;
+  std::size_t records = 0;
+  const std::size_t bytes = heap_high_water([&] {
+    metrics::Collector collector;
+    for (std::size_t i = 0; i < 2 * kPerClass; ++i) {
+      b.id = static_cast<BatchId>(i + 1);
+      b.strict = i % 2 == 0;
+      b.slo = b.strict ? 0.6 : kNeverTime;
+      b.first_arrival = 0.001 * static_cast<double>(i);
+      b.last_arrival = b.first_arrival + 0.01;
+      b.formed_at = b.last_arrival;
+      b.completed_at = b.last_arrival + wait(rng);
+      b.exec_start = b.completed_at - b.exec_time;
+      collector.record(b);
+    }
+    records = collector.batch_records().size();
+  });
+  ASSERT_EQ(records, 2 * kPerClass);
+  RecordProperty("record_bytes", std::to_string(bytes));
+  std::printf("%zu strict + %zu best-effort records: %zu bytes (%.2f per "
+              "pair), budget %zu\n",
+              kPerClass, kPerClass, bytes,
+              static_cast<double>(bytes) / static_cast<double>(kPerClass),
+              kBudget);
+  EXPECT_LE(bytes, kBudget);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <utility>
 
 #include "cluster/cluster.h"
 #include "harness/experiment.h"
@@ -584,28 +585,55 @@ void expect_same_breakdown(const Breakdown& a, const Breakdown& b) {
   EXPECT_EQ(a.swap, b.swap);
 }
 
+constexpr std::size_t kChunk = Chunked<BatchRamp>::kChunk;
+
 TEST(CollectorRecords, ChunkedStoreMatchesAPlainVectorAcrossStreams) {
   const auto& catalog = workload::ModelCatalog::instance();
   const workload::ModelProfile* resnet = &catalog.by_name("ResNet 50");
   const workload::ModelProfile* bert = &catalog.by_name("BERT");
-  const auto batches =
-      three_stream_batches(3 * BatchRecords::kChunk + 1234, 31);
+  // One batch in three is best-effort: both class stores span more than
+  // three chunks.
+  const auto batches = three_stream_batches(10 * kChunk + 1234, 31);
   const Collector collector = filled(batches);
   const std::vector<PlainRecord> records = plain_records(batches);
-  ASSERT_EQ(collector.batch_records().size(), records.size());
+  const BatchRecords stored = collector.batch_records();
+  ASSERT_EQ(stored.size(), records.size());
+  ASSERT_GT(stored.strict.size(), 3 * kChunk);
+  ASSERT_GT(stored.be.size(), 3 * kChunk);
+  ASSERT_EQ(stored.lanes.size(), stored.strict.size());
 
-  // The view: range-for and operator[] agree with the recording order.
-  std::size_t i = 0;
-  for (const BatchBreakdown& b : collector.batch_records()) {
-    ASSERT_LT(i, records.size());
-    EXPECT_EQ(&b, &collector.batch_records()[i]);
-    EXPECT_EQ(b.worst_latency, records[i].worst);
-    EXPECT_EQ(b.best_latency, records[i].best);
-    EXPECT_EQ(b.count, records[i].count);
-    EXPECT_EQ(b.strict, records[i].strict);
-    ++i;
+  // The views: each class store holds that class's records in recording
+  // order, range-for and operator[] agree, and lanes[i] is the fold of
+  // strict record i's decomposition.
+  std::size_t strict_i = 0, be_i = 0;
+  const LatencyRamps strict_copy = collector.strict_latencies();
+  const LatencyRamps be_copy = collector.be_latencies();
+  auto strict_it = stored.strict.begin();
+  auto be_it = stored.be.begin();
+  for (const PlainRecord& r : records) {
+    const std::size_t i = r.strict ? strict_i++ : be_i++;
+    const Chunked<BatchRamp>& store = r.strict ? stored.strict : stored.be;
+    auto& it = r.strict ? strict_it : be_it;
+    ASSERT_LT(i, store.size());
+    const BatchRamp& b = *it++;
+    EXPECT_EQ(&b, &store[i]);
+    EXPECT_EQ(b.worst_latency, r.worst);
+    EXPECT_EQ(b.best_latency, r.best);
+    EXPECT_EQ(b.count, r.count);
+    // strict_latencies()/be_latencies() copy the ramps in the same order.
+    const LatencyRamp& copied =
+        (r.strict ? strict_copy : be_copy).ramps()[i];
+    EXPECT_EQ(copied.first, r.worst);
+    EXPECT_EQ(copied.last, r.best);
+    EXPECT_EQ(copied.count, r.count);
+    if (r.strict) expect_same_breakdown(stored.lanes[i], r.breakdown);
   }
-  EXPECT_EQ(i, records.size());
+  EXPECT_EQ(strict_i, stored.strict.size());
+  EXPECT_EQ(be_i, stored.be.size());
+  EXPECT_TRUE(strict_it == stored.strict.end());
+  EXPECT_TRUE(be_it == stored.be.end());
+  EXPECT_EQ(strict_copy.ramps().size(), strict_i);
+  EXPECT_EQ(be_copy.ramps().size(), be_i);
 
   // Percentiles, per class, against the expanded float store.
   Reference ref(batches);
@@ -785,17 +813,33 @@ TEST(CollectorStore, InPlaceSelectionMatchesTheExpandedFloatsInEveryScope) {
 }
 
 TEST(CollectorRecords, RecordsStayInPlaceAsChunksAreAppended) {
-  const auto batches = three_stream_batches(2 * BatchRecords::kChunk + 7, 32);
+  auto batches = three_stream_batches(6 * kChunk + 7, 32);
+  batches[0].strict = true;
+  batches[1].strict = false;
   Collector collector;
   collector.record(batches[0]);
-  const BatchBreakdown* first = &collector.batch_records()[0];
-  const BatchBreakdown copy = *first;
-  for (std::size_t i = 1; i < batches.size(); ++i) collector.record(batches[i]);
-  ASSERT_EQ(collector.batch_records().size(), batches.size());
-  EXPECT_EQ(&collector.batch_records()[0], first);
-  EXPECT_EQ(first->worst_latency, copy.worst_latency);
-  EXPECT_EQ(first->completed_at, copy.completed_at);
-  EXPECT_EQ(first->stream, copy.stream);
+  collector.record(batches[1]);
+  const BatchRamp* first_strict = &collector.batch_records().strict[0];
+  const BatchRamp* first_be = &collector.batch_records().be[0];
+  const Breakdown* first_lanes = &collector.batch_records().lanes[0];
+  const BatchRamp strict_copy = *first_strict;
+  const BatchRamp be_copy = *first_be;
+  const Breakdown lanes_copy = *first_lanes;
+  for (std::size_t i = 2; i < batches.size(); ++i) collector.record(batches[i]);
+  const BatchRecords stored = collector.batch_records();
+  ASSERT_EQ(stored.size(), batches.size());
+  ASSERT_GT(stored.be.size(), kChunk);
+  EXPECT_EQ(&stored.strict[0], first_strict);
+  EXPECT_EQ(&stored.be[0], first_be);
+  EXPECT_EQ(&stored.lanes[0], first_lanes);
+  for (const auto& [now, then] :
+       {std::pair{first_strict, &strict_copy}, std::pair{first_be, &be_copy}}) {
+    EXPECT_EQ(now->worst_latency, then->worst_latency);
+    EXPECT_EQ(now->best_latency, then->best_latency);
+    EXPECT_EQ(now->count, then->count);
+    EXPECT_EQ(now->stream, then->stream);
+  }
+  expect_same_breakdown(*first_lanes, lanes_copy);
 }
 
 TEST(CollectorRecords, NanSloInternsOnce) {
@@ -809,8 +853,8 @@ TEST(CollectorRecords, NanSloInternsOnce) {
   }
   const Collector collector = filled(batches);
   EXPECT_EQ(collector.batch_records().size(), batches.size());
-  EXPECT_EQ(collector.batch_records()[0].stream,
-            collector.batch_records()[69999].stream);
+  EXPECT_EQ(collector.batch_records().strict[0].stream,
+            collector.batch_records().strict[69999].stream);
 }
 
 }  // namespace

@@ -68,7 +68,8 @@ TEST(WorkerNode, ColdStartDelaysFirstBatch) {
   f.sim.run_until(f.sim.now() + 30.0);
   EXPECT_EQ(f.node->cold_starts(), 1u);
   ASSERT_EQ(f.collector.batch_records().size(), 1u);
-  EXPECT_NEAR(f.collector.batch_records()[0].breakdown.cold, 2.0, 1e-9);
+  ASSERT_EQ(f.collector.batch_records().lanes.size(), 1u);
+  EXPECT_NEAR(f.collector.batch_records().lanes[0].cold, 2.0, 1e-9);
   // Completion = cold start + solo exec.
   EXPECT_GE(f.sim.now(), 2.0 + resnet().solo_time_7g - 1e-9);
 }
@@ -95,8 +96,9 @@ TEST(WorkerNode, ConcurrentSameModelBatchesWaitForSpare) {
   EXPECT_EQ(f.node->batches_served(), 2u);
   EXPECT_EQ(f.node->cold_starts(), 1u);  // the background spare
   // Neither batch paid the cold start on its critical path.
-  for (const auto& record : f.collector.batch_records()) {
-    EXPECT_DOUBLE_EQ(record.breakdown.cold, 0.0);
+  ASSERT_EQ(f.collector.batch_records().lanes.size(), 2u);
+  for (const auto& lanes : f.collector.batch_records().lanes) {
+    EXPECT_DOUBLE_EQ(lanes.cold, 0.0);
   }
 }
 

@@ -6,6 +6,7 @@
 // from compile definitions set in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -185,6 +186,29 @@ TEST_F(ToolsAttr, MetricsDiffMatchesItself) {
             0)
       << out;
   EXPECT_NE(out.find("dumps match within tolerance"), std::string::npos);
+}
+
+TEST_F(ToolsAttr, MetricsDiffReportsEachBadInputOnce) {
+  // An unparseable line is reported once, with its number, and not again
+  // as an unreadable file; a missing file is reported as unreadable.
+  const std::string bad = temp_path("tools-diff-bad.jsonl");
+  spit(bad, slurp(jsonl_path()) + R"({"t":99,"event":"deploy"})" "\n");
+  std::string err;
+  EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + bad + " " +
+                         jsonl_path(),
+                     nullptr, &err),
+            1);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("unparseable line"), std::string::npos) << err;
+  EXPECT_EQ(err.find("cannot read"), std::string::npos) << err;
+  std::remove(bad.c_str());
+
+  const std::string missing = temp_path("tools-diff-missing.jsonl");
+  EXPECT_EQ(run_tool(std::string(METRICS_DIFF_BIN) + " " + missing + " " +
+                         jsonl_path(),
+                     nullptr, &err),
+            1);
+  EXPECT_EQ(err, "metrics_diff: cannot read " + missing + "\n");
 }
 
 TEST_F(ToolsAttr, MetricsDiffFlagsDominantCauseDrift) {

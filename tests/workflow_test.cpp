@@ -439,10 +439,12 @@ TEST(WorkflowIntegration, FaultsComposeWithWorkflows) {
 }
 
 // Runs a protean_sim flag set through a hand-built deployment (the
-// run_experiment wiring, minus reporting) and checks every batch record
-// the collector kept: a flow's Fig. 6 lanes are the fold of its critical
-// chain, so they sum to its end-to-end latency. Summing every stage's
-// components instead overshoots on any DAG with parallel branches.
+// run_experiment wiring, minus reporting) and checks every strict batch
+// record the collector kept: a flow's Fig. 6 lanes are the fold of its
+// critical chain, so they sum to its end-to-end latency. Summing every
+// stage's components instead overshoots on any DAG with parallel branches.
+// Best-effort records keep no lanes; their decompositions are covered by
+// the negative-lane count.
 void expect_flow_lanes_sum_to_latency(const std::vector<std::string>& cli) {
   const harness::CliParseResult parsed = harness::parse_cli(cli);
   ASSERT_TRUE(parsed.options.has_value()) << parsed.error;
@@ -466,12 +468,14 @@ void expect_flow_lanes_sum_to_latency(const std::vector<std::string>& cli) {
   sim.run_until(config.trace.horizon + config.drain_grace);
 
   const metrics::Collector& collector = deployment.collector();
-  std::uint64_t flows = 0;
-  for (const auto& record : collector.batch_records()) {
-    // Strict requests all enter the DAG, so strict records are flows.
-    if (record.strict) ++flows;
-    EXPECT_NEAR(record.breakdown.total(), record.worst_latency, 1e-9)
-        << cli[1] << " flow completed at " << record.completed_at;
+  // Strict requests all enter the DAG, so strict records are flows.
+  const metrics::BatchRecords records = collector.batch_records();
+  const std::uint64_t flows = records.strict.size();
+  ASSERT_EQ(records.lanes.size(), records.strict.size()) << cli[1];
+  for (std::size_t i = 0; i < records.strict.size(); ++i) {
+    EXPECT_NEAR(records.lanes[i].total(), records.strict[i].worst_latency,
+                1e-9)
+        << cli[1] << " flow record " << i;
   }
   EXPECT_GT(flows, 0u) << cli[1];
   EXPECT_EQ(flows, collector.flows_recorded()) << cli[1];

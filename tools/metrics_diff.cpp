@@ -28,11 +28,14 @@
 
 namespace {
 
-// Reads one dump through the shared timeline reader. A malformed line is
-// reported with its number; an unreadable file only by the caller.
+// Reads one dump through the shared timeline reader. Reports an unreadable
+// file, or a malformed line with its number, in one stderr line.
 std::optional<protean::telemetry::Timeline> load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return std::nullopt;
+  if (!in) {
+    std::fprintf(stderr, "metrics_diff: cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
   std::ostringstream text;
   text << in.rdbuf();
   protean::telemetry::TimelineError error;
@@ -126,13 +129,7 @@ int main(int argc, char** argv) {
 
   const auto a = load(paths[0]);
   const auto b = load(paths[1]);
-  if (!a || !b) {
-    if (!a) std::fprintf(stderr, "metrics_diff: cannot read %s\n",
-                         paths[0].c_str());
-    if (!b) std::fprintf(stderr, "metrics_diff: cannot read %s\n",
-                         paths[1].c_str());
-    return 1;
-  }
+  if (!a || !b) return 1;
 
   bool structural_ok = true;
   if (a->scrapes != b->scrapes) {
