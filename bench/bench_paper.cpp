@@ -438,15 +438,11 @@ void fig8(const Data& d) {
   harness::Table table(scheme_header({"Percentile"}, d.cells[0]));
   constexpr std::array<double, 8> kPs = {10.0, 25.0, 50.0, 75.0,
                                          80.0, 90.0, 95.0, 99.0};
-  // One multi-rank selection per scheme over its strict latency ramps.
-  std::vector<std::array<double, kPs.size()>> columns(reports.size());
-  for (std::size_t s = 0; s < reports.size(); ++s) {
-    metrics::select_percentiles(reports[s].strict_latencies, kPs, columns[s]);
-  }
-  for (std::size_t i = 0; i < kPs.size(); ++i) {
-    std::vector<std::string> row{strfmt("P%.0f", kPs[i])};
-    for (const auto& column : columns) {
-      row.push_back(strfmt("%.0f ms", to_ms(column[i])));
+  // Each scheme's column is read off its report's percentile table.
+  for (const double p : kPs) {
+    std::vector<std::string> row{strfmt("P%.0f", p)};
+    for (const auto& r : reports) {
+      row.push_back(strfmt("%.0f ms", to_ms(r.strict_latencies.at(p))));
     }
     table.add_row(std::move(row));
   }

@@ -26,7 +26,31 @@ const workload::ModelProfile& model_by_name(const std::string& name) {
 
 }  // namespace
 
+PercentileTable::PercentileTable(std::span<const double, kPs.size()> values)
+    : present_(true) {
+  std::copy(values.begin(), values.end(), values_.begin());
+}
+
+PercentileTable& PercentileTable::operator=(
+    const metrics::LatencyRamps& ramps) {
+  if (ramps.empty()) return *this = PercentileTable();
+  std::array<double, kPs.size()> values{};
+  metrics::select_percentiles(ramps, kPs, values);
+  return *this = PercentileTable(values);
+}
+
+double PercentileTable::at(double p) const {
+  const auto* it = std::find(kPs.begin(), kPs.end(), p);
+  PROTEAN_CHECK_MSG(it != kPs.end(), "no such percentile in the table");
+  return values_[static_cast<std::size_t>(it - kPs.begin())];
+}
+
 Report run_experiment(const ExperimentConfig& config) {
+  return run_experiment(config, {});
+}
+
+Report run_experiment(const ExperimentConfig& config,
+                      const CollectorInspector& inspect) {
   sim::Simulator sim;
   // The tracer outlives the deployment: slice destructors flush their open
   // busy spans into it, so the file is written only after teardown.
@@ -172,6 +196,7 @@ Report run_experiment(const ExperimentConfig& config) {
   if (pipeline.has_value()) pipeline->finish(sim.now());
 
   const auto& collector = deployment.collector();
+  if (inspect) inspect(collector);
 
   report.scheme = scheduler->name();
   report.strict_model = driver_config.strict_model->name;
@@ -201,12 +226,20 @@ Report run_experiment(const ExperimentConfig& config) {
   }
   report.slo_compliance_pct = denom > 0.0 ? 100.0 * compliant / denom : 100.0;
 
-  static constexpr std::array<double, 2> kPs = {50.0, 99.0};
-  std::array<double, kPs.size()> strict{}, be{};
-  collector.percentiles(true, kPs, strict);
-  collector.percentiles(false, kPs, be);
-  report.strict_p50_ms = to_ms(strict[0]);
-  report.strict_p99_ms = to_ms(strict[1]);
+  // One strict selection, in place, gives the report's table and its two
+  // strict percentiles.
+  std::array<double, PercentileTable::kPs.size()> strict{};
+  collector.percentiles(true, PercentileTable::kPs, strict);
+  const PercentileTable table(strict);
+  report.strict_p50_ms = to_ms(table.at(50.0));
+  report.strict_p99_ms = to_ms(table.at(99.0));
+  if (config.keep_latency_samples && !collector.sketch_store() &&
+      !collector.batch_records().strict.empty()) {
+    report.strict_latencies = table;
+  }
+  static constexpr std::array<double, 2> kBePs = {50.0, 99.0};
+  std::array<double, kBePs.size()> be{};
+  collector.percentiles(false, kBePs, be);
   report.strict_mean_ms = to_ms(collector.strict_mean());
   report.be_p50_ms = to_ms(be[0]);
   report.be_p99_ms = to_ms(be[1]);
@@ -234,10 +267,6 @@ Report run_experiment(const ExperimentConfig& config) {
   report.cost_on_demand_ref_usd =
       deployment.market().on_demand_reference_cost();
   report.evictions = deployment.market().evictions();
-
-  if (config.keep_latency_samples) {
-    report.strict_latencies = collector.strict_latencies();
-  }
 
   if (cluster_config.memcache.enabled) {
     report.memcache.enabled = true;

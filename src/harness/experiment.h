@@ -3,7 +3,10 @@
 // metrics every paper table/figure reports.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,8 +43,8 @@ struct ExperimentConfig {
   Duration drain_grace = 15.0;
   /// Count strict requests still unserved after the drain as SLO misses.
   bool count_unfinished_as_violations = true;
-  /// Keep the strict request latencies, as per-batch ramps, in the report
-  /// (CDF figures, the --json percentile block).
+  /// Keep a table of strict request latency percentiles in the report
+  /// (Fig. 8's CDF, the --json percentile block).
   bool keep_latency_samples = false;
   /// Keep per-node resident-weight timelines in the report (memcache only).
   bool keep_mem_timeline = false;
@@ -165,6 +168,34 @@ struct ExperimentConfig {
     sketch_alpha = alpha;
     return *this;
   }
+};
+
+/// Strict request latency percentiles (seconds) at one fixed list of ps,
+/// the union of what its readers print: the --json block and Fig. 8.
+/// run_experiment fills it from the same in-place selection that gives
+/// strict_p50_ms and strict_p99_ms.
+class PercentileTable {
+ public:
+  static constexpr std::array<double, 9> kPs = {10.0, 25.0, 50.0, 75.0, 80.0,
+                                                90.0, 95.0, 99.0, 99.9};
+
+  PercentileTable() = default;
+  /// The table of values[i] at kPs[i].
+  explicit PercentileTable(std::span<const double, kPs.size()> values);
+
+  /// Selects the table from a copy of the ramps; a table of no ramps is
+  /// empty. This exists only because perfbench's timed rebuild
+  /// (perfbench/deploy.cpp) fills its report from
+  /// Collector::strict_latencies(); it goes when that file does.
+  PercentileTable& operator=(const metrics::LatencyRamps& ramps);
+
+  bool empty() const noexcept { return !present_; }
+  /// The percentile at p, which must be one of kPs.
+  double at(double p) const;
+
+ private:
+  std::array<double, kPs.size()> values_{};
+  bool present_ = false;
 };
 
 struct Report {
@@ -324,9 +355,9 @@ struct Report {
   };
   AttributionStats attribution;
 
-  /// Strict request latencies, one ramp per batch record; filled if
-  /// keep_latency_samples (exact store only).
-  metrics::LatencyRamps strict_latencies;
+  /// Strict request latency percentiles; present if keep_latency_samples,
+  /// the store is exact and a strict request was recorded.
+  PercentileTable strict_latencies;
   /// Per-node (time, resident GB) timelines; filled if keep_mem_timeline.
   std::vector<std::vector<std::pair<SimTime, MemGb>>> mem_timelines;
   /// Per-node weight access logs; filled if keep_cache_access_log.
@@ -335,6 +366,14 @@ struct Report {
 
 /// Runs one experiment end to end. Deterministic for a given config.
 Report run_experiment(const ExperimentConfig& config);
+
+/// Sees a run's collector after the drain, before the report is distilled
+/// from it.
+using CollectorInspector = std::function<void(const metrics::Collector&)>;
+/// The same run, handing `inspect` its collector: tests check the report
+/// against the records it was selected from.
+Report run_experiment(const ExperimentConfig& config,
+                      const CollectorInspector& inspect);
 
 /// Runs the same experiment for each scheme.
 std::vector<Report> run_schemes(ExperimentConfig config,

@@ -4,8 +4,6 @@
 #include <array>
 #include <cstdio>
 
-#include "metrics/stats.h"
-
 namespace protean::harness {
 
 Json report_to_json(const Report& report) {
@@ -184,13 +182,11 @@ Json report_to_json(const Report& report) {
   if (!report.strict_latencies.empty()) {
     static constexpr std::array<double, 8> kPs = {10.0, 25.0, 50.0, 75.0,
                                                   90.0, 95.0, 99.0, 99.9};
-    std::array<double, kPs.size()> values{};
-    metrics::select_percentiles(report.strict_latencies, kPs, values);
     Json::Object percentiles;
-    for (std::size_t i = 0; i < kPs.size(); ++i) {
+    for (const double p : kPs) {
       char key[16];
-      std::snprintf(key, sizeof(key), "p%g", kPs[i]);
-      percentiles.emplace_back(key, to_ms(values[i]));
+      std::snprintf(key, sizeof(key), "p%g", p);
+      percentiles.emplace_back(key, to_ms(report.strict_latencies.at(p)));
     }
     o.emplace_back("strict_latency_percentiles_ms", Json(std::move(percentiles)));
   }

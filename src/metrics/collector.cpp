@@ -194,34 +194,50 @@ double Collector::slo_compliance_pct() const noexcept {
 }
 
 /// The ramps of one class's batch records in one stream scope, read in
-/// place: a record of a stream outside the scope is an empty slot.
+/// place: a record of a stream outside the scope is an empty slot. With
+/// `worst_only`, each record in scope is the one-request ramp at its worst
+/// latency instead (request_latency(w, w, 0, 1) == w), the multiset the
+/// tail breakdown's cutoff is selected from.
 class Collector::ScopedRamps final : public RampSource {
  public:
   ScopedRamps(const Chunked<BatchRamp>& records, std::vector<bool> of_stream,
-              std::size_t requests, std::size_t ramps)
+              std::size_t requests, std::size_t ramps, bool worst_only)
       : records_(records),
         of_stream_(std::move(of_stream)),
-        requests_(requests),
-        ramps_(ramps) {}
+        requests_(worst_only ? ramps : requests),
+        ramps_(ramps),
+        worst_only_(worst_only) {}
 
   std::size_t slots() const override { return records_.size(); }
   LatencyRamp ramp(std::size_t slot) const override {
-    const BatchRamp& b = records_[slot];
-    if (!of_stream_[b.stream]) return {};
-    return {b.worst_latency, b.best_latency, b.count};
+    return ramp_of(records_[slot]);
+  }
+  void read(std::size_t begin, std::span<LatencyRamp> out) const override {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = ramp_of(records_[begin + i]);
+    }
   }
   std::size_t requests() const override { return requests_; }
   std::size_t ramps() const override { return ramps_; }
+  bool in_scope(const BatchRamp& b) const { return of_stream_[b.stream]; }
 
  private:
+  LatencyRamp ramp_of(const BatchRamp& b) const {
+    if (!of_stream_[b.stream]) return {};
+    if (worst_only_) return {b.worst_latency, b.worst_latency, 1};
+    return {b.worst_latency, b.best_latency, b.count};
+  }
+
   const Chunked<BatchRamp>& records_;
   std::vector<bool> of_stream_;
   std::size_t requests_;
   std::size_t ramps_;
+  bool worst_only_;
 };
 
-Collector::ScopedRamps Collector::scope(
-    bool strict, const workload::ModelProfile* model) const {
+Collector::ScopedRamps Collector::scope(bool strict,
+                                        const workload::ModelProfile* model,
+                                        bool worst_only) const {
   const Chunked<BatchRamp>& records = ramps_of(strict);
   std::vector<bool> of_stream = streams_of(model);
   const LatencyTotals& totals = strict ? strict_totals_ : be_totals_;
@@ -235,7 +251,8 @@ Collector::ScopedRamps Collector::scope(
       ++ramps;
     }
   }
-  return ScopedRamps(records, std::move(of_stream), requests, ramps);
+  return ScopedRamps(records, std::move(of_stream), requests, ramps,
+                     worst_only);
 }
 
 LatencyRamps Collector::ramps(bool strict) const {
@@ -302,20 +319,15 @@ LatencyRamps Collector::be_latencies() const {
 
 Breakdown Collector::tail_of(const workload::ModelProfile* model,
                              double p) const {
-  const std::vector<bool> of_model = streams_of(model);
-  std::vector<float> worst;
-  for (const BatchRamp& b : strict_ramps_) {
-    if (of_model[b.stream]) {
-      worst.push_back(static_cast<float>(b.worst_latency));
-    }
-  }
-  if (worst.empty()) return {};
-  const double cutoff = percentile(std::move(worst), p);
+  const ScopedRamps worst = scope(true, model, /*worst_only=*/true);
+  if (worst.ramps() == 0) return {};
+  double cutoff = 0.0;
+  select_percentiles(worst, {&p, 1}, {&cutoff, 1});
   Breakdown sum;
   std::size_t n = 0;
   for (std::size_t i = 0; i < strict_ramps_.size(); ++i) {
     const BatchRamp& b = strict_ramps_[i];
-    if (of_model[b.stream] && b.worst_latency >= cutoff - 1e-12) {
+    if (worst.in_scope(b) && b.worst_latency >= cutoff - 1e-12) {
       sum += strict_lanes_[i];
       ++n;
     }

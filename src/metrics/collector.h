@@ -359,7 +359,8 @@ class Collector {
   /// selecting over every request's float latency, read from the ramps of
   /// the batch records in place (select_percentiles over a RampSource:
   /// at most 16 bytes per in-scope record and, on latencies from 1 ms to
-  /// 1000 s, under 0.5 MiB besides);
+  /// 1000 s, under 0.5 MiB besides; no per-record bytes at four requests
+  /// per record or fewer);
   /// within the configured relative-error bound in sketch mode.
   void percentiles(bool strict, std::span<const double> ps,
                    std::span<double> out) const;
@@ -370,9 +371,10 @@ class Collector {
   double strict_mean() const;
   double be_mean() const;
 
-  /// Request latencies as one ramp per batch record, for CDFs and
-  /// significance tests: a copy of 24 bytes per record. Empty in sketch
-  /// mode.
+  /// Request latencies as one ramp per batch record: a copy of 24 bytes
+  /// per record, for tests and perfbench's timed rebuild. No report path
+  /// copies them: run_experiment selects its percentile table from the
+  /// records in place. Empty in sketch mode.
   LatencyRamps strict_latencies() const;
   LatencyRamps be_latencies() const;
 
@@ -429,16 +431,19 @@ class Collector {
   }
 
   /// The strict (or BE) batch ramps of `model` (every model when null), as
-  /// a RampSource that reads them in place.
+  /// a RampSource that reads them in place; with `worst_only`, one request
+  /// per record at its worst latency.
   class ScopedRamps;
-  ScopedRamps scope(bool strict, const workload::ModelProfile* model) const;
+  ScopedRamps scope(bool strict, const workload::ModelProfile* model,
+                    bool worst_only = false) const;
 
   /// A copy of the ramps of one class, every model.
   LatencyRamps ramps(bool strict) const;
 
   /// Shared body of tail_breakdown()/tail_breakdown_for(): strict batches
-  /// of `model` (every model when null), walked by index over the strict
-  /// ramps and their lanes.
+  /// of `model` (every model when null). The cutoff is selected from their
+  /// worst latencies in place; the lanes at or above it are then summed by
+  /// index, in recording order.
   Breakdown tail_of(const workload::ModelProfile* model, double p) const;
 
   /// One class's recorded latencies: the recording-order sum of its float

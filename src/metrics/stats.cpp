@@ -1,6 +1,7 @@
 #include "metrics/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -146,6 +147,170 @@ float value_of(const LatencyRamp& r, int i) noexcept {
       workload::request_latency(r.first, r.last, i, r.count));
 }
 
+/// The keys of a ramp's lowest and highest values, read off its end floats
+/// value_of(r, 0) and value_of(r, r.count - 1) without their divisions:
+/// request_latency's fraction is exactly 0 and 1 there. The ramp is
+/// monotone, so every value's key lies between the two.
+struct RampEnds {
+  explicit RampEnds(const LatencyRamp& r) noexcept {
+    const double span = r.last - r.first;
+    head = static_cast<float>(r.first + span * 0.0);
+    tail = static_cast<float>(r.first + span * (r.count == 1 ? 0.0 : 1.0));
+  }
+  std::uint32_t min_key() const noexcept {
+    return std::min(key_of(head), key_of(tail));
+  }
+  std::uint32_t max_key() const noexcept {
+    return std::max(key_of(head), key_of(tail));
+  }
+  float head;  // value_of(r, 0)
+  float tail;  // value_of(r, r.count - 1)
+};
+
+/// Bits of the key that each level of the radix select resolves, from the
+/// top: one 2^11-bucket histogram per distinct prefix at most.
+constexpr std::array<int, 3> kRadixLevels = {11, 11, 10};
+constexpr std::size_t kFan = std::size_t{1} << 11;
+static_assert(kRadixLevels[0] == 11 && kRadixLevels[1] == 11,
+              "the prefix tables index 11-bit chunks");
+
+/// Where a key counts at one level of the radix select: the histogram of
+/// the wanted prefix its top bits match, or a discard histogram past the
+/// wanted ones when they match none. A table of 2^11 entries per resolved
+/// 11-bit chunk, read without a branch; the table and the histograms are
+/// the select's only memory.
+class PrefixRows {
+ public:
+  /// `wanted` holds the sorted distinct prefixes of `depth` chunks (0, 1
+  /// or 2) that the ranks have reached.
+  PrefixRows(std::span<const std::uint64_t> wanted, int depth)
+      : depth_(depth), discard_(static_cast<std::uint32_t>(wanted.size())) {
+    if (depth_ == 1) {
+      table_.assign(kFan, discard_);
+      for (std::size_t j = 0; j < wanted.size(); ++j) {
+        table_[wanted[j]] = static_cast<std::uint32_t>(j);
+      }
+    } else if (depth_ == 2) {
+      // Node 0 maps the top chunk to a node of the second chunk's rows.
+      // Node 1 maps every chunk to the discard histogram; each top chunk
+      // of a wanted prefix gets a node of its own.
+      std::size_t tops = 0;
+      for (std::size_t j = 0; j < wanted.size(); ++j) {
+        if (j == 0 || wanted[j] >> 11 != wanted[j - 1] >> 11) ++tops;
+      }
+      table_.reserve((2 + tops) * kFan);
+      table_.assign(2 * kFan, kDeadNode);
+      std::fill(table_.begin() + kFan, table_.end(), discard_);
+      for (std::size_t j = 0; j < wanted.size(); ++j) {
+        std::uint32_t& node = table_[wanted[j] >> 11];
+        if (node == kDeadNode) {
+          node = static_cast<std::uint32_t>(table_.size() / kFan);
+          table_.resize(table_.size() + kFan, discard_);
+        }
+        table_[node * kFan + (wanted[j] & (kFan - 1))] =
+            static_cast<std::uint32_t>(j);
+      }
+    }
+  }
+
+  /// The histogram `key` counts in.
+  std::uint32_t row(std::uint32_t key) const noexcept {
+    switch (depth_) {
+      case 0:
+        return 0;
+      case 1:
+        return table_[key >> 21];
+      default:
+        return table_[table_[key >> 21] * kFan + ((key >> 10) & (kFan - 1))];
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kDeadNode = 1;
+  int depth_;
+  std::uint32_t discard_;
+  std::vector<std::uint32_t> table_;
+};
+
+/// The order statistics of the ramps' expanded floats at sorted ranks, by
+/// an exact radix select on their keys. Each level is one pass over the
+/// ramps in place. It counts, per distinct key prefix the ranks have
+/// reached, the values with that prefix by their next bits, and moves each
+/// rank into its bucket. After the last level each rank's key is whole.
+///
+/// No value is stored. A ramp is monotone, so one whose end keys share a
+/// bucket is counted from its ends alone, and one whose keys lie wholly
+/// outside the wanted prefixes' range is skipped; only the rest are read
+/// value by value. Memory is one histogram per distinct prefix, plus a
+/// discard histogram and the prefix tables, whatever the ramp count.
+///
+/// Keys order -0 below +0, as the ramp search does; the float path's
+/// nth_element holds them equal. The two only differ in the sign of a zero
+/// order statistic, and select_frame's interpolation adds a non-negative
+/// difference to it, which makes a zero percentile +0 either way.
+std::vector<double> radix_order_stats(const RampSource& xs,
+                                      std::span<const std::size_t> ranks) {
+  if (ranks.empty()) return {};
+  // Per rank: the key bits resolved so far, and the rank's place among the
+  // values with that prefix. Ranks are sorted, so prefixes stay sorted.
+  std::vector<std::uint64_t> prefix(ranks.size(), 0);
+  std::vector<std::uint64_t> within(ranks.begin(), ranks.end());
+  std::vector<std::uint64_t> wanted;  // the distinct prefixes, sorted
+  std::array<LatencyRamp, 256> block;  // the ramps are read in runs
+  int resolved = 0;
+  for (std::size_t level = 0; level < kRadixLevels.size(); ++level) {
+    const int bits = kRadixLevels[level];
+    const int below = 32 - resolved - bits;  // key bits under this level's
+    const int shift = below + bits;          // key >> shift: the prefix
+    const std::size_t buckets = std::size_t{1} << bits;
+    const std::uint64_t mask = buckets - 1;
+    wanted.assign(prefix.begin(), prefix.end());
+    wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+    const PrefixRows rows(wanted, static_cast<int>(level));
+    // One histogram per wanted prefix, then the discard histogram. Each
+    // level's are freed before the next level's are made.
+    std::vector<std::uint64_t> counts((wanted.size() + 1) * buckets, 0);
+    const auto count = [&](std::uint64_t key, std::uint64_t n) {
+      counts[rows.row(static_cast<std::uint32_t>(key)) * buckets +
+             ((key >> below) & mask)] += n;
+    };
+    const std::uint64_t first = wanted.front(), last = wanted.back();
+    for (std::size_t begin = 0; begin < xs.slots(); begin += block.size()) {
+      const std::span<LatencyRamp> run =
+          std::span(block).first(std::min(block.size(), xs.slots() - begin));
+      xs.read(begin, run);
+      for (const LatencyRamp& r : run) {
+        if (r.count <= 0) continue;
+        const RampEnds ends(r);
+        const std::uint64_t lo = ends.min_key(), hi = ends.max_key();
+        if (hi >> shift < first || lo >> shift > last) continue;
+        if (lo >> below == hi >> below) {  // one bucket holds the whole ramp
+          count(lo, static_cast<std::uint64_t>(r.count));
+          continue;
+        }
+        for (int i = 0; i < r.count; ++i) count(key_of(value_of(r, i)), 1);
+      }
+    }
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      const std::uint64_t* hist =
+          &counts[rows.row(static_cast<std::uint32_t>(prefix[i] << shift)) *
+                  buckets];
+      std::size_t b = 0;
+      for (; b + 1 < buckets && within[i] >= hist[b]; ++b) {
+        within[i] -= hist[b];
+      }
+      PROTEAN_DCHECK(within[i] < hist[b]);
+      prefix[i] = prefix[i] << bits | b;
+    }
+    resolved += bits;
+  }
+  std::vector<double> stats(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    stats[i] = static_cast<double>(float_of(prefix[i]));
+  }
+  return stats;
+}
+
 /// Largest slot a RampHeader can hold.
 constexpr std::size_t kMaxSlot = 0x7FFFFFFF;
 
@@ -157,17 +322,12 @@ class RampHeader {
  public:
   RampHeader(std::size_t slot, const LatencyRamp& r) noexcept
       : count_(r.count) {
-    // value_of(r, 0) and value_of(r, r.count - 1) without their divisions:
-    // request_latency's fraction is exactly 0 and 1 there.
-    const double span = r.last - r.first;
-    const float head = static_cast<float>(r.first + span * 0.0);
-    const float tail =
-        static_cast<float>(r.first + span * (r.count == 1 ? 0.0 : 1.0));
-    const bool ascending = tail >= head;
+    const RampEnds ends(r);
+    const bool ascending = ends.tail >= ends.head;
     tagged_slot_ = static_cast<std::uint32_t>(slot << 1) |
                    static_cast<std::uint32_t>(ascending);
-    min_key_ = key_of(ascending ? head : tail);
-    max_key_ = key_of(ascending ? tail : head);
+    min_key_ = key_of(ascending ? ends.head : ends.tail);
+    max_key_ = key_of(ascending ? ends.tail : ends.head);
   }
 
   std::size_t slot() const noexcept { return tagged_slot_ >> 1; }
@@ -462,19 +622,16 @@ void select_percentiles(const RampSource& xs, std::span<const double> ps,
                         std::span<double> out) {
   PROTEAN_CHECK_MSG(xs.slots() <= kMaxSlot + 1,
                     "more ramp slots than the ramp search can index");
-  // The float path when the expanded floats take no more memory than the
-  // ramp search's headers: it is the faster of the two on short ramps. The
-  // perfbench workloads sit on either side: llm-fleet's BERT batches hold
-  // at most 4 requests (4.0 per ramp, floats), the other three's batches
+  // The radix select on short ramps, four requests per ramp or fewer on
+  // average, where a header per ramp would take as much memory as the
+  // floats: it keeps nothing per ramp. The perfbench workloads sit on either side: llm-fleet's BERT
+  // batches hold at most 4 requests (radix), the other three's batches
   // about 128 (search).
   if (xs.requests() * sizeof(float) <= xs.ramps() * sizeof(RampHeader)) {
-    std::vector<float> floats;
-    floats.reserve(xs.requests());
-    for (std::size_t slot = 0; slot < xs.slots(); ++slot) {
-      const LatencyRamp r = xs.ramp(slot);
-      for (int i = 0; i < r.count; ++i) floats.push_back(value_of(r, i));
-    }
-    select_impl(std::span<float>(floats), ps, out);
+    select_frame(xs.requests(), ps, out,
+                 [&xs](std::span<const std::size_t> ranks) {
+                   return radix_order_stats(xs, ranks);
+                 });
     return;
   }
   select_frame(xs.requests(), ps, out,

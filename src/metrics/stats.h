@@ -64,6 +64,12 @@ class RampSource {
   virtual ~RampSource() = default;
   virtual std::size_t slots() const = 0;
   virtual LatencyRamp ramp(std::size_t slot) const = 0;
+  /// ramp(begin + i) into out[i], for each i < out.size(): one call for a
+  /// run of slots. A source that reads runs faster than slot by slot
+  /// overrides it.
+  virtual void read(std::size_t begin, std::span<LatencyRamp> out) const {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = ramp(begin + i);
+  }
   /// The requests, and the ramps of count > 0, over all slots.
   virtual std::size_t requests() const = 0;
   virtual std::size_t ramps() const = 0;
@@ -74,15 +80,19 @@ class RampSource {
 /// order-preserving bit keys and the bracket narrowed on exact counts (a
 /// monotone ramp counts the values below a key with one guessed binary
 /// search) until at most 2^16 values remain; only those are expanded.
-/// Short ramps are expanded whole instead when their floats take no more
-/// memory than the search's headers (four requests per ramp or fewer on
-/// average), which is also faster for them. A LatencyRamps is selected
-/// through the same path as a RampSource.
+/// Short ramps (four requests per ramp or fewer on average) take an exact
+/// radix select on the same keys instead: three passes over the ramps
+/// that histogram 11, 11 and 10 key bits of the values whose prefix a rank
+/// has reached. A LatencyRamps is selected through the same path as a
+/// RampSource.
 ///
 /// Memory: the ramps are read in place. The search keeps a 16-byte header
-/// per ramp, the float path at most as much. The search also keeps a
-/// window of at most 2^16 floats, and end-key buckets that span only the
-/// keys present (40 KiB for latencies from 1 ms to 1000 s).
+/// per ramp, a window of at most 2^16 floats, and end-key buckets that span
+/// only the keys present (40 KiB for latencies from 1 ms to 1000 s). The
+/// radix select keeps nothing per ramp, whatever the ramp count: one level's
+/// 16 KiB histograms at a time, one per distinct prefix (at most two per
+/// requested percentile) and one to discard into, and 8 KiB prefix tables
+/// (56 KiB for two percentiles).
 void select_percentiles(const RampSource& xs, std::span<const double> ps,
                         std::span<double> out);
 void select_percentiles(const LatencyRamps& xs, std::span<const double> ps,

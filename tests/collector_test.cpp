@@ -235,12 +235,26 @@ TEST(CollectorStore, RampSelectionMatchesTheFloatStoreOnEdgeRamps) {
   }
 }
 
+// One run's report, and a copy of its strict ramps taken from the run's
+// collector before the report was distilled.
+struct RunWithRamps {
+  harness::Report report;
+  LatencyRamps strict;
+};
+
+RunWithRamps run_with_ramps(const harness::ExperimentConfig& config) {
+  RunWithRamps run;
+  run.report = harness::run_experiment(
+      config, [&run](const Collector& c) { run.strict = c.strict_latencies(); });
+  return run;
+}
+
 // Checks one run's report against the reference; returns its strict
 // request count.
 std::size_t expect_report_matches_reference(
     const harness::ExperimentConfig& config) {
-  const harness::Report report = harness::run_experiment(config);
-  ExactStore ref = expanded(report.strict_latencies);
+  const auto [report, strict] = run_with_ramps(config);
+  ExactStore ref = expanded(strict);
   EXPECT_FALSE(ref.samples.empty()) << report.scheme;
   EXPECT_EQ(report.strict_p50_ms, to_ms(ref.percentile(50.0)))
       << report.scheme;
@@ -248,10 +262,16 @@ std::size_t expect_report_matches_reference(
       << report.scheme;
   EXPECT_EQ(report.strict_mean_ms, to_ms(ref.mean())) << report.scheme;
   std::vector<double> got(std::size(kOraclePs));
-  select_percentiles(report.strict_latencies, kOraclePs, got);
+  select_percentiles(strict, kOraclePs, got);
   for (std::size_t i = 0; i < std::size(kOraclePs); ++i) {
     EXPECT_EQ(got[i], ref.percentile(kOraclePs[i]))
         << report.scheme << " p" << kOraclePs[i];
+  }
+  // The report's table is the same selection, made in place.
+  EXPECT_FALSE(report.strict_latencies.empty()) << report.scheme;
+  for (const double p : harness::PercentileTable::kPs) {
+    EXPECT_EQ(report.strict_latencies.at(p), ref.percentile(p))
+        << report.scheme << " table p" << p;
   }
   return ref.samples.size();
 }
@@ -346,14 +366,48 @@ TEST(CollectorStore, KeepingSamplesLeavesReportedPercentilesUnchanged) {
       harness::primary_config("ResNet 50", /*horizon=*/30.0);
   config.warmup = 10.0;
   const harness::Report without = harness::run_experiment(config);
-  const harness::Report with =
-      harness::run_experiment(config.with_latency_samples());
-  ASSERT_EQ(with.strict_latencies.size(), with.strict_completed);
+  const auto [with, strict] = run_with_ramps(config.with_latency_samples());
+  ASSERT_EQ(strict.size(), with.strict_completed);
   EXPECT_EQ(with.strict_p50_ms, without.strict_p50_ms);
   EXPECT_EQ(with.strict_p99_ms, without.strict_p99_ms);
   EXPECT_EQ(with.strict_mean_ms, without.strict_mean_ms);
-  EXPECT_EQ(to_ms(percentile(with.strict_latencies, 99.0)),
-            with.strict_p99_ms);
+  EXPECT_EQ(to_ms(percentile(strict, 99.0)), with.strict_p99_ms);
+  EXPECT_EQ(to_ms(with.strict_latencies.at(99.0)), with.strict_p99_ms);
+  EXPECT_EQ(to_ms(with.strict_latencies.at(50.0)), with.strict_p50_ms);
+}
+
+TEST(CollectorStore, TableAssignedFromRampsMatchesTheInPlaceTable) {
+  harness::ExperimentConfig config =
+      harness::primary_config("ResNet 50", /*horizon=*/30.0);
+  config.warmup = 10.0;
+  config.with_latency_samples();
+  // Batches of ~128 requests take the ramp search; llm-fleet's BERT cell,
+  // at most four per batch, the radix select.
+  harness::ExperimentConfig bert = config;
+  bert.strict_model = "BERT";
+  bert.cluster.node_count = 16;
+  bert.trace.target_rps = 200.0;
+  for (const auto& cell : {config, bert}) {
+    const auto [report, strict] = run_with_ramps(cell);
+    ASSERT_FALSE(report.strict_latencies.empty()) << cell.strict_model;
+    EXPECT_EQ(strict.size() <= 4 * strict.ramps().size(),
+              cell.strict_model == "BERT")
+        << cell.strict_model;
+    harness::PercentileTable assigned;
+    assigned = strict;
+    ASSERT_FALSE(assigned.empty());
+    for (const double p : harness::PercentileTable::kPs) {
+      EXPECT_EQ(assigned.at(p), report.strict_latencies.at(p))
+          << cell.strict_model << " p" << p;
+    }
+  }
+  // No ramps, no table, as in a run on the sketch store.
+  harness::PercentileTable none;
+  none = LatencyRamps{};
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(
+      harness::run_experiment(config.with_sketch_collector()).strict_latencies
+          .empty());
 }
 
 // ------------------------------------------------ Fig. 6 fold vs. clamps --

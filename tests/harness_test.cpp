@@ -88,8 +88,12 @@ TEST(Harness, LatencySamplesOnlyWhenRequested) {
   auto without = run_experiment(config);
   EXPECT_TRUE(without.strict_latencies.empty());
   config.keep_latency_samples = true;
-  auto with = run_experiment(config);
-  EXPECT_EQ(with.strict_latencies.size(), with.strict_completed);
+  metrics::LatencyRamps strict;
+  auto with = run_experiment(config, [&strict](const metrics::Collector& c) {
+    strict = c.strict_latencies();
+  });
+  EXPECT_FALSE(with.strict_latencies.empty());
+  EXPECT_EQ(strict.size(), with.strict_completed);
 }
 
 TEST(Harness, TightSloReducesCompliance) {

@@ -98,7 +98,9 @@ TEST(ReportJson, PercentilesOnlyWithSamples) {
   Report report;
   EXPECT_EQ(report_to_json(report).dump().find("latency_percentiles"),
             std::string::npos);
-  report.strict_latencies.add(0.3, 0.1, 3);  // 0.3, 0.2, 0.1 s
+  metrics::LatencyRamps strict;
+  strict.add(0.3, 0.1, 3);  // 0.3, 0.2, 0.1 s
+  report.strict_latencies = strict;
   EXPECT_NE(report_to_json(report).dump().find("latency_percentiles"),
             std::string::npos);
 }

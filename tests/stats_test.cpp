@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include "metrics/collector.h"
@@ -185,6 +187,97 @@ TEST(SelectPercentiles, RampsMatchTheExpandedFloats) {
   for (int i = 0; i < 30; ++i) ties.add(0.25, 0.25, 10000);
   ties.add(0.5, 0.1, 10000);
   expect_ramps_match_floats(ties, "ties");
+}
+
+// ---- the radix select on short ramps ---------------------------------------
+
+// Short ramps (four requests per ramp or fewer) take the radix select; its
+// percentiles must equal the float path's over the expanded floats, bit
+// for bit.
+void expect_radix_matches_floats(const LatencyRamps& xs, const char* what) {
+  std::size_t ramps = 0;
+  for (const LatencyRamp& r : xs.ramps()) ramps += r.count > 0 ? 1 : 0;
+  ASSERT_LE(xs.size(), 4 * ramps) << what << " takes the ramp search";
+  std::vector<float> floats = expand(xs);
+  std::vector<double> want(kPropertyPs.size()), got(kPropertyPs.size(), -1.0);
+  select_percentiles(std::span<float>(floats), kPropertyPs, want);
+  select_percentiles(xs, kPropertyPs, got);
+  for (std::size_t i = 0; i < kPropertyPs.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " p=" << kPropertyPs[i] << ": " << got[i] << " vs "
+        << want[i];
+  }
+}
+
+// The positive float whose bits are `bits`.
+float float_bits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
+
+TEST(SelectPercentiles, RadixSelectMatchesTheExpandedFloats) {
+  {
+    LatencyRamps one;
+    one.add(0.3, 0.3, 1);
+    expect_radix_matches_floats(one, "a single request");
+  }
+  {
+    // Over 2^16 equal values, with an outlier on either side.
+    LatencyRamps ties;
+    for (int i = 0; i < 20000; ++i) ties.add(0.25, 0.25, 4);
+    ties.add(0.001, 0.001, 1);
+    ties.add(9.0, 8.0, 2);
+    expect_radix_matches_floats(ties, "ties");
+  }
+  {
+    // Values on both sides of 11-bit and 22-bit key-prefix edges: the
+    // level-1 and level-2 bucket boundaries, as one-request ramps and as
+    // short ramps that cross them.
+    LatencyRamps edges;
+    const std::uint32_t base = std::bit_cast<std::uint32_t>(0.3f);
+    for (const int shift : {21, 10}) {
+      for (std::uint32_t step = 0; step < 40; ++step) {
+        const std::uint32_t edge = ((base >> shift) + step) << shift;
+        for (const std::uint32_t bits : {edge - 1, edge, edge + 1}) {
+          const double v = static_cast<double>(float_bits(bits));
+          edges.add(v, v, 1);
+        }
+        edges.add(static_cast<double>(float_bits(edge + 2)),
+                  static_cast<double>(float_bits(edge - 2)), 4);
+        edges.add(static_cast<double>(float_bits(edge - 3)),
+                  static_cast<double>(float_bits(edge + 3)), 3);
+      }
+    }
+    expect_radix_matches_floats(edges, "prefix edges");
+  }
+  {
+    // Descending, rising and flat ramps, and ramps of count 0, which hold
+    // no request.
+    LatencyRamps shapes = seeded_ramps(6000, -4, 0.01, 2.0, 0.05, 7);
+    LatencyRamps rising = seeded_ramps(3000, 3, 0.2, 0.5, 0.0, 8, 0.03);
+    for (const LatencyRamp& r : rising.ramps()) {
+      shapes.add(r.first, r.last, r.count);
+    }
+    for (int i = 0; i < 500; ++i) {
+      shapes.add(0.4 + 1e-4 * i, 0.4 + 1e-4 * i, 1 + i % 4);
+      shapes.add(0.7, 0.1, 0);
+    }
+    expect_radix_matches_floats(shapes, "ramp shapes");
+    LatencyRamps none;
+    none.add(0.5, 0.5, 0);
+    expect_radix_matches_floats(none, "count 0 only");
+  }
+  {
+    // -0 and +0 together. The radix select keys -0 below +0, as the ramp
+    // search does; the float path's nth_element holds them equal, so a
+    // zero order statistic may differ in sign between the two. The
+    // interpolation adds a non-negative difference to it, so every zero
+    // percentile comes out +0 on both paths and the bits still agree.
+    LatencyRamps zeros;
+    zeros.add(-0.0, -1.0, 3);  // -0, -0.5, -1
+    zeros.add(0.0, 1.0, 3);    // +0, 0.5, 1
+    zeros.add(0.0, 0.0, 2);    // +0, +0
+    zeros.add(-0.0, -0.5, 2);  // -0, -0.5
+    expect_radix_matches_floats(zeros, "signed zeros");
+  }
 }
 
 TEST(SelectPercentiles, RampSizeCountsRequests) {
