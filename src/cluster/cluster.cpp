@@ -51,6 +51,16 @@ class ShardFanout final : public trace::RequestSink {
   int cursor_ = 0;  ///< shard that takes the next remainder request
 };
 
+/// A fleet total, summed over the nodes in id order when it is read. Node
+/// totals include the GPUs that evictions retired.
+template <typename T>
+T sum_nodes(const std::vector<std::unique_ptr<WorkerNode>>& nodes,
+            T (WorkerNode::*get)() const noexcept) {
+  T sum{};
+  for (const auto& node : nodes) sum += ((*node).*get)();
+  return sum;
+}
+
 }  // namespace
 
 Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
@@ -105,7 +115,6 @@ Cluster::Cluster(sim::Simulator& simulator, const ClusterConfig& config,
   for (auto& node : nodes_) {
     node->set_redistribute(
         [this](workload::Batch&& b) { dispatch(std::move(b)); });
-    node->set_fleet_counters(&fleet_);
     const NodeId id = node->id();
     node->set_load_listener([this, id] { on_node_load_changed(id); });
   }
@@ -169,7 +178,7 @@ void Cluster::register_telemetry(telemetry::MetricsRegistry& registry) {
   registry.gauge("cluster_memory_utilization_pct",
                  [this] { return memory_utilization_pct(); });
   registry.gauge("cold_starts_total", [this] {
-    return static_cast<double>(collector_.cold_starts());
+    return static_cast<double>(total_cold_starts());
   });
   registry.gauge("requests_dropped_total", [this] {
     return static_cast<double>(collector_.dropped());
@@ -822,87 +831,41 @@ void Cluster::monitor_tick() {
   }
 }
 
-void Cluster::refresh_util_cache() const {
-  const std::uint64_t event = sim_.executed();
-  if (util_cache_valid_ && util_cache_event_ == event) return;
-  // Both integrals are constant within one event (they advance with the
-  // clock; state changes at `now` do not move the area behind `now`), so
-  // one pass serves every utilization gauge a telemetry scrape reads.
-  double busy = 0.0;
-  double mem = 0.0;
-  for (const auto& node : nodes_) {
-    busy += node->gpu_busy_seconds();
-    mem += node->gpu_memory_gb_seconds();
-  }
-  busy_cache_ = busy;
-  mem_cache_ = mem;
-  util_cache_event_ = event;
-  util_cache_valid_ = true;
-}
-
 double Cluster::gpu_utilization_pct() const {
   const Duration elapsed = sim_.now() - started_at_;
   if (elapsed <= 0.0) return 0.0;
-  refresh_util_cache();
   // Normalized by the base fleet (== nodes_.size() unless autoscaling),
   // so elastic runs report utilization against the provisioned baseline.
-  return 100.0 * busy_cache_ /
+  return 100.0 * sum_nodes(nodes_, &WorkerNode::gpu_busy_seconds) /
          (elapsed * static_cast<double>(config_.node_count));
 }
 
 double Cluster::memory_utilization_pct() const {
   const Duration elapsed = sim_.now() - started_at_;
   if (elapsed <= 0.0) return 0.0;
-  refresh_util_cache();
-  return 100.0 * mem_cache_ / (elapsed * config_.gpu_memory_gb *
-                               static_cast<double>(config_.node_count));
+  return 100.0 * sum_nodes(nodes_, &WorkerNode::gpu_memory_gb_seconds) /
+         (elapsed * config_.gpu_memory_gb *
+          static_cast<double>(config_.node_count));
 }
 
 std::uint64_t Cluster::total_cold_starts() const {
-#ifndef NDEBUG
-  std::uint64_t rescan = 0;
-  for (const auto& node : nodes_) rescan += node->cold_starts();
-  PROTEAN_CHECK_MSG(rescan == fleet_.cold_starts, "fleet cold-start drift");
-#endif
-  return fleet_.cold_starts;
+  return sum_nodes(nodes_, &WorkerNode::cold_starts);
 }
 
 std::uint64_t Cluster::total_dropped_jobs() const {
-#ifndef NDEBUG
-  std::uint64_t rescan = 0;
-  for (const auto& node : nodes_) rescan += node->dropped_jobs();
-  PROTEAN_CHECK_MSG(rescan == fleet_.dropped_jobs, "fleet drop drift");
-#endif
-  return fleet_.dropped_jobs;
+  return sum_nodes(nodes_, &WorkerNode::dropped_jobs);
 }
 
 int Cluster::total_reconfigurations() const {
-#ifndef NDEBUG
-  int rescan = 0;
-  for (const auto& node : nodes_) rescan += node->reconfigurations();
-  PROTEAN_CHECK_MSG(rescan == fleet_.reconfigurations,
-                    "fleet reconfiguration drift");
-#endif
-  return fleet_.reconfigurations;
+  return sum_nodes(nodes_, &WorkerNode::reconfigurations);
 }
 
 std::uint64_t Cluster::total_lost_batches() const {
-#ifndef NDEBUG
-  std::uint64_t rescan = 0;
-  for (const auto& node : nodes_) rescan += node->lost_batches();
-  PROTEAN_CHECK_MSG(rescan == fleet_.lost_batches, "fleet lost-batch drift");
-#endif
-  return fleet_.lost_batches;
+  return sum_nodes(nodes_, &WorkerNode::lost_batches);
 }
 
 int Cluster::total_failed_reconfigurations() const {
-#ifndef NDEBUG
-  int rescan = 0;
-  for (const auto& node : nodes_) rescan += node->failed_reconfigurations();
-  PROTEAN_CHECK_MSG(rescan == fleet_.failed_reconfigurations,
-                    "fleet failed-reconfiguration drift");
-#endif
-  return fleet_.failed_reconfigurations;
+  return sum_nodes(nodes_, &WorkerNode::failed_reconfigurations);
 }
 
 }  // namespace protean::cluster

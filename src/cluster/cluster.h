@@ -120,8 +120,8 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   }
 
   // ---- fleet-wide stats ----------------------------------------------------
-  // Counter aggregates read the push-maintained FleetCounters block (O(1));
-  // a debug build cross-checks each value against a full node rescan.
+  // Each aggregate is summed over the nodes when it is read; its readers
+  // run once per run (the report) or once per telemetry scrape.
   /// Percentage of wall time with >= 1 job running, averaged over GPUs.
   double gpu_utilization_pct() const;
   /// Average fraction of total GPU memory in use, in percent.
@@ -228,10 +228,6 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   /// Reference least-loaded scan over [lo, hi); audit_shard checks every
   /// shard's indexed choice against it.
   WorkerNode* least_loaded_scan(NodeId lo, NodeId hi) const;
-  /// One-pass-per-event cache for the fleet busy/memory integrals, so a
-  /// telemetry scrape reading several utilization gauges walks the nodes
-  /// once instead of once per gauge.
-  void refresh_util_cache() const;
   /// Retry/drop decision for a batch aborted by a fault.
   void on_lost_batch(workload::Batch&& batch);
   /// Arms the hedge timer for a fresh strict batch when hedging is on.
@@ -250,7 +246,6 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   std::unique_ptr<trace::RequestSink> fanout_;  // arrival splitter, shards > 1
   std::vector<ShardState> shards_;
   std::vector<IndexEntry> index_;
-  FleetCounters fleet_;
   std::unique_ptr<spot::Market> market_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<workflow::WorkflowRuntime> workflow_;
@@ -271,11 +266,6 @@ class Cluster : public spot::NodeLifecycleListener, public fault::FaultTarget {
   /// p2c draws; untouched at shards == 1.
   Rng shard_rng_ = Rng(kDispatchSeed).fork(0x51a2d);
   SimTime started_at_ = 0.0;
-
-  mutable std::uint64_t util_cache_event_ = ~0ull;
-  mutable bool util_cache_valid_ = false;
-  mutable double busy_cache_ = 0.0;
-  mutable double mem_cache_ = 0.0;
 };
 
 }  // namespace protean::cluster

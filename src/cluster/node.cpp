@@ -65,7 +65,6 @@ WorkerNode::WorkerNode(sim::Simulator& simulator, NodeId id,
 WorkerNode::~WorkerNode() = default;
 
 void WorkerNode::on_gpu_capacity() {
-  sync_fleet_gpu_counters();
   // A finished reconfiguration clears gpu().reconfiguring(), which the
   // dispatcher's ready index mirrors.
   notify_load();
@@ -322,8 +321,6 @@ void WorkerNode::maybe_boot_spare(const workload::ModelProfile& model) {
   if (pool.spare_booting) return;
   pool.spare_booting = true;
   ++cold_starts_;
-  if (fleet_ != nullptr) ++fleet_->cold_starts;
-  collector_.record_cold_start();
   if (obs::Tracer* t = config_.tracer;
       t != nullptr && t->wants(obs::kSpans)) {
     t->instant(obs::kSpans, "cold_start", static_cast<int>(id_) + 1,
@@ -407,8 +404,6 @@ void WorkerNode::start_batch(workload::Batch batch, gpu::Slice* slice) {
     PROTEAN_DCHECK(pool.busy == 0 && !pool.spare_booting);
     container_cold = true;
     ++cold_starts_;
-    if (fleet_ != nullptr) ++fleet_->cold_starts;
-    collector_.record_cold_start();
     if (tracer != nullptr && tracer->wants(obs::kSpans)) {
       tracer->instant(obs::kSpans, "cold_start", static_cast<int>(id_) + 1,
                       {{"model", batch.model->name}, {"spare", 0.0}});
@@ -608,7 +603,6 @@ void WorkerNode::handle_lost(workload::Batch batch) {
   // goes back to the warm pool; on a dead node it died with the VM.
   if (up_ && config_.keep_alive > 0.0) pool.idle_since.push_back(sim_.now());
   ++lost_batches_;
-  if (fleet_ != nullptr) ++fleet_->lost_batches;
   if (obs::Tracer* t = config_.tracer;
       t != nullptr && t->wants(obs::kSpans)) {
     t->instant(obs::kSpans, "lost", static_cast<int>(id_) + 1,
@@ -631,7 +625,6 @@ void WorkerNode::handle_lost(workload::Batch batch) {
   }
   // No resilience layer installed: legacy dropped-work accounting.
   ++dropped_jobs_;
-  if (fleet_ != nullptr) ++fleet_->dropped_jobs;
   collector_.record_dropped(batch.strict, batch.count);
 }
 
@@ -763,7 +756,6 @@ std::vector<workload::Batch> WorkerNode::evict() {
   // (>=30 s notice vs <1 s jobs) makes this rare.
   if (running_ > 0) {
     dropped_jobs_ += running_;
-    if (fleet_ != nullptr) fleet_->dropped_jobs += running_;
     // Strictness composition of in-flight jobs is not tracked per job; the
     // conservative choice is to count them as strict misses.
     collector_.record_dropped(/*strict=*/true, static_cast<int>(running_));
@@ -822,18 +814,6 @@ const std::vector<gpu::Slice*>& WorkerNode::sorted_slices() {
     sorted_topology_ = gpu_->topology_version();
   }
   return sorted_slices_;
-}
-
-void WorkerNode::sync_fleet_gpu_counters() {
-  if (fleet_ == nullptr) return;
-  // Node-level totals include GPUs retired by evictions, so the deltas
-  // survive evict/restore cycles without a separate re-baseline.
-  const int reconfigs = reconfigurations();
-  const int failed = failed_reconfigurations();
-  fleet_->reconfigurations += reconfigs - fleet_synced_reconfigs_;
-  fleet_->failed_reconfigurations += failed - fleet_synced_failed_;
-  fleet_synced_reconfigs_ = reconfigs;
-  fleet_synced_failed_ = failed;
 }
 
 }  // namespace protean::cluster

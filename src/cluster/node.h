@@ -30,20 +30,6 @@ class Counter;
 
 namespace protean::cluster {
 
-/// Fleet-wide counters maintained push-style by every node (docs/scale.md):
-/// the cluster's aggregate getters read this block instead of rescanning
-/// all nodes per call — the telemetry scrape tick calls several aggregates
-/// per tick, which made scrapes O(nodes × metrics). Values are exact
-/// mirrors of the per-node counters; Cluster asserts equality with a full
-/// rescan under PROTEAN_DCHECK.
-struct FleetCounters {
-  std::uint64_t cold_starts = 0;
-  std::uint64_t dropped_jobs = 0;
-  std::uint64_t lost_batches = 0;
-  int reconfigurations = 0;
-  int failed_reconfigurations = 0;
-};
-
 class WorkerNode {
  public:
   WorkerNode(sim::Simulator& simulator, NodeId id, const ClusterConfig& config,
@@ -58,10 +44,6 @@ class WorkerNode {
   /// The scheduler placing work on this node (its shard's scheduler when
   /// the control plane is sharded).
   Scheduler& scheduler() noexcept { return scheduler_; }
-
-  /// Installs the cluster's push-based fleet counter block; per-node
-  /// counter bumps are mirrored into it from then on.
-  void set_fleet_counters(FleetCounters* fleet) noexcept { fleet_ = fleet; }
 
   /// Invoked whenever any dispatch input may have changed — accepting(),
   /// outstanding_work(), or gpu().reconfiguring() — so the dispatcher's
@@ -330,10 +312,6 @@ class WorkerNode {
   }
   /// The capacity callback installed on every GPU this node builds.
   void on_gpu_capacity();
-  /// Mirrors the GPU-internal reconfiguration counters into the fleet
-  /// block by delta (the engine has no push hook for them); invoked from
-  /// the capacity callback, which fires on every path that bumps them.
-  void sync_fleet_gpu_counters();
 
   sim::Simulator& sim_;
   NodeId id_;
@@ -346,9 +324,6 @@ class WorkerNode {
   std::vector<gpu::Slice*> sorted_slices_;  // ascending; see sorted_slices()
   int sorted_topology_ = -1;
 
-  FleetCounters* fleet_ = nullptr;
-  int fleet_synced_reconfigs_ = 0;
-  int fleet_synced_failed_ = 0;
   std::function<void()> load_listener_;
 
   common::Ring<workload::Batch> queue_;

@@ -92,26 +92,28 @@ gpu::Slice* JobDistributor::choose_strict_slice(
 }
 
 gpu::Slice* JobDistributor::choose_best_effort_slice(
-    const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
+    const workload::Batch& batch, std::span<gpu::Slice* const> ascending,
     bool protect_largest, const memcache::ModelCache* cache) {
   // First Fit over ascending sizes: the smallest slice that can take the
   // batch right now. While strict work is present the largest slice is
   // reserved for it: BE spills onto it only when no smaller slice could
   // *ever* host the batch (e.g. a 14 GB DPN 92 batch in a (4g,2g,1g)
   // geometry) — otherwise the batch waits, per Guideline 1.
-  if (tagged.empty()) return nullptr;
-  const gpu::Slice* largest = tagged.back().slice;
+  PROTEAN_DCHECK(std::is_sorted(ascending.begin(), ascending.end(),
+                                gpu::slice_order_ascending));
+  if (ascending.empty()) return nullptr;
+  const gpu::Slice* largest = ascending.back();
   // Cache affinity: prefer a slice already holding the weights (same First
   // Fit rules), falling back to the plain scan when none qualifies.
   for (const bool affinity_pass : {true, false}) {
     if (affinity_pass && cache == nullptr) continue;
     bool fits_smaller = false;
-    for (const TaggedSlice& ts : tagged) {
-      gpu::Slice& slice = *ts.slice;
+    for (gpu::Slice* candidate : ascending) {
+      gpu::Slice& slice = *candidate;
       if (batch.model->mem_gb > slice.memory_capacity() + 1e-9) continue;
       if (&slice != largest) fits_smaller = true;
       if (protect_largest && &slice == largest && fits_smaller &&
-          tagged.size() > 1) {
+          ascending.size() > 1) {
         continue;
       }
       if (affinity_pass && !cache->resident(slice.id(), batch.model)) continue;

@@ -55,15 +55,16 @@ class JobDistributor {
       double be_fbr_density, const memcache::ModelCache* cache = nullptr,
       double* eta_out = nullptr);
 
-  /// choose_best_effort_slice ⑧: First-Fit bin packing over slices in
-  /// ascending size order. When `protect_largest` is set (strict work is
+  /// choose_best_effort_slice ⑧: First-Fit bin packing over `ascending`,
+  /// the slices in canonical ascending order (gpu::slice_order_ascending);
+  /// it reads no tag values. When `protect_largest` is set (strict work is
   /// present), the largest slice only takes BE batches that no smaller
   /// slice could ever host. Returns nullptr if nothing admits (the batch
   /// waits). With no strict demand, BE work may use the whole GPU. With a
   /// model cache, a first pass prefers slices where the batch's weights are
   /// already resident.
   static gpu::Slice* choose_best_effort_slice(
-      const workload::Batch& batch, const std::vector<TaggedSlice>& tagged,
+      const workload::Batch& batch, std::span<gpu::Slice* const> ascending,
       bool protect_largest = true,
       const memcache::ModelCache* cache = nullptr);
 };

@@ -31,37 +31,36 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
     cluster::trace_placement(node, batch, scheme, 0, nullptr, 0.0);
     return nullptr;
   }
-  JobDistributor::compute_tags_into(slices, node.be_mem_queued(), tagged_);
-  const std::vector<TaggedSlice>& tagged = tagged_;
   if (batch.strict) {
     if (!options_.use_eta) {
       // Ablation: always take the largest admitting slice, ignoring the
       // interference/deficiency trade-off of Eq. 2.
-      for (auto it = tagged.rbegin(); it != tagged.rend(); ++it) {
-        gpu::Slice& slice = *it->slice;
+      for (auto it = slices.rbegin(); it != slices.rend(); ++it) {
+        gpu::Slice& slice = **it;
         if (batch.model->fits(slice.profile()) &&
             slice.can_admit(workload::job_spec_for(batch, slice.profile()))) {
-          cluster::trace_placement(node, batch, scheme, tagged.size(), &slice,
+          cluster::trace_placement(node, batch, scheme, slices.size(), &slice,
                                    0.0);
           return &slice;
         }
       }
-      cluster::trace_placement(node, batch, scheme, tagged.size(), nullptr,
+      cluster::trace_placement(node, batch, scheme, slices.size(), nullptr,
                                0.0);
       return nullptr;
     }
+    // Algorithm 1's tags are read by the Eq. 2 strict placement only.
+    JobDistributor::compute_tags_into(slices, node.be_mem_queued(), tagged_);
     const double density = node.be_fbr_density();
     double eta = 0.0;
     gpu::Slice* chosen = JobDistributor::choose_strict_slice(
-        batch, tagged, density, node.cache(), &eta);
-    cluster::trace_placement(node, batch, scheme, tagged.size(), chosen, eta);
+        batch, tagged_, density, node.cache(), &eta);
+    cluster::trace_placement(node, batch, scheme, slices.size(), chosen, eta);
     return chosen;
   }
   // The largest slice is only reserved while strict work is actually
   // around (resident, queued, or seen recently); a 100%-BE workload may
   // use the whole GPU (Table 5).
-  bool strict_present = !tagged.empty() &&
-                        tagged.back().slice->strict_jobs() > 0;
+  bool strict_present = slices.back()->strict_jobs() > 0;
   if (!strict_present && !node.queue().empty()) {
     strict_present = node.queue().front().strict;
   }
@@ -69,8 +68,8 @@ gpu::Slice* ProteanScheduler::place(const workload::Batch& batch,
     strict_present = batch.enqueued_at - node.last_strict_seen() < 3.0;
   }
   gpu::Slice* chosen = JobDistributor::choose_best_effort_slice(
-      batch, tagged, strict_present, node.cache());
-  cluster::trace_placement(node, batch, scheme, tagged.size(), chosen, 0.0);
+      batch, slices, strict_present, node.cache());
+  cluster::trace_placement(node, batch, scheme, slices.size(), chosen, 0.0);
   return chosen;
 }
 

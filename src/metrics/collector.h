@@ -293,8 +293,6 @@ class Collector {
   std::uint64_t stages_recorded() const noexcept { return stages_recorded_; }
   std::uint64_t flows_recorded() const noexcept { return flows_recorded_; }
 
-  void record_cold_start() { ++cold_starts_; }
-
   // Model-weight cache events (src/memcache).
   void record_cache_hit() { ++cache_hits_; }
   void record_cache_miss() { ++cache_misses_; }
@@ -329,7 +327,6 @@ class Collector {
   std::uint64_t strict_completed() const noexcept { return strict_total_; }
   std::uint64_t be_completed() const noexcept { return be_total_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
-  std::uint64_t cold_starts() const noexcept { return cold_starts_; }
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
   std::uint64_t cache_misses() const noexcept { return cache_misses_; }
   std::uint64_t cache_evictions() const noexcept { return cache_evictions_; }
@@ -479,7 +476,6 @@ class Collector {
   std::uint64_t strict_compliant_ = 0;
   std::uint64_t be_total_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t cold_starts_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t cache_evictions_ = 0;

@@ -28,30 +28,32 @@ gpu::Slice* whole_gpu_slice(cluster::WorkerNode& node) {
   return slices.empty() ? nullptr : slices.front();
 }
 
+/// Whole-GPU placement, shared by Molecule (beta) and INFless/Llama: the
+/// batch takes the GPU's single slice if the slice admits it. Otherwise it
+/// queues: Molecule time-shares behind the running batch, and INFless
+/// consolidates everything, so only memory limits admission. `label` names
+/// the policy in placement traces.
+gpu::Slice* place_whole_gpu(const workload::Batch& batch,
+                            cluster::WorkerNode& node, const char* label) {
+  gpu::Slice* slice = whole_gpu_slice(node);
+  const std::size_t candidates = slice != nullptr ? 1 : 0;
+  if (slice != nullptr && !slice->can_admit(probe(batch, *slice))) {
+    slice = nullptr;
+  }
+  cluster::trace_placement(node, batch, label, candidates, slice, 0.0);
+  return slice;
+}
+
 }  // namespace
 
 gpu::Slice* MoleculeBetaScheduler::place(const workload::Batch& batch,
                                          cluster::WorkerNode& node) {
-  gpu::Slice* slice = whole_gpu_slice(node);
-  const std::size_t candidates = slice != nullptr ? 1 : 0;
-  if (slice != nullptr && !slice->can_admit(probe(batch, *slice))) {
-    slice = nullptr;  // busy: time sharing queues behind the running batch
-  }
-  cluster::trace_placement(node, batch, "molecule-beta", candidates, slice,
-                           0.0);
-  return slice;
+  return place_whole_gpu(batch, node, "molecule-beta");
 }
 
 gpu::Slice* InflessLlamaScheduler::place(const workload::Batch& batch,
                                          cluster::WorkerNode& node) {
-  gpu::Slice* slice = whole_gpu_slice(node);
-  const std::size_t candidates = slice != nullptr ? 1 : 0;
-  if (slice != nullptr && !slice->can_admit(probe(batch, *slice))) {
-    slice = nullptr;  // consolidate everything; only memory limits admission
-  }
-  cluster::trace_placement(node, batch, "infless-llama", candidates, slice,
-                           0.0);
-  return slice;
+  return place_whole_gpu(batch, node, "infless-llama");
 }
 
 gpu::Slice* NaiveSlicingScheduler::place(const workload::Batch& batch,

@@ -2,7 +2,9 @@
 // (Section 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <vector>
 
 #include "core/distributor.h"
 #include "core/slowdown.h"
@@ -40,6 +42,13 @@ struct GpuFixture {
   explicit GpuFixture(Geometry geometry = Geometry::g4_2_1())
       : gpu(sim, 0, std::move(geometry), SharingMode::kMps) {}
   std::span<Slice* const> slices() { return gpu.slices(); }
+  /// The live slices in the order choose_best_effort_slice expects.
+  std::vector<Slice*> ascending() {
+    const auto live = gpu.slices();
+    std::vector<Slice*> sorted(live.begin(), live.end());
+    std::sort(sorted.begin(), sorted.end(), gpu::slice_order_ascending);
+    return sorted;
+  }
 };
 
 TEST(Eq1, ExecTimeMatchesPaperFormula) {
@@ -179,18 +188,18 @@ TEST(ChooseStrict, RespectsModelMemoryFit) {
 
 TEST(ChooseBestEffort, FirstFitSmallestSlice) {
   GpuFixture f(Geometry::g4_2_1());
-  const auto tagged = JobDistributor::compute_tags(f.slices(), 0.0);
+  const auto ascending = f.ascending();
   Batch be = make_batch(model("MobileNet"), false);  // 2.5 GB fits 1g
-  Slice* chosen = JobDistributor::choose_best_effort_slice(be, tagged);
+  Slice* chosen = JobDistributor::choose_best_effort_slice(be, ascending);
   ASSERT_NE(chosen, nullptr);
   EXPECT_EQ(chosen->profile(), SliceProfile::k1g);
 }
 
 TEST(ChooseBestEffort, SkipsTooSmallSlices) {
   GpuFixture f(Geometry::g4_2_1());
-  const auto tagged = JobDistributor::compute_tags(f.slices(), 0.0);
+  const auto ascending = f.ascending();
   Batch be = make_batch(model("ResNet 50"), false);  // 6 GB: 1g too small
-  Slice* chosen = JobDistributor::choose_best_effort_slice(be, tagged);
+  Slice* chosen = JobDistributor::choose_best_effort_slice(be, ascending);
   ASSERT_NE(chosen, nullptr);
   EXPECT_EQ(chosen->profile(), SliceProfile::k2g);
 }
@@ -205,17 +214,17 @@ TEST(ChooseBestEffort, ProtectsLargestSliceWhenSmallerCouldServe) {
   filler.mem_gb = 19.0;
   f.slices()[1]->submit(filler, [](const gpu::JobCompletion&) {});
 
-  const auto tagged = JobDistributor::compute_tags(f.slices(), 0.0);
+  const auto ascending = f.ascending();
   Batch be = make_batch(model("MobileNet"), false);
   // MobileNet fits the 3g in principle: it must wait, not take the 4g.
-  EXPECT_EQ(JobDistributor::choose_best_effort_slice(be, tagged), nullptr);
+  EXPECT_EQ(JobDistributor::choose_best_effort_slice(be, ascending), nullptr);
 }
 
 TEST(ChooseBestEffort, SpillsToLargestWhenNothingElseCanEverFit) {
   GpuFixture f(Geometry::g4_2_1());
-  const auto tagged = JobDistributor::compute_tags(f.slices(), 0.0);
+  const auto ascending = f.ascending();
   Batch be = make_batch(model("DPN 92"), false);  // fits only the 4g
-  Slice* chosen = JobDistributor::choose_best_effort_slice(be, tagged);
+  Slice* chosen = JobDistributor::choose_best_effort_slice(be, ascending);
   ASSERT_NE(chosen, nullptr);
   EXPECT_EQ(chosen->profile(), SliceProfile::k4g);
 }

@@ -1,6 +1,8 @@
 // Property-style invariants of the PROTEAN policies and the engine.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "core/distributor.h"
@@ -83,9 +85,12 @@ TEST_P(DistributorSweepTest, PlacementsAlwaysAdmitAndFit) {
       batch.strict = strict;
       const auto tagged =
           core::JobDistributor::compute_tags(device.slices(), 3.0);
+      std::vector<gpu::Slice*> ascending;
+      for (const core::TaggedSlice& ts : tagged) ascending.push_back(ts.slice);
       gpu::Slice* chosen =
           strict ? core::JobDistributor::choose_strict_slice(batch, tagged, 0.1)
-                 : core::JobDistributor::choose_best_effort_slice(batch, tagged);
+                 : core::JobDistributor::choose_best_effort_slice(batch,
+                                                                  ascending);
       if (chosen == nullptr) {
         // Only legitimate when no slice could ever host the model.
         bool any_fit = false;

@@ -1,8 +1,9 @@
 // Tests for the control-plane scale refactor (docs/scale.md): per-scheme
-// dispatch determinism, sharded gateways, incrementally-maintained
-// fleet counters, the dispatch-index audit, and the batch object pool.
+// dispatch determinism, sharded gateways, fleet totals across a crash,
+// the dispatch-index audit, and the batch object pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <optional>
@@ -21,6 +22,7 @@
 #include "sched/baselines.h"
 #include "sched/registry.h"
 #include "telemetry/pipeline.h"
+#include "telemetry/registry.h"
 #include "trace/driver.h"
 
 namespace protean {
@@ -203,47 +205,110 @@ TEST(ShardedCluster, BatchIdsAreGloballyUniqueAcrossShards) {
   EXPECT_EQ(ids.size(), 12u);
 }
 
-// ---- incrementally-maintained fleet counters ------------------------------
+// ---- fleet totals ----------------------------------------------------------
 
-TEST(FleetCounters, AggregatesMatchPerNodeRescan) {
-  // No prewarm: the run must pay cold starts, so the counters move.
+TEST(FleetTotals, CountEventsOnGpusThatACrashRetired) {
+  // One node, no prewarm: serving pays cold starts, and a crash leaves no
+  // other node to take its work. MIG-only never reconfigures on its own,
+  // so the two reconfigurations below are the only ones.
   sim::Simulator sim;
-  auto scheduler = sched::make_scheduler(sched::Scheme::kProtean);
+  auto scheduler = sched::make_scheduler(sched::Scheme::kMigOnly);
   cluster::ClusterConfig config;
-  config.node_count = 3;
+  config.node_count = 1;
+  config.fault.enabled = true;
+  config.fault.reboot_delay = 5.0;
   cluster::Cluster deployment(sim, config, *scheduler);
   trace::DriverConfig dc;
   dc.trace.kind = trace::TraceKind::kConstant;
-  dc.trace.target_rps = 900.0;
-  dc.trace.horizon = 15.0;
+  dc.trace.target_rps = 300.0;
+  dc.trace.horizon = 30.0;
   dc.strict_model = &ModelCatalog::instance().by_name("ResNet 50");
   dc.seed = 7;
   trace::WorkloadDriver driver(sim, dc, deployment.sink());
   deployment.start();
   driver.start();
-  sim.run_until(15.0);
-  deployment.flush_gateways();
-  sim.run_until(30.0);
+  cluster::WorkerNode& node = deployment.node(0);
+  const auto reconfigure = [&node] {
+    const gpu::Geometry target = node.gpu().geometry() == gpu::Geometry::g4_3()
+                                     ? gpu::Geometry::g4_2_1()
+                                     : gpu::Geometry::g4_3();
+    ASSERT_TRUE(node.begin_reconfigure(target));
+  };
 
-  std::uint64_t cold = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t lost = 0;
-  int reconfigs = 0;
-  int failed = 0;
-  for (NodeId id = 0; id < config.node_count; ++id) {
-    const cluster::WorkerNode& node = deployment.node(id);
-    cold += node.cold_starts();
-    dropped += node.dropped_jobs();
-    lost += node.lost_batches();
-    reconfigs += node.reconfigurations();
-    failed += node.failed_reconfigurations();
-  }
+  sim.run_until(5.0);
+  reconfigure();
+  sim.run_until(10.0);
+  ASSERT_EQ(deployment.total_reconfigurations(), 1);
+  const std::uint64_t cold = deployment.total_cold_starts();
   EXPECT_GT(cold, 0u);
+
+  // The crash retires the GPU and its containers; what happened on them
+  // still counts.
+  ASSERT_TRUE(deployment.inject_crash(0));
+  EXPECT_FALSE(node.up());
+  EXPECT_EQ(deployment.total_reconfigurations(), 1);
   EXPECT_EQ(deployment.total_cold_starts(), cold);
-  EXPECT_EQ(deployment.total_dropped_jobs(), dropped);
-  EXPECT_EQ(deployment.total_lost_batches(), lost);
-  EXPECT_EQ(deployment.total_reconfigurations(), reconfigs);
-  EXPECT_EQ(deployment.total_failed_reconfigurations(), failed);
+
+  sim.run_until(16.0);  // rebooted after 5 s
+  ASSERT_TRUE(node.up());
+  reconfigure();
+  sim.run_until(22.0);
+  EXPECT_EQ(deployment.total_reconfigurations(), 2);
+  EXPECT_EQ(deployment.total_failed_reconfigurations(), 0);
+  // The rebooted VM boots its containers afresh.
+  EXPECT_GT(deployment.total_cold_starts(), cold);
+}
+
+TEST(FleetTotals, ColdStartGaugeReadsTheFleetTotal) {
+  // No prewarm: serving pays cold starts on every node, and a crash
+  // retires one node's containers between the two scrapes.
+  sim::Simulator sim;
+  telemetry::MetricsRegistry registry;
+  auto scheduler = sched::make_scheduler(sched::Scheme::kProtean);
+  cluster::ClusterConfig config;
+  config.node_count = 3;
+  config.fault.enabled = true;
+  config.fault.reboot_delay = 5.0;
+  config.telemetry = &registry;
+  cluster::Cluster deployment(sim, config, *scheduler);
+  trace::DriverConfig dc;
+  dc.trace.kind = trace::TraceKind::kConstant;
+  dc.trace.target_rps = 900.0;
+  dc.trace.horizon = 20.0;
+  dc.strict_model = &ModelCatalog::instance().by_name("ResNet 50");
+  dc.seed = 7;
+  trace::WorkloadDriver driver(sim, dc, deployment.sink());
+  deployment.start();
+  driver.start();
+
+  const std::vector<std::string>& names = registry.sample_names();
+  const auto at = std::find(names.begin(), names.end(), "cold_starts_total");
+  ASSERT_NE(at, names.end());
+  const auto gauge = [&registry, &at, &names] {
+    std::vector<double> values;
+    registry.scrape_values(&values);
+    return values.at(static_cast<std::size_t>(at - names.begin()));
+  };
+  const auto node_sum = [&deployment, &config] {
+    std::uint64_t sum = 0;
+    for (NodeId id = 0; id < config.node_count; ++id) {
+      sum += deployment.node(id).cold_starts();
+    }
+    return sum;
+  };
+
+  sim.run_until(8.0);
+  const std::uint64_t before = deployment.total_cold_starts();
+  EXPECT_GT(before, 0u);
+  EXPECT_EQ(before, node_sum());
+  EXPECT_DOUBLE_EQ(gauge(), static_cast<double>(before));
+
+  ASSERT_TRUE(deployment.inject_crash(1));
+  sim.run_until(20.0);  // rebooted after 5 s, with its containers cold
+  const std::uint64_t after = deployment.total_cold_starts();
+  EXPECT_GT(after, before);
+  EXPECT_EQ(after, node_sum());
+  EXPECT_DOUBLE_EQ(gauge(), static_cast<double>(after));
 }
 
 // ---- dispatch-index audit -------------------------------------------------

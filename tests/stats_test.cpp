@@ -445,12 +445,5 @@ TEST(Collector, TailBreakdownSelectsWorstBatches) {
   EXPECT_GT(tail.queue, 1.0);  // dominated by the slow batch
 }
 
-TEST(Collector, ColdStartCounter) {
-  Collector collector;
-  collector.record_cold_start();
-  collector.record_cold_start();
-  EXPECT_EQ(collector.cold_starts(), 2u);
-}
-
 }  // namespace
 }  // namespace protean::metrics
